@@ -32,7 +32,6 @@ from .chained_equations import (
 )
 from .dualcv import (
     CfpView,
-    CtpDegenerateError,
     CtpView,
     DualcvOutput,
     cfp_impute,

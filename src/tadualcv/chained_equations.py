@@ -41,7 +41,6 @@ class ConditionalModel:
     predictor_columns: list[int]
     coefficients: np.ndarray
     residual_scale: float
-    ridge: float = RIDGE
     gram_factor: tuple | None = None
 
 
@@ -134,7 +133,7 @@ def fit_conditional(state: ChainState, target_column: int) -> ConditionalModel:
     resid = y - design @ beta
     dof = max(1, obs.size - p)
     sigma2 = float(resid @ resid) / dof
-    return ConditionalModel(col, predictors, beta, float(np.sqrt(sigma2)), RIDGE, factor)
+    return ConditionalModel(col, predictors, beta, float(np.sqrt(sigma2)), factor)
 
 
 def _design(matrix, rows, predictors):

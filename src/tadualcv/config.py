@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .gp_within_visit import LOG10_ALPHA_BOUNDS, NUGGET_BASE, NUGGET_MAX
+
 
 class ConfigError(ValueError):
     """Raised for invalid configuration values."""
@@ -28,10 +30,10 @@ class Config:
     w2: float = 0.5
     chains: int = 5
     iterations: int = 10
-    gp_nugget: float = 1e-8
-    gp_nugget_max: float = 1e-2
-    gp_log10_alpha_lo: float = -6.0
-    gp_log10_alpha_hi: float = 4.0
+    gp_nugget: float = NUGGET_BASE
+    gp_nugget_max: float = NUGGET_MAX
+    gp_log10_alpha_lo: float = LOG10_ALPHA_BOUNDS[0]
+    gp_log10_alpha_hi: float = LOG10_ALPHA_BOUNDS[1]
     ctp_truncate: str = "keep_last"
     ecf_windows: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_ECF_WINDOWS))
     normalize: bool = True

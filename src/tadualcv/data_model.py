@@ -7,14 +7,15 @@ array plus an integer time vector. Masking bookkeeping (which cells were
 hidden on purpose, and what their true values were) lives in ``MaskSet``.
 
 All containers here are immutable after construction: the value arrays are
-flagged read-only, and the mutating-looking operations (``apply_mask``,
-``restore_mask``) return fresh datasets.
+flagged read-only, and the mutating-looking operations (``write_cells``,
+``apply_mask``, ``restore_mask``) return fresh datasets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from itertools import chain
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -222,45 +223,52 @@ def median_event_count(dataset: Dataset) -> int:
     return counts[(len(counts) - 1) // 2]
 
 
+def _stacked(dataset: Dataset, cells: Collection[CellIndex]):
+    """Stack all visits event-wise; locate ``cells`` in the stack.
+
+    Returns the stacked copy, each visit's first row in it, and the cells'
+    (row, column) index arrays.
+    """
+    idx = np.fromiter(chain.from_iterable(cells), np.int64, 3 * len(cells)).reshape(-1, 3)
+    starts = np.cumsum([0] + [v.n_events for v in dataset.visits])
+    if np.any(idx[:, 1] >= np.diff(starts)[idx[:, 0]]):
+        raise IndexError("cell event index beyond the end of its visit")
+    stacked = np.vstack([v.values for v in dataset.visits])
+    return stacked, starts, (starts[idx[:, 0]] + idx[:, 1], idx[:, 2])
+
+
+def write_cells(dataset: Dataset, cells: Collection[CellIndex], values) -> Dataset:
+    """Copy of ``dataset`` with ``values`` written into ``cells``.
+
+    ``values`` holds one value per cell, or a single value for all of them.
+    """
+    stacked, starts, at = _stacked(dataset, cells)
+    stacked[at] = values
+    blocks = np.split(stacked, starts[1:-1])
+    return Dataset(
+        dataset.features,
+        [Visit(v.visit_id, v.times, block) for v, block in zip(dataset.visits, blocks)],
+    )
+
+
 def apply_mask(dataset: Dataset, mask: MaskSet) -> Dataset:
     """Return a copy of ``dataset`` with every masked cell set to missing.
 
     The source dataset is untouched. Masking a cell that is already missing
-    is an error: masks must target observed values.
+    (or masking one cell twice) is an error: masks must target observed
+    values.
     """
-    per_visit: dict[int, list[MaskEntry]] = {}
-    for entry in mask.entries:
-        per_visit.setdefault(entry.cell.visit, []).append(entry)
-
-    new_visits = []
-    for i, visit in enumerate(dataset.visits):
-        entries = per_visit.get(i)
-        if not entries:
-            new_visits.append(visit)
-            continue
-        values = visit.values.copy()
-        for cell, _truth in entries:
-            if np.isnan(values[cell.event, cell.feature]):
-                raise DataError(f"mask targets missing cell {tuple(cell)}")
-            values[cell.event, cell.feature] = np.nan
-        new_visits.append(Visit(visit.visit_id, visit.times, values))
-    return Dataset(dataset.features, new_visits)
+    cells = mask.cells()
+    stacked, _, (rows, cols) = _stacked(dataset, cells)
+    # a repeated entry targets a cell its first occurrence already masked
+    first = np.zeros(len(cells), dtype=bool)
+    first[np.unique(rows * dataset.n_features + cols, return_index=True)[1]] = True
+    valid = first & ~np.isnan(stacked[rows, cols])
+    if not valid.all():
+        raise DataError(f"mask targets missing cell {tuple(cells[int(np.argmin(valid))])}")
+    return write_cells(dataset, cells, np.nan)
 
 
 def restore_mask(dataset: Dataset, mask: MaskSet) -> Dataset:
     """Inverse of ``apply_mask``: write every entry's truth back into place."""
-    per_visit: dict[int, list[MaskEntry]] = {}
-    for entry in mask.entries:
-        per_visit.setdefault(entry.cell.visit, []).append(entry)
-
-    new_visits = []
-    for i, visit in enumerate(dataset.visits):
-        entries = per_visit.get(i)
-        if not entries:
-            new_visits.append(visit)
-            continue
-        values = visit.values.copy()
-        for cell, truth in entries:
-            values[cell.event, cell.feature] = truth
-        new_visits.append(Visit(visit.visit_id, visit.times, values))
-    return Dataset(dataset.features, new_visits)
+    return write_cells(dataset, mask.cells(), [e.truth for e in mask.entries])

@@ -6,8 +6,10 @@ features across the whole population. The temporal-perspective view builds
 one (visits x time-steps) matrix per feature, with every visit padded or
 truncated to the population's median event count, so chained equations
 exploit correlations between time-steps across visits. Cells covered by both
-views are blended with fixed weights; cells of visits longer than the median
-keep the feature-perspective fill alone.
+views are blended with fixed weights. Two kinds of cell keep the
+feature-perspective fill alone: cells of visits longer than the median, and
+cells of a time-step column with no observations in the temporal view, whose
+chains would only carry a placeholder.
 """
 
 from __future__ import annotations
@@ -18,15 +20,11 @@ import numpy as np
 
 from .chained_equations import run_chains
 from .config import Config, ConfigError
-from .data_model import CellIndex, Dataset, Visit, median_event_count
+from .data_model import CellIndex, Dataset, median_event_count
 
 # Seed-stream tags keeping the two views' randomness disjoint.
 _CFP_STREAM = 1
 _CTP_STREAM = 2
-
-
-class CtpDegenerateError(RuntimeError):
-    """The temporal-perspective view holds no observed values at all."""
 
 
 @dataclass
@@ -111,17 +109,16 @@ def ctp_impute(
 
     Visits longer than ``t_med`` contribute only their kept window (the most
     recent events by default); fills for padding placeholders never leave
-    this function.
+    this function. Nor do fills of a time-step column with no observations:
+    the chains hold only a placeholder constant there.
     """
     if t_med < 1:
         raise ValueError("t_med must be >= 1")
     fills: dict[CellIndex, float] = {}
     stds: dict[CellIndex, float] = {}
-    any_observed = False
     for feature in range(dataset.n_features):
         view = build_ctp_view(dataset, feature, t_med, config.ctp_truncate)
-        if not np.all(np.isnan(view.matrix)):
-            any_observed = True
+        unobserved = np.isnan(view.matrix).all(axis=0)
         result = run_chains(
             view.matrix,
             config.chains,
@@ -133,13 +130,11 @@ def ctp_impute(
             result.cells, result.pooled_fill, result.per_cell_std
         ):
             event = view.event_of[row, col]
-            if event < 0:
+            if event < 0 or unobserved[col]:
                 continue
             cell = CellIndex(row, int(event), feature)
             fills[cell] = float(fill)
             stds[cell] = float(std)
-    if not any_observed:
-        raise CtpDegenerateError("CTP view degenerate: no observed values")
     return fills, stds
 
 
@@ -154,26 +149,24 @@ def compromise(
     """Blend the two views' fills for one cell.
 
     Visits no longer than the median take the weighted combination; longer
-    visits take the feature-perspective fill alone.
+    visits, and cells the temporal view gave no fill, take the
+    feature-perspective fill alone.
     """
     if abs(w1 + w2 - 1.0) > 1e-12:
         raise ConfigError(f"view weights must sum to 1, got {w1} + {w2}")
-    if t_i > t_med:
+    if t_i > t_med or ctp_fill is None:
         return cfp_fill
-    if ctp_fill is None:
-        raise ValueError("temporal-view fill required for visits within median length")
     return w1 * cfp_fill + w2 * ctp_fill
 
 
 @dataclass
 class DualcvOutput:
-    """Completed data plus per-visit dispersion of the combined fills.
+    """Combined fills and stds per cell plus their per-visit dispersion.
 
     ``per_visit_sigma`` is NaN for visits that had nothing to impute.
     ``cell_fills``/``cell_stds`` stay on the caller's (normalized) scale.
     """
 
-    values: Dataset
     per_visit_sigma: np.ndarray
     cell_fills: dict[CellIndex, float]
     cell_stds: dict[CellIndex, float]
@@ -202,27 +195,8 @@ def dualcv_impute(dataset: Dataset, config: Config) -> DualcvOutput:
         else:
             cell_stds[cell] = cfp_stds[cell]
 
-    completed = write_fills(dataset, cell_fills)
     sigma = per_visit_mean_std(dataset.n_visits, cell_stds)
-    return DualcvOutput(completed, sigma, cell_fills, cell_stds)
-
-
-def write_fills(dataset: Dataset, fills: dict[CellIndex, float]) -> Dataset:
-    """Copy the dataset with the given cells filled in."""
-    per_visit: dict[int, list[tuple[CellIndex, float]]] = {}
-    for cell, value in fills.items():
-        per_visit.setdefault(cell.visit, []).append((cell, value))
-    visits = []
-    for i, visit in enumerate(dataset.visits):
-        todo = per_visit.get(i)
-        if not todo:
-            visits.append(visit)
-            continue
-        values = visit.values.copy()
-        for cell, value in todo:
-            values[cell.event, cell.feature] = value
-        visits.append(Visit(visit.visit_id, visit.times, values))
-    return Dataset(dataset.features, visits)
+    return DualcvOutput(sigma, cell_fills, cell_stds)
 
 
 def per_visit_mean_std(n_visits: int, cell_stds: dict[CellIndex, float]) -> np.ndarray:

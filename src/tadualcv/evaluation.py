@@ -46,7 +46,8 @@ class NormalizationMap:
         return self.offsets.size
 
 
-def _identity_map(n_features: int) -> NormalizationMap:
+def identity_map(n_features: int) -> NormalizationMap:
+    """The map that leaves every feature unchanged."""
     return NormalizationMap(
         np.zeros(n_features), np.ones(n_features), np.zeros(n_features, dtype=bool)
     )

@@ -1,10 +1,13 @@
 """Imputation method variants: the full pipeline, its ablations, baselines.
 
-The full method runs the dual cross-visit imputation, then augments it visit
-by visit with the within-visit GP fills through a convex combination whose
+Each model variant is one cell of a grid: a cross-visit part (none, the
+feature-perspective view alone, or the dual view) and the within-visit GP,
+on or off (``MODEL_VARIANTS``). All of them run one path: the cross-visit
+part, then the GP, fused visit by visit through a convex combination whose
 weights favor whichever side showed the smaller dispersion for that visit.
-Ablations drop one side or the other; the remaining variants are the
-chained-equation-only, feature-mean, and expert-carry-forward baselines.
+A hole the cross-visit part left open takes the GP fill; a hole neither
+filled takes its feature's mean. The feature-mean and expert-carry-forward
+baselines stand apart.
 
 Every variant writes fills into a copy of the caller's dataset, so observed
 cells pass through bit-identically regardless of any internal rescaling.
@@ -16,21 +19,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import Config, ConfigError
-from .data_model import CellIndex, DataError, Dataset, Visit
-from .dualcv import cfp_impute, dualcv_impute, per_visit_mean_std, write_fills
-from .evaluation import NormalizationMap, denormalize_value, normalize
+from .config import DEFAULT_ECF_WINDOWS, Config, ConfigError
+from .data_model import CellIndex, DataError, Dataset, Visit, write_cells
+from .dualcv import cfp_impute, dualcv_impute, per_visit_mean_std
+from .evaluation import denormalize_value, identity_map, normalize
 from .gp_within_visit import gp_impute_visit
 
-VARIANTS = (
-    "ta_dualcv",
-    "ta_dualcv_noC",
-    "ta_dualcv_noI",
-    "three_d_mice",
-    "mice_only",
-    "mean_fill",
-    "ecf",
-)
+# Model variant -> (cross-visit part, within-visit GP on). Parts are tags, not
+# functions, so calls resolve through this module's attributes at run time.
+MODEL_VARIANTS = {
+    "ta_dualcv": ("dualcv", True),
+    "ta_dualcv_noC": (None, True),
+    "ta_dualcv_noI": ("dualcv", False),
+    "three_d_mice": ("cfp", True),
+    "mice_only": ("cfp", False),
+}
+
+VARIANTS = (*MODEL_VARIANTS, "mean_fill", "ecf")
 
 
 @dataclass
@@ -109,8 +114,6 @@ def ecf_fill(dataset: Dataset, windows: dict[str, int] | None = None) -> Dataset
     same visit, provided that value is no older than the window for the
     feature's kind; everything else falls back to the cross-visit mean.
     """
-    from .config import DEFAULT_ECF_WINDOWS
-
     windows = dict(DEFAULT_ECF_WINDOWS if windows is None else windows)
     for kind, minutes in windows.items():
         if minutes <= 0:
@@ -161,32 +164,53 @@ def _gp_per_visit(dataset: Dataset, config: Config):
     return fills, stds, sigma_g
 
 
-def _finalize(
-    source: Dataset,
-    variant: str,
-    fills: dict[CellIndex, float],
-    stds: dict[CellIndex, float],
-    nmap: NormalizationMap,
-    sigma_m: np.ndarray,
-    sigma_g: np.ndarray,
-    theta1: np.ndarray,
-    theta2: np.ndarray,
-) -> ImputationOutput:
-    raw_fills = {
-        cell: denormalize_value(value, cell.feature, nmap) for cell, value in fills.items()
-    }
-    raw_stds = {
-        cell: value * float(nmap.scales[cell.feature]) for cell, value in stds.items()
-    }
-    return ImputationOutput(
-        dataset=write_fills(source, raw_fills),
-        variant=variant,
-        per_visit_sigma_m=sigma_m,
-        per_visit_sigma_g=sigma_g,
-        per_visit_theta1=theta1,
-        per_visit_theta2=theta2,
-        cell_stds=raw_stds,
-    )
+def _cross_visit(dataset: Dataset, cross: str | None, config: Config):
+    """Cross-visit fills/stds per cell plus per-visit sigma (NaN if no fills)."""
+    if cross == "dualcv":
+        out = dualcv_impute(dataset, config)
+        return out.cell_fills, out.cell_stds, out.per_visit_sigma
+    if cross == "cfp":
+        fills, stds = cfp_impute(dataset, config)
+        return fills, stds, per_visit_mean_std(dataset.n_visits, stds)
+    return {}, {}, np.full(dataset.n_visits, np.nan)
+
+
+def _fuse(fills, stds, gp_fills, gp_stds, sigma_m, sigma_g):
+    """Blend GP fills into the cross-visit fills visit by visit, in place.
+
+    A cell only the GP filled takes the GP value and std. Returns each
+    visit's fusion weights, NaN where the cross-visit part filled nothing.
+    """
+    theta1, theta2 = np.full(sigma_m.size, np.nan), np.full(sigma_m.size, np.nan)
+    by_visit: dict[int, dict[CellIndex, float]] = {}
+    for cell, value in fills.items():
+        by_visit.setdefault(cell.visit, {})[cell] = value
+    for i, visit_fills in by_visit.items():
+        visit_gp = {c: gp_fills[c] for c in visit_fills if c in gp_fills}
+        fused, t1, t2 = fuse_visit(visit_fills, visit_gp, sigma_m[i], sigma_g[i])
+        theta1[i], theta2[i] = t1, t2
+        fills.update(fused)
+        for cell in visit_gp:
+            stds[cell] = t1 * stds[cell] + t2 * gp_stds[cell]
+    for cell, value in gp_fills.items():
+        if cell not in fills:
+            fills[cell] = value
+            stds[cell] = gp_stds[cell]
+    return theta1, theta2
+
+
+def _fill_with_means(dataset: Dataset, fills, stds) -> None:
+    """Give every hole still without a fill its feature's mean, with std 0."""
+    means = None
+    for i, visit in enumerate(dataset.visits):
+        rows, cols = np.nonzero(np.isnan(visit.values))
+        for e, f in zip(rows.tolist(), cols.tolist()):
+            cell = CellIndex(i, e, f)
+            if cell not in fills:
+                if means is None:
+                    means = feature_means(dataset)
+                fills[cell] = float(means[f])
+                stds[cell] = 0.0
 
 
 def impute(dataset: Dataset, variant: str, config: Config | None = None) -> ImputationOutput:
@@ -198,94 +222,38 @@ def impute(dataset: Dataset, variant: str, config: Config | None = None) -> Impu
     """
     config = config or Config()
     n = dataset.n_visits
-    nan_visits = np.full(n, np.nan)
-
     if variant not in VARIANTS:
         raise ConfigError(f"unknown method variant {variant!r}")
 
-    if variant == "mean_fill":
-        completed = mean_fill(dataset)
-        return ImputationOutput(
-            completed, variant, nan_visits, nan_visits.copy(), nan_visits.copy(), nan_visits.copy()
-        )
-    if variant == "ecf":
-        completed = ecf_fill(dataset, config.ecf_windows)
-        return ImputationOutput(
-            completed, variant, nan_visits, nan_visits.copy(), nan_visits.copy(), nan_visits.copy()
-        )
+    if variant in ("mean_fill", "ecf"):
+        if variant == "mean_fill":
+            completed = mean_fill(dataset)
+        else:
+            completed = ecf_fill(dataset, config.ecf_windows)
+        return ImputationOutput(completed, variant, *(np.full(n, np.nan) for _ in range(4)))
 
+    cross, gp = MODEL_VARIANTS[variant]
     if config.normalize:
         normalized, nmap = normalize(dataset)
     else:
-        normalized, nmap = dataset, NormalizationMap(
-            np.zeros(dataset.n_features),
-            np.ones(dataset.n_features),
-            np.zeros(dataset.n_features, dtype=bool),
-        )
+        normalized, nmap = dataset, identity_map(dataset.n_features)
 
-    theta1 = np.full(n, np.nan)
-    theta2 = np.full(n, np.nan)
-
-    if variant == "mice_only":
-        fills, stds = cfp_impute(normalized, config)
-        sigma_m = per_visit_mean_std(n, stds)
-        return _finalize(
-            dataset, variant, fills, stds, nmap, sigma_m, nan_visits, theta1, theta2
-        )
-
-    if variant == "ta_dualcv_noI":
-        out = dualcv_impute(normalized, config)
-        return _finalize(
-            dataset,
-            variant,
-            out.cell_fills,
-            out.cell_stds,
-            nmap,
-            out.per_visit_sigma,
-            nan_visits,
-            theta1,
-            theta2,
-        )
-
-    if variant == "ta_dualcv_noC":
+    fills, stds, sigma_m = _cross_visit(normalized, cross, config)
+    if gp:
         gp_fills, gp_stds, sigma_g = _gp_per_visit(normalized, config)
-        means = feature_means(normalized)
-        fills = dict(gp_fills)
-        stds = dict(gp_stds)
-        for i, visit in enumerate(normalized.visits):
-            rows, cols = np.nonzero(np.isnan(visit.values))
-            for e, f in zip(rows.tolist(), cols.tolist()):
-                cell = CellIndex(i, e, f)
-                if cell not in fills:
-                    fills[cell] = float(means[f])
-                    stds[cell] = 0.0
-        return _finalize(
-            dataset, variant, fills, stds, nmap, nan_visits, sigma_g, theta1, theta2
-        )
+        theta1, theta2 = _fuse(fills, stds, gp_fills, gp_stds, sigma_m, sigma_g)
+    else:
+        sigma_g, theta1, theta2 = (np.full(n, np.nan) for _ in range(3))
+    _fill_with_means(normalized, fills, stds)
 
-    if variant == "ta_dualcv":
-        dual = dualcv_impute(normalized, config)
-        dual_fills, dual_stds, sigma_m = dual.cell_fills, dual.cell_stds, dual.per_visit_sigma
-    else:  # three_d_mice: feature-perspective view only, no compromise
-        dual_fills, dual_stds = cfp_impute(normalized, config)
-        sigma_m = per_visit_mean_std(n, dual_stds)
-
-    gp_fills, gp_stds, sigma_g = _gp_per_visit(normalized, config)
-
-    fills: dict[CellIndex, float] = {}
-    stds: dict[CellIndex, float] = {}
-    by_visit: dict[int, dict[CellIndex, float]] = {}
-    for cell, value in dual_fills.items():
-        by_visit.setdefault(cell.visit, {})[cell] = value
-    for i, visit_fills in by_visit.items():
-        visit_gp = {c: gp_fills[c] for c in visit_fills if c in gp_fills}
-        fused, t1, t2 = fuse_visit(visit_fills, visit_gp, sigma_m[i], sigma_g[i])
-        theta1[i], theta2[i] = t1, t2
-        fills.update(fused)
-        for cell in visit_fills:
-            if cell in visit_gp:
-                stds[cell] = t1 * dual_stds[cell] + t2 * gp_stds[cell]
-            else:
-                stds[cell] = dual_stds[cell]
-
-    return _finalize(dataset, variant, fills, stds, nmap, sigma_m, sigma_g, theta1, theta2)
+    raw_fills = [denormalize_value(value, cell.feature, nmap) for cell, value in fills.items()]
+    raw_stds = {cell: value * float(nmap.scales[cell.feature]) for cell, value in stds.items()}
+    return ImputationOutput(
+        dataset=write_cells(dataset, fills.keys(), raw_fills),
+        variant=variant,
+        per_visit_sigma_m=sigma_m,
+        per_visit_sigma_g=sigma_g,
+        per_visit_theta1=theta1,
+        per_visit_theta2=theta2,
+        cell_stds=raw_stds,
+    )

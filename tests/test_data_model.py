@@ -92,6 +92,9 @@ def test_mask_restore_round_trip(two_visit_dataset):
 def test_apply_mask_rejects_missing_target(two_visit_dataset):
     with pytest.raises(DataError, match="mask targets missing cell"):
         apply_mask(two_visit_dataset, MaskSet([(CellIndex(0, 1, 1), 0.0)]))
+    twice = MaskSet([(CellIndex(0, 0, 0), 1.0), (CellIndex(0, 0, 0), 1.0)])
+    with pytest.raises(DataError, match=r"mask targets missing cell \(0, 0, 0\)"):
+        apply_mask(two_visit_dataset, twice)
 
 
 def test_visit_from_events():

@@ -6,7 +6,6 @@ from tadualcv.config import Config, ConfigError
 from tadualcv.data_model import CellIndex
 from tadualcv.dualcv import (
     _CFP_STREAM,
-    CtpDegenerateError,
     build_cfp_view,
     build_ctp_view,
     cfp_impute,
@@ -14,6 +13,7 @@ from tadualcv.dualcv import (
     ctp_impute,
     dualcv_impute,
 )
+from tadualcv.methods import impute
 
 from conftest import NAN, make_dataset
 
@@ -115,8 +115,26 @@ def test_ctp_recovers_cross_visit_relation():
 def test_ctp_degenerate_view():
     # t_med above every T_i and nothing observed anywhere in the view
     ds = make_dataset([("a", [0], [[NAN, NAN]]), ("b", [0], [[NAN, NAN]])])
-    with pytest.raises(CtpDegenerateError):
-        ctp_impute(ds, 3, Config())
+    fills, stds = ctp_impute(ds, 3, Config())
+    assert fills == {} and stds == {}
+
+
+@pytest.mark.parametrize("variant", ["ta_dualcv", "ta_dualcv_noI"])
+def test_empty_ctp_column_keeps_cfp_fill(variant):
+    # y's only observation sits in the truncated head of the long visit, so
+    # every CTP column of y is empty: the short visits must get the observed
+    # 5.0, not a blend with the chains' placeholder
+    ds = make_dataset(
+        [
+            ("a", [0, 10, 20, 30, 40],
+             [[1.0, 5.0], [2.0, NAN], [3.0, NAN], [4.0, NAN], [5.0, NAN]]),
+            ("b", [0, 10], [[1.0, NAN], [2.0, NAN]]),
+            ("c", [0, 10], [[3.0, NAN], [4.0, NAN]]),
+        ]
+    )
+    out = impute(ds, variant)
+    for visit in out.dataset.visits[1:]:
+        assert visit.values[:, 1].tolist() == [5.0, 5.0]
 
 
 def test_compromise_weight_identity():
@@ -147,7 +165,7 @@ def test_compromise_midpoint_machine_precision():
 def test_dualcv_no_missing():
     ds = make_dataset([("a", [0, 10], [[1.0, 2.0], [3.0, 4.0]])])
     out = dualcv_impute(ds, Config())
-    np.testing.assert_array_equal(out.values.visits[0].values, ds.visits[0].values)
+    assert out.cell_fills == {}
     assert np.all(np.isnan(out.per_visit_sigma))
 
 
@@ -179,12 +197,3 @@ def test_dualcv_long_visits_take_cfp_exactly():
     assert long_cells
     for cell in long_cells:
         assert out.cell_fills[cell] == cfp_fills[cell]
-
-
-def test_dualcv_observed_cells_preserved():
-    ds = duplicate_x_dataset()
-    out = dualcv_impute(ds, Config())
-    observed = ds.visits[0].observed()
-    np.testing.assert_array_equal(
-        out.values.visits[0].values[observed], ds.visits[0].values[observed]
-    )

@@ -3,11 +3,13 @@ import pytest
 
 from tadualcv.config import Config, ConfigError
 from tadualcv.data_model import CellIndex, DataError
-from tadualcv.dualcv import cfp_impute
+from tadualcv.dualcv import cfp_impute, dualcv_impute, per_visit_mean_std
 from tadualcv.evaluation import denormalize_value, normalize
+from tadualcv.gp_within_visit import gp_impute_visit
 from tadualcv.methods import (
     VARIANTS,
     ecf_fill,
+    feature_means,
     fuse_visit,
     fusion_weights,
     impute,
@@ -228,3 +230,62 @@ def test_all_variants_preserve_observed_cells():
                 after.values[observed], before.values[observed]
             )
             assert not np.isnan(after.values).any()
+
+
+def _gp_parts(dataset):
+    """GP fills and stds per cell, and per-visit mean GP std, at default settings."""
+    fills, stds = {}, {}
+    for i, visit in enumerate(dataset.visits):
+        result = gp_impute_visit(visit.times, visit.values)
+        for (e, f), value in result.fills.items():
+            fills[CellIndex(i, e, f)] = value
+            stds[CellIndex(i, e, f)] = result.stds[(e, f)]
+    return fills, stds, per_visit_mean_std(dataset.n_visits, stds)
+
+
+@pytest.mark.parametrize("variant", ["ta_dualcv_noI", "three_d_mice", "ta_dualcv_noC"])
+def test_variant_table_cell_meaning(variant):
+    # each model variant rebuilt from its (cross-visit, GP) parts
+    ds, _ = generate(
+        SynthConfig(n_visits=6, n_features=3, events_per_visit=(3, 6),
+                    noise_scale=0.02, native_missing_rate=0.4, seed=5)
+    )
+    config = Config(chains=2, iterations=3, seed=0)
+    normalized, nmap = normalize(ds)
+    n = ds.n_visits
+    theta1 = np.full(n, np.nan)
+    want_stds = {}
+    if variant == "ta_dualcv_noI":
+        want = dualcv_impute(normalized, config).cell_fills
+    elif variant == "three_d_mice":
+        cfp_fills, cfp_stds = cfp_impute(normalized, config)
+        gp_fills, _, sigma_g = _gp_parts(normalized)
+        sigma_m = per_visit_mean_std(n, cfp_stds)
+        want = {}
+        for i in range(n):
+            visit_cfp = {c: v for c, v in cfp_fills.items() if c.visit == i}
+            visit_gp = {c: v for c, v in gp_fills.items() if c in visit_cfp}
+            if visit_cfp:
+                fused, theta1[i], _ = fuse_visit(visit_cfp, visit_gp, sigma_m[i], sigma_g[i])
+                want.update(fused)
+        assert gp_fills  # the GP must take part for the test to bite
+    else:
+        gp_fills, _, _ = _gp_parts(normalized)
+        means = feature_means(normalized)
+        want = dict(gp_fills)
+        for i, visit in enumerate(normalized.visits):
+            for e, f in zip(*np.nonzero(np.isnan(visit.values))):
+                cell = CellIndex(i, int(e), int(f))
+                if cell not in want:
+                    want[cell] = float(means[f])
+                    want_stds[cell] = 0.0
+        assert gp_fills and want_stds  # both rules must apply
+
+    out = impute(ds, variant, config)
+    assert len(want) == sum(int(np.isnan(v.values).sum()) for v in ds.visits)
+    for cell, value in want.items():
+        got = out.dataset.visits[cell.visit].values[cell.event, cell.feature]
+        assert got == denormalize_value(value, cell.feature, nmap)
+    for cell, std in want_stds.items():
+        assert out.cell_stds[cell] == std
+    np.testing.assert_array_equal(out.per_visit_theta1, theta1)
