@@ -21,9 +21,6 @@ from .data_model import (
     validate,
 )
 from .chained_equations import (
-    ChainEnsembleResult,
-    ChainState,
-    ConditionalModel,
     DegenerateModelError,
     initialize_fills,
     pmm_draw,
@@ -31,9 +28,6 @@ from .chained_equations import (
     sweep,
 )
 from .dualcv import (
-    CfpView,
-    CtpView,
-    DualcvOutput,
     cfp_impute,
     compromise,
     ctp_impute,
@@ -41,7 +35,6 @@ from .dualcv import (
 )
 from .gp_within_visit import (
     GPModel,
-    GPVisitResult,
     IllConditionedCorrelationError,
     corr,
     fit_gp,
@@ -53,7 +46,7 @@ from .methods import (
     VARIANTS,
     ImputationOutput,
     ecf_fill,
-    fuse_visit,
+    fuse,
     fusion_weights,
     impute,
     mean_fill,
@@ -61,7 +54,6 @@ from .methods import (
 )
 from .evaluation import (
     EvalReport,
-    NormalizationMap,
     denormalize,
     mask_one_per_feature_visit,
     mask_random,

@@ -53,7 +53,6 @@ class ChainState:
         self.observed = observed
         self.inert = inert
         self.rng = rng
-        self.iteration = 0
 
     @property
     def n_columns(self) -> int:
@@ -233,7 +232,6 @@ def sweep(state: ChainState) -> ChainState:
         if state.missing[col].size == 0 or state.observed[col].size < 2:
             continue
         pmm_draw(state, col)
-    state.iteration += 1
     return state
 
 

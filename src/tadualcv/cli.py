@@ -119,7 +119,7 @@ def cmd_impute(args) -> int:
     std_out = Path(args.std_out) if args.std_out else out.with_suffix(".std.csv")
     mi_out = Path(args.mi_out) if args.mi_out else out.with_suffix(".mi.csv")
     io_formats.emit_wide_csv(output.dataset, out)
-    io_formats.emit_std_csv(output.dataset, output.cell_stds, std_out)
+    io_formats.emit_std_csv(output.dataset, output.stds, std_out)
     io_formats.emit_mi_csv(dataset, mi_out)
     print(f"imputed with {args.method}; values -> {out}, stds -> {std_out}, MI -> {mi_out}")
     return 0

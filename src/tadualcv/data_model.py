@@ -1,19 +1,23 @@
 """In-memory model for irregular multivariate time series with missingness.
 
 A dataset is a collection of visits; each visit is a sequence of timestamped
-events carrying one value slot per feature. Missing values are stored as NaN
-inside each visit's value matrix, so every visit is a dense ``(T_i, D)`` float
-array plus an integer time vector. Masking bookkeeping (which cells were
-hidden on purpose, and what their true values were) lives in ``MaskSet``.
+events carrying one value slot per feature, with NaN for a missing value.
+The dataset stacks every visit's events, in visit order, into one
+``(E, D)`` float array ``values`` and one ``(E,)`` integer array ``times``;
+rows ``starts[i]:starts[i + 1]`` belong to visit ``i``, and each ``Visit`` in
+``dataset.visits`` is a view of its rows. Code that works on all cells at
+once reads the stacked arrays and maps ``CellIndex`` cells onto them with
+``rows``. Masking bookkeeping (which cells were hidden on purpose, and what
+their true values were) lives in ``MaskSet``.
 
 All containers here are immutable after construction: the value arrays are
-flagged read-only, and the mutating-looking operations (``write_cells``,
-``apply_mask``, ``restore_mask``) return fresh datasets.
+flagged read-only, and the mutating-looking operations (``with_values``,
+``write_cells``, ``apply_mask``, ``restore_mask``) return fresh datasets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
@@ -102,14 +106,49 @@ class Visit:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Features plus visits. ``validate`` reports contract violations."""
+    """Features plus visits, stacked event-wise; ``validate`` reports violations.
+
+    ``values`` (float64, ``(E, D)``) and ``times`` (int64, ``(E,)``) hold all
+    events in visit order, and ``starts`` (``(N + 1,)``) holds each visit's
+    first row plus the total ``E``. All three are read-only, and every visit's
+    arrays are views of its rows. Visits of unequal width are rejected.
+    """
 
     features: tuple[FeatureSpec, ...]
     visits: tuple[Visit, ...]
+    values: np.ndarray = field(repr=False, compare=False)
+    times: np.ndarray = field(repr=False, compare=False)
+    starts: np.ndarray = field(repr=False, compare=False)
 
     def __init__(self, features: Iterable[FeatureSpec], visits: Iterable[Visit]):
-        object.__setattr__(self, "features", tuple(features))
-        object.__setattr__(self, "visits", tuple(visits))
+        features, visits = tuple(features), tuple(visits)
+        widths = sorted({v.n_features for v in visits})
+        if len(widths) > 1:
+            raise DataError(f"visits carry value rows of unequal widths {widths}")
+        if visits:
+            values = np.concatenate([v.values for v in visits])
+            times = np.concatenate([v.times for v in visits])
+        else:
+            values, times = np.empty((0, len(features))), np.empty(0, dtype=np.int64)
+        starts = np.cumsum([0] + [v.n_events for v in visits])
+        self._assign(features, [v.visit_id for v in visits], times, values, starts)
+
+    def _assign(self, features, visit_ids, times, values, starts) -> None:
+        times.flags.writeable = False
+        values.flags.writeable = False
+        bounds = starts.tolist()
+        visits = tuple(
+            Visit(vid, times[a:b], values[a:b])
+            for vid, a, b in zip(visit_ids, bounds[:-1], bounds[1:])
+        )
+        for name, value in (
+            ("features", features),
+            ("visits", visits),
+            ("values", values),
+            ("times", times),
+            ("starts", starts),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def n_visits(self) -> int:
@@ -120,7 +159,28 @@ class Dataset:
         return len(self.features)
 
     def n_observed_cells(self) -> int:
-        return int(sum(v.observed().sum() for v in self.visits))
+        return int(np.count_nonzero(~np.isnan(self.values)))
+
+    def rows(self, cells: Collection[CellIndex]) -> tuple[np.ndarray, np.ndarray]:
+        """The (row, column) index arrays of ``cells`` in the stacked layout."""
+        idx = np.fromiter(chain.from_iterable(cells), np.int64, 3 * len(cells)).reshape(-1, 3)
+        if np.any(idx[:, 1] >= np.diff(self.starts)[idx[:, 0]]):
+            raise IndexError("cell event index beyond the end of its visit")
+        return self.starts[idx[:, 0]] + idx[:, 1], idx[:, 2]
+
+    def with_values(self, values) -> "Dataset":
+        """Same features, visits and times over a new ``(E, D)`` value array.
+
+        The array is taken over, not copied, and flagged read-only.
+        """
+        values = np.asarray(values, dtype=float)
+        if values.shape != self.values.shape:
+            raise DataError(f"values of shape {values.shape}, expected {self.values.shape}")
+        out = object.__new__(type(self))
+        out._assign(
+            self.features, [v.visit_id for v in self.visits], self.times, values, self.starts
+        )
+        return out
 
 
 class CellIndex(NamedTuple):
@@ -223,32 +283,14 @@ def median_event_count(dataset: Dataset) -> int:
     return counts[(len(counts) - 1) // 2]
 
 
-def _stacked(dataset: Dataset, cells: Collection[CellIndex]):
-    """Stack all visits event-wise; locate ``cells`` in the stack.
-
-    Returns the stacked copy, each visit's first row in it, and the cells'
-    (row, column) index arrays.
-    """
-    idx = np.fromiter(chain.from_iterable(cells), np.int64, 3 * len(cells)).reshape(-1, 3)
-    starts = np.cumsum([0] + [v.n_events for v in dataset.visits])
-    if np.any(idx[:, 1] >= np.diff(starts)[idx[:, 0]]):
-        raise IndexError("cell event index beyond the end of its visit")
-    stacked = np.vstack([v.values for v in dataset.visits])
-    return stacked, starts, (starts[idx[:, 0]] + idx[:, 1], idx[:, 2])
-
-
 def write_cells(dataset: Dataset, cells: Collection[CellIndex], values) -> Dataset:
     """Copy of ``dataset`` with ``values`` written into ``cells``.
 
     ``values`` holds one value per cell, or a single value for all of them.
     """
-    stacked, starts, at = _stacked(dataset, cells)
-    stacked[at] = values
-    blocks = np.split(stacked, starts[1:-1])
-    return Dataset(
-        dataset.features,
-        [Visit(v.visit_id, v.times, block) for v, block in zip(dataset.visits, blocks)],
-    )
+    stacked = dataset.values.copy()
+    stacked[dataset.rows(cells)] = values
+    return dataset.with_values(stacked)
 
 
 def apply_mask(dataset: Dataset, mask: MaskSet) -> Dataset:
@@ -259,11 +301,11 @@ def apply_mask(dataset: Dataset, mask: MaskSet) -> Dataset:
     values.
     """
     cells = mask.cells()
-    stacked, _, (rows, cols) = _stacked(dataset, cells)
+    rows, cols = dataset.rows(cells)
     # a repeated entry targets a cell its first occurrence already masked
     first = np.zeros(len(cells), dtype=bool)
     first[np.unique(rows * dataset.n_features + cols, return_index=True)[1]] = True
-    valid = first & ~np.isnan(stacked[rows, cols])
+    valid = first & ~np.isnan(dataset.values[rows, cols])
     if not valid.all():
         raise DataError(f"mask targets missing cell {tuple(cells[int(np.argmin(valid))])}")
     return write_cells(dataset, cells, np.nan)

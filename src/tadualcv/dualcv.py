@@ -1,7 +1,7 @@
 """Dual cross-visit imputation: two tensorizations fused by a compromise rule.
 
-The feature-perspective view stacks every visit's events into one tall
-(events x features) matrix, so chained equations exploit correlations between
+The feature-perspective view is the dataset's own stacked (events x
+features) layout, so chained equations exploit correlations between
 features across the whole population. The temporal-perspective view builds
 one (visits x time-steps) matrix per feature, with every visit padded or
 truncated to the population's median event count, so chained equations
@@ -10,6 +10,9 @@ views are blended with fixed weights. Two kinds of cell keep the
 feature-perspective fill alone: cells of visits longer than the median, and
 cells of a time-step column with no observations in the temporal view, whose
 chains would only carry a placeholder.
+
+Fills and stds come back as arrays over the stacked layout, NaN where a
+stage gave no value, so the compromise is one elementwise expression.
 """
 
 from __future__ import annotations
@@ -19,20 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chained_equations import run_chains
-from .config import Config, ConfigError
+from .config import Config
 from .data_model import CellIndex, Dataset, median_event_count
 
 # Seed-stream tags keeping the two views' randomness disjoint.
 _CFP_STREAM = 1
 _CTP_STREAM = 2
-
-
-@dataclass
-class CfpView:
-    """All visits stacked event-wise: rows map back through ``row_origin``."""
-
-    matrix: np.ndarray
-    row_origin: list[tuple[int, int]]
 
 
 @dataclass
@@ -49,14 +44,6 @@ class CtpView:
     event_of: np.ndarray
     n_padded: np.ndarray
     n_truncated: np.ndarray
-
-
-def build_cfp_view(dataset: Dataset) -> CfpView:
-    blocks, origin = [], []
-    for i, visit in enumerate(dataset.visits):
-        blocks.append(visit.values)
-        origin.extend((i, e) for e in range(visit.n_events))
-    return CfpView(np.vstack(blocks), origin)
 
 
 def build_ctp_view(dataset: Dataset, feature: int, t_med: int, truncate: str) -> CtpView:
@@ -80,25 +67,19 @@ def build_ctp_view(dataset: Dataset, feature: int, t_med: int, truncate: str) ->
     return CtpView(feature, matrix, event_of, n_padded, n_truncated)
 
 
-def cfp_impute(
-    dataset: Dataset, config: Config
-) -> tuple[dict[CellIndex, float], dict[CellIndex, float]]:
-    """Chained-equation fills for every missing cell, via the stacked view.
+def cfp_impute(dataset: Dataset, config: Config) -> tuple[np.ndarray, np.ndarray]:
+    """Chained-equation fills for every hole, run on the stacked layout.
 
-    Returns (fills, per-cell chain stds) keyed by dataset cell. Expects
-    range-normalized data.
+    Returns (fills, chain stds) as ``(E, D)`` arrays that are NaN at
+    observed cells. Expects range-normalized data.
     """
-    view = build_cfp_view(dataset)
     result = run_chains(
-        view.matrix, config.chains, config.iterations, config.seed, stream=(_CFP_STREAM,)
+        dataset.values, config.chains, config.iterations, config.seed, stream=(_CFP_STREAM,)
     )
-    fills: dict[CellIndex, float] = {}
-    stds: dict[CellIndex, float] = {}
-    for (row, col), fill, std in zip(result.cells, result.pooled_fill, result.per_cell_std):
-        visit, event = view.row_origin[row]
-        cell = CellIndex(visit, event, col)
-        fills[cell] = float(fill)
-        stds[cell] = float(std)
+    holes = np.isnan(dataset.values)
+    fills, stds = np.full(holes.shape, np.nan), np.full(holes.shape, np.nan)
+    fills[holes] = result.pooled_fill
+    stds[holes] = result.per_cell_std
     return fills, stds
 
 
@@ -138,42 +119,32 @@ def ctp_impute(
     return fills, stds
 
 
-def compromise(
-    cfp_fill: float,
-    ctp_fill: float | None,
-    t_i: int,
-    t_med: int,
-    w1: float,
-    w2: float,
-) -> float:
-    """Blend the two views' fills for one cell.
+def compromise(cfp, ctp, t_i, t_med: int, w1: float, w2: float):
+    """Blend the two views' fills (or stds) elementwise.
 
-    Visits no longer than the median take the weighted combination; longer
-    visits, and cells the temporal view gave no fill, take the
-    feature-perspective fill alone.
+    Cells of visits no longer than the median take the weighted combination;
+    cells of longer visits (``t_i > t_med``), and cells the temporal view
+    gave no value (NaN in ``ctp``), take the feature-perspective value alone.
     """
-    if abs(w1 + w2 - 1.0) > 1e-12:
-        raise ConfigError(f"view weights must sum to 1, got {w1} + {w2}")
-    if t_i > t_med or ctp_fill is None:
-        return cfp_fill
-    return w1 * cfp_fill + w2 * ctp_fill
+    return np.where((t_i > t_med) | np.isnan(ctp), cfp, w1 * cfp + w2 * ctp)
 
 
 @dataclass
 class DualcvOutput:
-    """Combined fills and stds per cell plus their per-visit dispersion.
+    """Combined fills and stds plus their per-visit dispersion.
 
-    ``per_visit_sigma`` is NaN for visits that had nothing to impute.
-    ``cell_fills``/``cell_stds`` stay on the caller's (normalized) scale.
+    ``fills``/``stds`` are ``(E, D)`` arrays on the caller's (normalized)
+    scale, NaN at observed cells. ``per_visit_sigma`` is NaN for visits that
+    had nothing to impute.
     """
 
     per_visit_sigma: np.ndarray
-    cell_fills: dict[CellIndex, float]
-    cell_stds: dict[CellIndex, float]
+    fills: np.ndarray
+    stds: np.ndarray
 
 
 def dualcv_impute(dataset: Dataset, config: Config) -> DualcvOutput:
-    """Run both views and fuse them cell by cell.
+    """Run both views and blend them cell by cell.
 
     Per-cell dispersion combines the two views' chain stds with the same
     weights used for the fills; a visit's sigma is the mean over its imputed
@@ -181,30 +152,33 @@ def dualcv_impute(dataset: Dataset, config: Config) -> DualcvOutput:
     """
     t_med = median_event_count(dataset)
     cfp_fills, cfp_stds = cfp_impute(dataset, config)
-    ctp_fills, ctp_stds = ctp_impute(dataset, t_med, config)
+    ctp_cell_fills, ctp_cell_stds = ctp_impute(dataset, t_med, config)
 
-    cell_fills: dict[CellIndex, float] = {}
-    cell_stds: dict[CellIndex, float] = {}
-    for cell, cfp_fill in cfp_fills.items():
-        t_i = dataset.visits[cell.visit].n_events
-        ctp_fill = ctp_fills.get(cell)
-        fused = compromise(cfp_fill, ctp_fill, t_i, t_med, config.w1, config.w2)
-        cell_fills[cell] = fused
-        if t_i <= t_med and cell in ctp_stds:
-            cell_stds[cell] = config.w1 * cfp_stds[cell] + config.w2 * ctp_stds[cell]
-        else:
-            cell_stds[cell] = cfp_stds[cell]
+    at = dataset.rows(ctp_cell_fills)
+    ctp_fills, ctp_stds = np.full_like(cfp_fills, np.nan), np.full_like(cfp_stds, np.nan)
+    ctp_fills[at] = np.fromiter(ctp_cell_fills.values(), float, len(ctp_cell_fills))
+    ctp_stds[at] = np.fromiter(ctp_cell_stds.values(), float, len(ctp_cell_stds))
 
-    sigma = per_visit_mean_std(dataset.n_visits, cell_stds)
-    return DualcvOutput(sigma, cell_fills, cell_stds)
+    lengths = np.diff(dataset.starts)
+    t_i = np.repeat(lengths, lengths)[:, None]
+    fills = compromise(cfp_fills, ctp_fills, t_i, t_med, config.w1, config.w2)
+    stds = compromise(cfp_stds, ctp_stds, t_i, t_med, config.w1, config.w2)
+    return DualcvOutput(per_visit_mean_std(dataset, stds), fills, stds)
 
 
-def per_visit_mean_std(n_visits: int, cell_stds: dict[CellIndex, float]) -> np.ndarray:
-    """Mean per-cell std per visit; NaN where a visit has no imputed cells."""
-    sums = np.zeros(n_visits)
-    counts = np.zeros(n_visits)
-    for cell, std in cell_stds.items():
-        sums[cell.visit] += std
-        counts[cell.visit] += 1
+def per_visit_mean_std(dataset: Dataset, stds: np.ndarray, at=None) -> np.ndarray:
+    """Mean std per visit over its imputed cells; NaN where it has none.
+
+    ``stds`` is an ``(E, D)`` array. ``at`` gives the (row, column) arrays of
+    the imputed cells in the order they are summed, which fixes the rounding;
+    by default it is every non-NaN cell in row-major order.
+    """
+    if at is None:
+        at = np.nonzero(~np.isnan(stds))
+    lengths = np.diff(dataset.starts)
+    visit = np.repeat(np.arange(dataset.n_visits), lengths)[at[0]]
+    # bincount adds the weights one by one in input order
+    sums = np.bincount(visit, weights=stds[at], minlength=dataset.n_visits)
+    counts = np.bincount(visit, minlength=dataset.n_visits)
     with np.errstate(invalid="ignore"):
         return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)

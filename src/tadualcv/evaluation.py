@@ -22,7 +22,6 @@ from .data_model import (
     DataError,
     Dataset,
     MaskSet,
-    Visit,
     apply_mask,
 )
 
@@ -54,10 +53,9 @@ def identity_map(n_features: int) -> NormalizationMap:
 
 
 def fit_normalization(dataset: Dataset) -> NormalizationMap:
-    stacked = np.vstack([v.values for v in dataset.visits])
-    holes = np.isnan(stacked)
-    lo = np.min(np.where(holes, np.inf, stacked), axis=0)
-    hi = np.max(np.where(holes, -np.inf, stacked), axis=0)
+    holes = np.isnan(dataset.values)
+    lo = np.min(np.where(holes, np.inf, dataset.values), axis=0)
+    hi = np.max(np.where(holes, -np.inf, dataset.values), axis=0)
     unobserved = ~np.isfinite(lo)
     lo = np.where(unobserved, 0.0, lo)
     hi = np.where(unobserved, 0.0, hi)
@@ -69,19 +67,11 @@ def fit_normalization(dataset: Dataset) -> NormalizationMap:
 def normalize(dataset: Dataset) -> tuple[Dataset, NormalizationMap]:
     """Scale every feature into [0, 1]; returns the map for the way back."""
     nmap = fit_normalization(dataset)
-    visits = [
-        Visit(v.visit_id, v.times, (v.values - nmap.offsets) / nmap.scales)
-        for v in dataset.visits
-    ]
-    return Dataset(dataset.features, visits), nmap
+    return dataset.with_values((dataset.values - nmap.offsets) / nmap.scales), nmap
 
 
 def denormalize(dataset: Dataset, nmap: NormalizationMap) -> Dataset:
-    visits = [
-        Visit(v.visit_id, v.times, v.values * nmap.scales + nmap.offsets)
-        for v in dataset.visits
-    ]
-    return Dataset(dataset.features, visits)
+    return dataset.with_values(dataset.values * nmap.scales + nmap.offsets)
 
 
 def denormalize_value(value: float, feature: int, nmap: NormalizationMap) -> float:
@@ -192,18 +182,22 @@ def nrmse(
     ``imputed``.
     """
     ranges = _per_patient_ranges(premask)
-    sq_sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for cell, truth in mask.entries:
-        value = imputed.visits[cell.visit].values[cell.event, cell.feature]
-        if np.isnan(value):
-            raise DataError(f"incomplete imputation: cell {tuple(cell)} still missing")
-        resid = (value - truth) / ranges[cell.visit, cell.feature]
-        sq_sums[cell.feature] = sq_sums.get(cell.feature, 0.0) + resid * resid
-        counts[cell.feature] = counts.get(cell.feature, 0) + 1
+    cells = mask.cells()
+    rows, cols = imputed.rows(cells)
+    values = imputed.values[rows, cols]
+    missing = np.isnan(values)
+    if missing.any():
+        cell = cells[int(np.argmax(missing))]
+        raise DataError(f"incomplete imputation: cell {tuple(cell)} still missing")
+    truths = np.fromiter((e.truth for e in mask.entries), float, len(cells))
+    visits = np.fromiter((c.visit for c in cells), np.int64, len(cells))
+    resid = (values - truths) / ranges[visits, cols]
+    # bincount adds the weights one by one in mask order
+    sq_sums = np.bincount(cols, weights=resid * resid, minlength=imputed.n_features)
+    counts = np.bincount(cols, minlength=imputed.n_features)
 
     per_feature = {
-        f: float(np.sqrt(sq_sums[f] / counts[f])) for f in sorted(counts)
+        int(f): float(np.sqrt(sq_sums[f] / counts[f])) for f in np.nonzero(counts)[0]
     }
     macro = float(np.mean(list(per_feature.values()))) if per_feature else None
     return EvalReport(
@@ -212,7 +206,7 @@ def nrmse(
         rate=mask.rate,
         seed=mask.seed,
         per_feature_nrmse=per_feature,
-        per_feature_masked={f: counts[f] for f in sorted(counts)},
+        per_feature_masked={f: int(counts[f]) for f in per_feature},
         macro_nrmse=macro,
         config_echo=dict(config_echo or {}),
     )

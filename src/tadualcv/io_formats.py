@@ -144,42 +144,42 @@ def emit_long_csv(dataset: Dataset, path) -> None:
                         writer.writerow([visit.visit_id, int(t), spec.name, fmt(v)])
 
 
-def _emit_wide(path, dataset: Dataset, cell_value) -> None:
+def _emit_wide(path, dataset: Dataset, rows) -> None:
+    """One line per event: visit id, time, then that event's cell strings.
+
+    ``rows`` yields one sequence of ``D`` strings per event, in stacked order.
+    """
     d = dataset.n_features
+    ids = [v.visit_id for v in dataset.visits for _ in range(v.n_events)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["visit_id", "time_min"] + [f"f_{k}" for k in range(d)])
-        for i, visit in enumerate(dataset.visits):
-            for e, t in enumerate(visit.times):
-                row = [visit.visit_id, int(t)]
-                row += [cell_value(i, e, f, visit) for f in range(d)]
-                writer.writerow(row)
+        writer.writerows(
+            [vid, t, *row] for vid, t, row in zip(ids, dataset.times.tolist(), rows)
+        )
+
+
+def _fmt_rows(values: np.ndarray):
+    return ([fmt(v) for v in row.tolist()] for row in values)
 
 
 def emit_wide_csv(dataset: Dataset, path) -> None:
     """Complete data only: every cell must hold a value."""
-    for visit in dataset.visits:
-        if np.isnan(visit.values).any():
-            raise DataError(f"visit {visit.visit_id!r} still has missing cells")
-    _emit_wide(path, dataset, lambda i, e, f, v: fmt(v.values[e, f]))
+    incomplete = np.isnan(dataset.values).any(axis=1)
+    if incomplete.any():
+        visit = np.searchsorted(dataset.starts, np.argmax(incomplete), side="right") - 1
+        raise DataError(f"visit {dataset.visits[visit].visit_id!r} still has missing cells")
+    _emit_wide(path, dataset, _fmt_rows(dataset.values))
 
 
-def emit_std_csv(dataset: Dataset, cell_stds: dict[CellIndex, float], path) -> None:
-    """Per-cell imputation dispersion; zero for observed cells."""
-    _emit_wide(
-        path,
-        dataset,
-        lambda i, e, f, v: fmt(cell_stds.get(CellIndex(i, e, f), 0.0)),
-    )
+def emit_std_csv(dataset: Dataset, stds: np.ndarray, path) -> None:
+    """Per-cell imputation dispersion from an ``(E, D)`` array, zero at observed cells."""
+    _emit_wide(path, dataset, _fmt_rows(np.asarray(stds, dtype=float)))
 
 
 def emit_mi_csv(dataset: Dataset, path) -> None:
     """Missing indicators of the (pre-imputation) dataset: 1 where missing."""
-    _emit_wide(
-        path,
-        dataset,
-        lambda i, e, f, v: "1" if np.isnan(v.values[e, f]) else "0",
-    )
+    _emit_wide(path, dataset, np.where(np.isnan(dataset.values), "1", "0").tolist())
 
 
 def read_wide_csv(path, features: list[FeatureSpec] | None = None) -> Dataset:

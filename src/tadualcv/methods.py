@@ -9,20 +9,23 @@ A hole the cross-visit part left open takes the GP fill; a hole neither
 filled takes its feature's mean. The feature-mean and expert-carry-forward
 baselines stand apart.
 
-Every variant writes fills into a copy of the caller's dataset, so observed
-cells pass through bit-identically regardless of any internal rescaling.
+Fills and stds travel as ``(E, D)`` arrays over the dataset's stacked
+layout, NaN where a stage gave no value, so fusion and the fallbacks are
+elementwise expressions. Every variant writes fills into a copy of the
+caller's dataset, so observed cells pass through bit-identically regardless
+of any internal rescaling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_ECF_WINDOWS, Config, ConfigError
-from .data_model import CellIndex, DataError, Dataset, Visit, write_cells
+from .data_model import DataError, Dataset
 from .dualcv import cfp_impute, dualcv_impute, per_visit_mean_std
-from .evaluation import denormalize_value, identity_map, normalize
+from .evaluation import identity_map, normalize
 from .gp_within_visit import gp_impute_visit
 
 # Model variant -> (cross-visit part, within-visit GP on). Parts are tags, not
@@ -43,8 +46,9 @@ class ImputationOutput:
     """A completed dataset plus the dispersion bookkeeping behind it.
 
     Per-visit arrays are NaN where the quantity is undefined (nothing
-    imputed, or the variant does not produce it). ``cell_stds`` is on the
-    original value scale; baselines report zero dispersion.
+    imputed, or the variant does not produce it). ``stds`` is the ``(E, D)``
+    per-cell dispersion on the original value scale over the dataset's
+    stacked layout: zero at observed cells, and everywhere for the baselines.
     """
 
     dataset: Dataset
@@ -53,58 +57,44 @@ class ImputationOutput:
     per_visit_sigma_g: np.ndarray
     per_visit_theta1: np.ndarray
     per_visit_theta2: np.ndarray
-    cell_stds: dict[CellIndex, float] = field(default_factory=dict)
+    stds: np.ndarray
 
 
-def fusion_weights(sigma_m: float, sigma_g: float) -> tuple[float, float]:
-    """Visit-level weights on (cross-visit, within-visit) fills.
+def fusion_weights(sigma_m, sigma_g):
+    """Weights on the (cross-visit, within-visit) fills, elementwise over visits.
 
-    Each side is penalized in proportion to its own dispersion. When either
-    dispersion is undefined or both vanish, the sides are trusted equally.
+    Each side is penalized in proportion to its own dispersion. Where either
+    dispersion is undefined (NaN) or both vanish, the sides are trusted
+    equally.
     """
-    if np.isnan(sigma_m) or np.isnan(sigma_g) or sigma_m + sigma_g == 0.0:
-        return 0.5, 0.5
-    total = sigma_m + sigma_g
-    return sigma_g / total, sigma_m / total
+    total = np.add(sigma_m, sigma_g)
+    even = np.isnan(total) | (total == 0.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(even, 0.5, sigma_g / total), np.where(even, 0.5, sigma_m / total)
 
 
-def fuse_visit(
-    dualcv_vals: dict[CellIndex, float],
-    gp_vals: dict[CellIndex, float],
-    sigma_m: float,
-    sigma_g: float,
-) -> tuple[dict[CellIndex, float], float, float]:
-    """Blend one visit's fills; cells without a GP value pass through."""
-    theta1, theta2 = fusion_weights(sigma_m, sigma_g)
-    fused = {}
-    for cell, value in dualcv_vals.items():
-        gp_value = gp_vals.get(cell)
-        if gp_value is None:
-            fused[cell] = value
-        else:
-            fused[cell] = theta1 * value + theta2 * gp_value
-    return fused, theta1, theta2
+def fuse(cross, gp, theta1, theta2):
+    """Blend cross-visit and GP values elementwise.
+
+    Where both sides have a value it is ``theta1 * cross + theta2 * gp``;
+    where one side is NaN the other side's value passes through.
+    """
+    blend = np.where(np.isnan(cross), gp, theta1 * cross + theta2 * gp)
+    return np.where(np.isnan(gp), cross, blend)
 
 
 def feature_means(dataset: Dataset) -> np.ndarray:
-    stacked = np.vstack([v.values for v in dataset.visits])
-    holes = np.isnan(stacked)
+    holes = np.isnan(dataset.values)
     counts = (~holes).sum(axis=0)
     for f in np.nonzero(counts == 0)[0]:
         raise DataError(f"feature {dataset.features[int(f)].name!r} has no observations")
-    return np.where(holes, 0.0, stacked).sum(axis=0) / counts
+    return np.where(holes, 0.0, dataset.values).sum(axis=0) / counts
 
 
 def mean_fill(dataset: Dataset) -> Dataset:
     """Fill every hole with its feature's cross-visit observed mean."""
     means = feature_means(dataset)
-    visits = []
-    for visit in dataset.visits:
-        values = visit.values.copy()
-        holes = np.isnan(values)
-        values[holes] = np.broadcast_to(means, values.shape)[holes]
-        visits.append(Visit(visit.visit_id, visit.times, values))
-    return Dataset(dataset.features, visits)
+    return dataset.with_values(np.where(np.isnan(dataset.values), means, dataset.values))
 
 
 def ecf_fill(dataset: Dataset, windows: dict[str, int] | None = None) -> Dataset:
@@ -120,9 +110,8 @@ def ecf_fill(dataset: Dataset, windows: dict[str, int] | None = None) -> Dataset
             raise ConfigError(f"ECF window for {kind!r} must be positive")
     means = feature_means(dataset)
 
-    visits = []
-    for visit in dataset.visits:
-        values = visit.values.copy()
+    values = dataset.values.copy()
+    for start, visit in zip(dataset.starts.tolist(), dataset.visits):
         times = visit.times
         for f, spec in enumerate(dataset.features):
             window = windows.get(spec.kind, windows.get("other", 480))
@@ -133,9 +122,8 @@ def ecf_fill(dataset: Dataset, windows: dict[str, int] | None = None) -> Dataset
                 carried = None
                 if pos >= 0 and times[e] - times[obs[pos]] <= window:
                     carried = col[obs[pos]]
-                values[e, f] = means[f] if carried is None else carried
-        visits.append(Visit(visit.visit_id, visit.times, values))
-    return Dataset(dataset.features, visits)
+                values[start + e, f] = means[f] if carried is None else carried
+    return dataset.with_values(values)
 
 
 def missing_indicators(dataset: Dataset) -> list[np.ndarray]:
@@ -144,11 +132,10 @@ def missing_indicators(dataset: Dataset) -> list[np.ndarray]:
 
 
 def _gp_per_visit(dataset: Dataset, config: Config):
-    """GP fills/stds per cell plus per-visit mean GP std (NaN if no fills)."""
-    fills: dict[CellIndex, float] = {}
-    stds: dict[CellIndex, float] = {}
+    """GP fills/stds as ``(E, D)`` arrays plus per-visit mean GP std (NaN if no fills)."""
+    rows, cols, fills, stds = [], [], [], []
     bounds = (config.gp_log10_alpha_lo, config.gp_log10_alpha_hi)
-    for i, visit in enumerate(dataset.visits):
+    for start, visit in zip(dataset.starts.tolist(), dataset.visits):
         result = gp_impute_visit(
             visit.times,
             visit.values,
@@ -156,61 +143,30 @@ def _gp_per_visit(dataset: Dataset, config: Config):
             nugget_max=config.gp_nugget_max,
             log10_alpha_bounds=bounds,
         )
-        for (e, f), value in result.fills.items():
-            cell = CellIndex(i, e, f)
-            fills[cell] = value
-            stds[cell] = result.stds[(e, f)]
-    sigma_g = per_visit_mean_std(dataset.n_visits, stds)
-    return fills, stds, sigma_g
+        for e, f in result.fills:
+            rows.append(start + e)
+            cols.append(f)
+        fills.extend(result.fills.values())
+        stds.extend(result.stds.values())
+    # sigma_g sums each visit's stds in the GP's own (feature, event) order
+    at = (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))
+    gp_fills = np.full(dataset.values.shape, np.nan)
+    gp_stds = gp_fills.copy()
+    gp_fills[at] = fills
+    gp_stds[at] = stds
+    return gp_fills, gp_stds, per_visit_mean_std(dataset, gp_stds, at)
 
 
 def _cross_visit(dataset: Dataset, cross: str | None, config: Config):
-    """Cross-visit fills/stds per cell plus per-visit sigma (NaN if no fills)."""
+    """Cross-visit fills/stds as ``(E, D)`` arrays plus per-visit sigma (NaN if no fills)."""
     if cross == "dualcv":
         out = dualcv_impute(dataset, config)
-        return out.cell_fills, out.cell_stds, out.per_visit_sigma
+        return out.fills, out.stds, out.per_visit_sigma
     if cross == "cfp":
         fills, stds = cfp_impute(dataset, config)
-        return fills, stds, per_visit_mean_std(dataset.n_visits, stds)
-    return {}, {}, np.full(dataset.n_visits, np.nan)
-
-
-def _fuse(fills, stds, gp_fills, gp_stds, sigma_m, sigma_g):
-    """Blend GP fills into the cross-visit fills visit by visit, in place.
-
-    A cell only the GP filled takes the GP value and std. Returns each
-    visit's fusion weights, NaN where the cross-visit part filled nothing.
-    """
-    theta1, theta2 = np.full(sigma_m.size, np.nan), np.full(sigma_m.size, np.nan)
-    by_visit: dict[int, dict[CellIndex, float]] = {}
-    for cell, value in fills.items():
-        by_visit.setdefault(cell.visit, {})[cell] = value
-    for i, visit_fills in by_visit.items():
-        visit_gp = {c: gp_fills[c] for c in visit_fills if c in gp_fills}
-        fused, t1, t2 = fuse_visit(visit_fills, visit_gp, sigma_m[i], sigma_g[i])
-        theta1[i], theta2[i] = t1, t2
-        fills.update(fused)
-        for cell in visit_gp:
-            stds[cell] = t1 * stds[cell] + t2 * gp_stds[cell]
-    for cell, value in gp_fills.items():
-        if cell not in fills:
-            fills[cell] = value
-            stds[cell] = gp_stds[cell]
-    return theta1, theta2
-
-
-def _fill_with_means(dataset: Dataset, fills, stds) -> None:
-    """Give every hole still without a fill its feature's mean, with std 0."""
-    means = None
-    for i, visit in enumerate(dataset.visits):
-        rows, cols = np.nonzero(np.isnan(visit.values))
-        for e, f in zip(rows.tolist(), cols.tolist()):
-            cell = CellIndex(i, e, f)
-            if cell not in fills:
-                if means is None:
-                    means = feature_means(dataset)
-                fills[cell] = float(means[f])
-                stds[cell] = 0.0
+        return fills, stds, per_visit_mean_std(dataset, stds)
+    empty = np.full(dataset.values.shape, np.nan)
+    return empty, empty, np.full(dataset.n_visits, np.nan)
 
 
 def impute(dataset: Dataset, variant: str, config: Config | None = None) -> ImputationOutput:
@@ -230,7 +186,8 @@ def impute(dataset: Dataset, variant: str, config: Config | None = None) -> Impu
             completed = mean_fill(dataset)
         else:
             completed = ecf_fill(dataset, config.ecf_windows)
-        return ImputationOutput(completed, variant, *(np.full(n, np.nan) for _ in range(4)))
+        undefined = (np.full(n, np.nan) for _ in range(4))
+        return ImputationOutput(completed, variant, *undefined, np.zeros(dataset.values.shape))
 
     cross, gp = MODEL_VARIANTS[variant]
     if config.normalize:
@@ -241,19 +198,31 @@ def impute(dataset: Dataset, variant: str, config: Config | None = None) -> Impu
     fills, stds, sigma_m = _cross_visit(normalized, cross, config)
     if gp:
         gp_fills, gp_stds, sigma_g = _gp_per_visit(normalized, config)
-        theta1, theta2 = _fuse(fills, stds, gp_fills, gp_stds, sigma_m, sigma_g)
+        # theta stays NaN for visits the cross-visit part filled nothing
+        theta1, theta2 = (
+            np.where(np.isnan(sigma_m), np.nan, w) for w in fusion_weights(sigma_m, sigma_g)
+        )
+        lengths = np.diff(normalized.starts)
+        t1, t2 = (np.repeat(w, lengths)[:, None] for w in (theta1, theta2))
+        fills, stds = fuse(fills, gp_fills, t1, t2), fuse(stds, gp_stds, t1, t2)
     else:
         sigma_g, theta1, theta2 = (np.full(n, np.nan) for _ in range(3))
-    _fill_with_means(normalized, fills, stds)
 
-    raw_fills = [denormalize_value(value, cell.feature, nmap) for cell, value in fills.items()]
-    raw_stds = {cell: value * float(nmap.scales[cell.feature]) for cell, value in stds.items()}
+    holes = np.isnan(normalized.values)
+    unfilled = holes & np.isnan(fills)
+    if unfilled.any():
+        # a hole neither part filled takes its feature's mean, with std 0
+        fills = np.where(unfilled, feature_means(normalized), fills)
+        stds = np.where(unfilled, 0.0, stds)
+
     return ImputationOutput(
-        dataset=write_cells(dataset, fills.keys(), raw_fills),
+        dataset=dataset.with_values(
+            np.where(holes, fills * nmap.scales + nmap.offsets, dataset.values)
+        ),
         variant=variant,
         per_visit_sigma_m=sigma_m,
         per_visit_sigma_g=sigma_g,
         per_visit_theta1=theta1,
         per_visit_theta2=theta2,
-        cell_stds=raw_stds,
+        stds=np.where(holes, stds * nmap.scales, 0.0),
     )

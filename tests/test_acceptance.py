@@ -15,7 +15,7 @@ from tadualcv.chained_equations import run_chains
 from tadualcv.cli import main
 from tadualcv.config import Config
 from tadualcv.data_model import CellIndex, MaskSet, apply_mask
-from tadualcv.dualcv import build_cfp_view, cfp_impute, dualcv_impute
+from tadualcv.dualcv import cfp_impute, dualcv_impute
 from tadualcv.evaluation import (
     denormalize,
     mask_one_per_feature_visit,
@@ -25,7 +25,7 @@ from tadualcv.evaluation import (
     run_experiment,
 )
 from tadualcv.gp_within_visit import fit_gp, gp_predict, profile_neg_log_likelihood
-from tadualcv.methods import VARIANTS, fuse_visit, impute
+from tadualcv.methods import VARIANTS, fuse, fusion_weights, impute
 from tadualcv.synthetic import SynthConfig, generate
 
 from conftest import NAN, make_dataset
@@ -148,11 +148,10 @@ def test_criterion_05_pmm_in_range():
     )
     mask = mask_random(ds, 0.5, seed=7)
     masked = apply_mask(ds, mask)
-    view = build_cfp_view(masked)
-    result = run_chains(view.matrix, m=5, t=10, master_seed=7)
+    result = run_chains(masked.values, m=5, t=10, master_seed=7)
     observed_sets = []
-    for c in range(view.matrix.shape[1]):
-        col = view.matrix[:, c]
+    for c in range(masked.values.shape[1]):
+        col = masked.values[:, c]
         observed_sets.append(set(col[~np.isnan(col)].tolist()))
     total = 0
     violations = 0
@@ -176,7 +175,7 @@ def test_criterion_06_fusion_identities():
     config = Config(w1=1.0, w2=0.0, seed=2)
     out = dualcv_impute(ds, config)
     cfp_fills, _ = cfp_impute(ds, config)
-    checks.append(out.cell_fills == cfp_fills)
+    checks.append(np.array_equal(out.fills, cfp_fills, equal_nan=True))
 
     # (b) T_i > T_med: the long visit's cells equal the feature view exactly
     rng = np.random.default_rng(1)
@@ -189,22 +188,23 @@ def test_criterion_06_fusion_identities():
     config = Config(seed=3)
     out = dualcv_impute(ds_long, config)
     cfp_fills, _ = cfp_impute(ds_long, config)
-    long_cells = [c for c in out.cell_fills if c.visit == 2]
-    checks.append(bool(long_cells))
-    checks.append(all(out.cell_fills[c] == cfp_fills[c] for c in long_cells))
+    long_rows = slice(ds_long.starts[2], ds_long.starts[3])
+    long_cells = ~np.isnan(out.fills[long_rows])
+    checks.append(bool(long_cells.any()))
+    checks.append(
+        np.array_equal(out.fills[long_rows][long_cells], cfp_fills[long_rows][long_cells])
+    )
 
     # (c) sigma_G = 0: fused output equals the GP value exactly
-    cell = CellIndex(0, 0, 0)
-    fused, _, _ = fuse_visit({cell: 0.4}, {cell: 0.9}, sigma_m=0.2, sigma_g=0.0)
-    checks.append(fused[cell] == 0.9)
+    checks.append(fuse(0.4, 0.9, *fusion_weights(0.2, 0.0)) == 0.9)
 
     # (d) sigma_M = sigma_G: fused output is the midpoint to machine precision
     eps = np.finfo(float).eps
     rng = np.random.default_rng(4)
     for _ in range(100):
         a, b = rng.uniform(-1, 1, size=2)
-        fused, _, _ = fuse_visit({cell: a}, {cell: b}, sigma_m=0.37, sigma_g=0.37)
-        checks.append(abs(fused[cell] - (a + b) / 2.0) <= 2 * eps)
+        fused = fuse(a, b, *fusion_weights(0.37, 0.37))
+        checks.append(abs(fused - (a + b) / 2.0) <= 2 * eps)
 
     ok = all(checks)
     report(6, ok, "compromise/fusion identities (w1=1, long visits, sigma limits)")

@@ -5,6 +5,7 @@ from tadualcv.data_model import (
     CellIndex,
     DataError,
     MaskSet,
+    Visit,
     apply_mask,
     median_event_count,
     restore_mask,
@@ -98,7 +99,7 @@ def test_apply_mask_rejects_missing_target(two_visit_dataset):
 
 
 def test_visit_from_events():
-    from tadualcv.data_model import Event, Visit
+    from tadualcv.data_model import Event
 
     events = [Event(0, [1.0, NAN]), Event(30, [2.0, 5.0])]
     visit = Visit.from_events("a", events)
@@ -115,3 +116,27 @@ def test_visit_arrays_are_read_only(two_visit_dataset):
         visit.values[0, 0] = 99.0
     with pytest.raises(ValueError):
         visit.times[0] = 99
+
+
+def test_dataset_starts_and_rows_bijective(two_visit_dataset):
+    ds = two_visit_dataset
+    assert ds.values.shape == (5, 2)
+    assert ds.starts.tolist() == [0, 3, 5]
+    origin = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]
+    rows, cols = ds.rows([CellIndex(i, e, 1) for i, e in origin])
+    assert rows.tolist() == [0, 1, 2, 3, 4] and cols.tolist() == [1] * 5
+    with pytest.raises(IndexError):
+        ds.rows([CellIndex(1, 2, 0)])
+
+
+def test_dataset_layout_shapes_and_widths():
+    ds = make_dataset([("a", [0], [[1.0, 2.0]])])
+    empty = ds.__class__(ds.features, [])
+    assert empty.values.shape == (0, 2) and empty.starts.tolist() == [0]
+    with pytest.raises(DataError, match="unequal widths"):
+        ds.__class__(ds.features, [ds.visits[0], Visit("b", [0], [[1.0]])])
+    with pytest.raises(DataError, match="expected"):
+        ds.with_values(np.zeros((2, 2)))
+    swapped = ds.with_values(np.array([[3.0, 4.0]]))
+    assert swapped.visits[0].values.tolist() == [[3.0, 4.0]]
+    assert ds.values.tolist() == [[1.0, 2.0]]

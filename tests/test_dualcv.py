@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from tadualcv.chained_equations import run_chains
-from tadualcv.config import Config, ConfigError
+from tadualcv.config import Config
 from tadualcv.data_model import CellIndex
 from tadualcv.dualcv import (
     _CFP_STREAM,
-    build_cfp_view,
     build_ctp_view,
     cfp_impute,
     compromise,
@@ -26,21 +25,16 @@ def duplicate_x_dataset():
     return make_dataset([("v0", [0, 10, 20, 30, 40, 50], rows)])
 
 
-def test_cfp_view_row_origin_bijective(two_visit_dataset):
-    view = build_cfp_view(two_visit_dataset)
-    assert view.matrix.shape == (5, 2)
-    assert view.row_origin == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]
-
-
 def test_cfp_no_missing_is_identity():
     ds = make_dataset([("a", [0, 10], [[1.0, 2.0], [3.0, 4.0]])])
     fills, stds = cfp_impute(ds, Config())
-    assert fills == {} and stds == {}
+    assert np.isnan(fills).all() and np.isnan(stds).all()
 
 
 def test_cfp_recovers_linear_relation():
     fills, _ = cfp_impute(duplicate_x_dataset(), Config(seed=3))
-    assert fills == {CellIndex(0, 3, 1): 6.0}
+    assert np.argwhere(~np.isnan(fills)).tolist() == [[3, 1]]
+    assert fills[3, 1] == 6.0
 
 
 def test_cfp_single_visit_equals_plain_chains():
@@ -52,7 +46,7 @@ def test_cfp_single_visit_equals_plain_chains():
         stream=(_CFP_STREAM,),
     )
     for (row, col), value in zip(raw.cells, raw.pooled_fill):
-        assert fills[CellIndex(0, row, col)] == value
+        assert fills[row, col] == value
 
 
 def test_ctp_view_pads_and_truncates():
@@ -147,12 +141,7 @@ def test_compromise_equal_weights():
 
 def test_compromise_long_visit_takes_cfp():
     assert compromise(0.9, 0.1, t_i=7, t_med=5, w1=0.5, w2=0.5) == 0.9
-    assert compromise(0.9, None, t_i=7, t_med=5, w1=0.2, w2=0.8) == 0.9
-
-
-def test_compromise_rejects_bad_weights():
-    with pytest.raises(ConfigError):
-        compromise(0.5, 0.5, 2, 3, w1=0.6, w2=0.6)
+    assert compromise(0.9, np.nan, t_i=7, t_med=5, w1=0.2, w2=0.8) == 0.9
 
 
 def test_compromise_midpoint_machine_precision():
@@ -165,7 +154,7 @@ def test_compromise_midpoint_machine_precision():
 def test_dualcv_no_missing():
     ds = make_dataset([("a", [0, 10], [[1.0, 2.0], [3.0, 4.0]])])
     out = dualcv_impute(ds, Config())
-    assert out.cell_fills == {}
+    assert np.isnan(out.fills).all()
     assert np.all(np.isnan(out.per_visit_sigma))
 
 
@@ -179,7 +168,7 @@ def test_dualcv_w1_only_equals_cfp():
     config = Config(w1=1.0, w2=0.0, seed=2)
     out = dualcv_impute(ds, config)
     cfp_fills, _ = cfp_impute(ds, config)
-    assert out.cell_fills == cfp_fills
+    np.testing.assert_array_equal(out.fills, cfp_fills)
 
 
 def test_dualcv_long_visits_take_cfp_exactly():
@@ -193,7 +182,9 @@ def test_dualcv_long_visits_take_cfp_exactly():
     config = Config(seed=4)
     out = dualcv_impute(ds, config)
     cfp_fills, _ = cfp_impute(ds, config)
-    long_cells = [c for c in out.cell_fills if c.visit == 2]
-    assert long_cells
-    for cell in long_cells:
-        assert out.cell_fills[cell] == cfp_fills[cell]
+    long_rows = slice(ds.starts[2], ds.starts[3])
+    long_cells = ~np.isnan(out.fills[long_rows])
+    assert long_cells.any()
+    np.testing.assert_array_equal(
+        out.fills[long_rows][long_cells], cfp_fills[long_rows][long_cells]
+    )

@@ -105,7 +105,7 @@ def test_mi_csv_marks_missing(tmp_path):
 def test_std_csv_zero_without_dispersion(tmp_path):
     ds = make_dataset([("a", [0, 30], [[1.0, 2.0], [3.0, 4.0]])])
     path = tmp_path / "std.csv"
-    io_formats.emit_std_csv(ds, {}, path)
+    io_formats.emit_std_csv(ds, np.zeros((2, 2)), path)
     rows = [r.split(",")[2:] for r in path.read_text().splitlines()[1:]]
     assert rows == [["0", "0"], ["0", "0"]]
 

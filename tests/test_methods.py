@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tadualcv.config import Config, ConfigError
-from tadualcv.data_model import CellIndex, DataError
+from tadualcv.data_model import DataError
 from tadualcv.dualcv import cfp_impute, dualcv_impute, per_visit_mean_std
 from tadualcv.evaluation import denormalize_value, normalize
 from tadualcv.gp_within_visit import gp_impute_visit
@@ -10,7 +10,7 @@ from tadualcv.methods import (
     VARIANTS,
     ecf_fill,
     feature_means,
-    fuse_visit,
+    fuse,
     fusion_weights,
     impute,
     mean_fill,
@@ -21,30 +21,20 @@ from tadualcv.synthetic import SynthConfig, generate
 from conftest import NAN, make_dataset
 
 
-def cells(*triples):
-    return {CellIndex(*t[:3]): t[3] for t in triples}
-
-
 def test_fusion_weights_zero_gp_dispersion():
     theta1, theta2 = fusion_weights(0.2, 0.0)
     assert (theta1, theta2) == (0.0, 1.0)
-    fused, _, _ = fuse_visit(
-        cells((0, 0, 0, 0.4)), cells((0, 0, 0, 0.9)), sigma_m=0.2, sigma_g=0.0
-    )
-    assert fused[CellIndex(0, 0, 0)] == 0.9
+    assert fuse(0.4, 0.9, theta1, theta2) == 0.9
 
 
 def test_fusion_equal_dispersion_midpoint():
-    fused, t1, t2 = fuse_visit(
-        cells((0, 0, 0, 0.4)), cells((0, 0, 0, 0.6)), sigma_m=0.1, sigma_g=0.1
-    )
-    assert fused[CellIndex(0, 0, 0)] == 0.5
+    t1, t2 = fusion_weights(0.1, 0.1)
+    assert fuse(0.4, 0.6, t1, t2) == 0.5
     assert t1 == t2 == 0.5
 
 
 def test_fusion_gp_gap_falls_back_to_dualcv():
-    fused, _, _ = fuse_visit(cells((0, 1, 0, 0.3)), {}, sigma_m=0.1, sigma_g=0.4)
-    assert fused[CellIndex(0, 1, 0)] == 0.3
+    assert fuse(0.3, np.nan, *fusion_weights(0.1, 0.4)) == 0.3
 
 
 def test_fusion_undefined_dispersion_splits_evenly():
@@ -67,8 +57,7 @@ def test_fusion_output_convex():
     for _ in range(50):
         a, b = rng.uniform(-2, 2, size=2)
         sm, sg = rng.uniform(0, 1, size=2)
-        fused, _, _ = fuse_visit(cells((0, 0, 0, a)), cells((0, 0, 0, b)), sm, sg)
-        value = fused[CellIndex(0, 0, 0)]
+        value = fuse(a, b, *fusion_weights(sm, sg))
         assert min(a, b) - 1e-12 <= value <= max(a, b) + 1e-12
 
 
@@ -175,9 +164,9 @@ def test_mice_only_matches_cfp_dispatch():
     out = impute(ds, "mice_only", config)
     normalized, nmap = normalize(ds)
     fills, _ = cfp_impute(normalized, config)
-    for cell, value in fills.items():
-        want = denormalize_value(value, cell.feature, nmap)
-        assert out.dataset.visits[cell.visit].values[cell.event, cell.feature] == want
+    for row, col in zip(*np.nonzero(~np.isnan(fills))):
+        want = denormalize_value(fills[row, col], col, nmap)
+        assert out.dataset.values[row, col] == want
 
 
 def test_ta_dualcv_theta_fallback_without_gp():
@@ -233,14 +222,18 @@ def test_all_variants_preserve_observed_cells():
 
 
 def _gp_parts(dataset):
-    """GP fills and stds per cell, and per-visit mean GP std, at default settings."""
-    fills, stds = {}, {}
-    for i, visit in enumerate(dataset.visits):
+    """GP fills and stds as (E, D) arrays, and per-visit mean GP std, at default settings."""
+    fills, stds = np.full(dataset.values.shape, NAN), np.full(dataset.values.shape, NAN)
+    rows, cols = [], []
+    for start, visit in zip(dataset.starts.tolist(), dataset.visits):
         result = gp_impute_visit(visit.times, visit.values)
         for (e, f), value in result.fills.items():
-            fills[CellIndex(i, e, f)] = value
-            stds[CellIndex(i, e, f)] = result.stds[(e, f)]
-    return fills, stds, per_visit_mean_std(dataset.n_visits, stds)
+            fills[start + e, f] = value
+            stds[start + e, f] = result.stds[(e, f)]
+            rows.append(start + e)
+            cols.append(f)
+    at = (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))
+    return fills, stds, per_visit_mean_std(dataset, stds, at)
 
 
 @pytest.mark.parametrize("variant", ["ta_dualcv_noI", "three_d_mice", "ta_dualcv_noC"])
@@ -254,38 +247,33 @@ def test_variant_table_cell_meaning(variant):
     normalized, nmap = normalize(ds)
     n = ds.n_visits
     theta1 = np.full(n, np.nan)
-    want_stds = {}
+    want_stds = np.full(ds.values.shape, NAN)
     if variant == "ta_dualcv_noI":
-        want = dualcv_impute(normalized, config).cell_fills
+        want = dualcv_impute(normalized, config).fills
     elif variant == "three_d_mice":
         cfp_fills, cfp_stds = cfp_impute(normalized, config)
         gp_fills, _, sigma_g = _gp_parts(normalized)
-        sigma_m = per_visit_mean_std(n, cfp_stds)
-        want = {}
+        sigma_m = per_visit_mean_std(normalized, cfp_stds)
+        want = np.full(ds.values.shape, NAN)
         for i in range(n):
-            visit_cfp = {c: v for c, v in cfp_fills.items() if c.visit == i}
-            visit_gp = {c: v for c, v in gp_fills.items() if c in visit_cfp}
-            if visit_cfp:
-                fused, theta1[i], _ = fuse_visit(visit_cfp, visit_gp, sigma_m[i], sigma_g[i])
-                want.update(fused)
-        assert gp_fills  # the GP must take part for the test to bite
+            block = slice(ds.starts[i], ds.starts[i + 1])
+            if not np.isnan(cfp_fills[block]).all():
+                theta1[i], t2 = fusion_weights(sigma_m[i], sigma_g[i])
+                want[block] = fuse(cfp_fills[block], gp_fills[block], theta1[i], t2)
+        assert not np.isnan(gp_fills).all()  # the GP must take part for the test to bite
     else:
         gp_fills, _, _ = _gp_parts(normalized)
         means = feature_means(normalized)
-        want = dict(gp_fills)
-        for i, visit in enumerate(normalized.visits):
-            for e, f in zip(*np.nonzero(np.isnan(visit.values))):
-                cell = CellIndex(i, int(e), int(f))
-                if cell not in want:
-                    want[cell] = float(means[f])
-                    want_stds[cell] = 0.0
-        assert gp_fills and want_stds  # both rules must apply
+        fallback = np.isnan(normalized.values) & np.isnan(gp_fills)
+        want = np.where(fallback, means, gp_fills)
+        want_stds[fallback] = 0.0
+        assert not np.isnan(gp_fills).all() and fallback.any()  # both rules must apply
 
     out = impute(ds, variant, config)
-    assert len(want) == sum(int(np.isnan(v.values).sum()) for v in ds.visits)
-    for cell, value in want.items():
-        got = out.dataset.visits[cell.visit].values[cell.event, cell.feature]
-        assert got == denormalize_value(value, cell.feature, nmap)
-    for cell, std in want_stds.items():
-        assert out.cell_stds[cell] == std
+    assert np.count_nonzero(~np.isnan(want)) == np.count_nonzero(np.isnan(ds.values))
+    for row, col in zip(*np.nonzero(~np.isnan(want))):
+        got = out.dataset.values[row, col]
+        assert got == denormalize_value(want[row, col], col, nmap)
+    for row, col in zip(*np.nonzero(~np.isnan(want_stds))):
+        assert out.stds[row, col] == want_stds[row, col]
     np.testing.assert_array_equal(out.per_visit_theta1, theta1)

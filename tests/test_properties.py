@@ -1,0 +1,131 @@
+"""Property tests: the stacked layout and the postconditions of ``impute``.
+
+Datasets are small and ragged: single-event visits, ``T_med = 1``, features
+observed once, constant features and magnitudes from 1e-6 to 1e6 all occur,
+and the temporal view truncates long visits at either end.
+Every generated dataset validates, and every feature is observed at least
+once, so every variant applies.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tadualcv.config import Config
+from tadualcv.data_model import (
+    CellIndex,
+    Dataset,
+    FeatureSpec,
+    Visit,
+    apply_mask,
+    restore_mask,
+    validate,
+)
+from tadualcv.evaluation import mask_random
+from tadualcv.methods import VARIANTS, impute
+
+CONFIG = Config(chains=2, iterations=2, seed=0)
+MAGNITUDES = (1e-6, 1e-3, 1.0, 1e3, 1e6)
+
+
+def examples(n):
+    """A fixed, replayable set of ``n`` examples per test."""
+    return settings(max_examples=n, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def ragged_datasets(draw):
+    n_features = draw(st.integers(1, 3))
+    lengths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    scales = draw(st.lists(st.sampled_from(MAGNITUDES), min_size=n_features,
+                           max_size=n_features))
+    constant = draw(st.lists(st.booleans(), min_size=n_features, max_size=n_features))
+    visits = []
+    for i, t_i in enumerate(lengths):
+        gaps = draw(st.lists(st.integers(1, 600), min_size=t_i, max_size=t_i))
+        base = np.array(
+            draw(st.lists(st.floats(1.0, 10.0), min_size=t_i * n_features,
+                          max_size=t_i * n_features))
+        ).reshape(t_i, n_features)
+        values = np.where(constant, 1.0, base) * np.array(scales)
+        holes = np.array(
+            draw(st.lists(st.booleans(), min_size=t_i * n_features,
+                          max_size=t_i * n_features))
+        ).reshape(t_i, n_features)
+        # every event keeps one value
+        holes[np.arange(t_i), draw(st.integers(0, n_features - 1))] = False
+        values[holes] = np.nan
+        visits.append(Visit(f"v{i}", np.cumsum(gaps) - gaps[0], values))
+    # every feature is observed at least once
+    first = visits[0].values.copy()
+    for f in np.nonzero(np.isnan(np.vstack([v.values for v in visits])).all(axis=0))[0]:
+        first[0, f] = scales[f]
+    visits[0] = Visit(visits[0].visit_id, visits[0].times, first)
+    features = [FeatureSpec(f, f"f{f}") for f in range(n_features)]
+    dataset = Dataset(features, visits)
+    assert validate(dataset) == []
+    return dataset
+
+
+def bits(array):
+    return np.ascontiguousarray(array, dtype=float).view(np.uint64)
+
+
+@examples(60)
+@given(ragged_datasets())
+def test_layout_is_the_stacked_visits(dataset):
+    np.testing.assert_array_equal(bits(dataset.values),
+                                  bits(np.vstack([v.values for v in dataset.visits])))
+    np.testing.assert_array_equal(dataset.times,
+                                  np.concatenate([v.times for v in dataset.visits]))
+    assert not dataset.values.flags.writeable
+    for i, visit in enumerate(dataset.visits):
+        assert not visit.values.flags.writeable and not visit.times.flags.writeable
+        assert np.shares_memory(visit.values, dataset.values)
+        assert np.shares_memory(visit.times, dataset.times)
+        cells = [CellIndex(i, e, f) for e in range(visit.n_events)
+                 for f in range(dataset.n_features)]
+        rows, cols = dataset.rows(cells)
+        assert rows.tolist() == [dataset.starts[i] + c.event for c in cells]
+        assert cols.tolist() == [c.feature for c in cells]
+
+
+@examples(60)
+@given(ragged_datasets(), st.floats(0.0, 1.0), st.integers(0, 2**16))
+def test_mask_round_trip(dataset, rate, seed):
+    mask = mask_random(dataset, rate, seed)
+    masked = apply_mask(dataset, mask)
+    assert validate(masked) == []
+    assert np.isnan(masked.values[masked.rows(mask.cells())]).all()
+    np.testing.assert_array_equal(bits(restore_mask(masked, mask).values), bits(dataset.values))
+
+
+@examples(25)
+@given(ragged_datasets(), st.sampled_from(["keep_last", "keep_first"]))
+def test_impute_postconditions(dataset, truncate):
+    config = Config(chains=2, iterations=2, seed=0, ctp_truncate=truncate)
+    holes = np.isnan(dataset.values)
+    for variant in VARIANTS:
+        out = impute(dataset, variant, config)
+        assert np.isfinite(out.dataset.values).all(), variant
+        np.testing.assert_array_equal(bits(out.dataset.values[~holes]),
+                                      bits(dataset.values[~holes]))
+        assert out.stds.shape == dataset.values.shape
+        assert np.isfinite(out.stds).all() and (out.stds[~holes] == 0.0).all()
+        again = impute(dataset, variant, config)
+        np.testing.assert_array_equal(bits(again.dataset.values), bits(out.dataset.values))
+        np.testing.assert_array_equal(bits(again.stds), bits(out.stds))
+
+
+@examples(40)
+@given(ragged_datasets())
+def test_mice_only_fills_inside_observed_range(dataset):
+    values = impute(dataset, "mice_only", CONFIG).dataset.values
+    holes = np.isnan(dataset.values)
+    lo, hi = np.nanmin(dataset.values, axis=0), np.nanmax(dataset.values, axis=0)
+    # the observed maximum comes back through the normalization map as
+    # (hi - lo) + lo, which can round one step above hi
+    top = (hi - lo) + lo
+    for f in range(dataset.n_features):
+        fills = values[holes[:, f], f]
+        assert ((fills >= lo[f]) & (fills <= max(hi[f], top[f]))).all()
