@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # The whole pipeline as shell commands: synth -> mask -> impute -> evaluate,
 # then a bench sweep over the usual rate grid. Run from anywhere; writes into
-# a scratch directory.
+# a temporary directory that is removed on exit.
 set -euo pipefail
 
 work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
 echo "working in $work"
 
 tadualcv synth --out "$work/data.csv" --visits 30 --features 4 \

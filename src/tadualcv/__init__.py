@@ -11,7 +11,6 @@ from .data_model import (
     CellIndex,
     DataError,
     Dataset,
-    Event,
     FeatureSpec,
     MaskSet,
     Visit,
@@ -50,7 +49,6 @@ from .methods import (
     fusion_weights,
     impute,
     mean_fill,
-    missing_indicators,
 )
 from .evaluation import (
     EvalReport,

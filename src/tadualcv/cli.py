@@ -179,18 +179,8 @@ def cmd_bench(args) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise _UsageError(message)
-
-
-class _UsageError(Exception):
-    pass
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="tadualcv", description=__doc__)
+    parser = argparse.ArgumentParser(prog="tadualcv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", parents=[], help="generate a synthetic long CSV")
@@ -252,9 +242,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .gp_within_visit import LOG10_ALPHA_BOUNDS, NUGGET_BASE, NUGGET_MAX
-
 
 class ConfigError(ValueError):
     """Raised for invalid configuration values."""
@@ -16,6 +14,13 @@ DEFAULT_ECF_WINDOWS = {"vital": 480, "lab": 1440, "other": 480}
 CTP_TRUNCATE_MODES = ("keep_last", "keep_first")
 
 
+def check_ecf_windows(windows: dict[str, int]) -> None:
+    """Raise ``ConfigError`` unless every carry-forward window is positive."""
+    for kind, minutes in windows.items():
+        if minutes <= 0:
+            raise ConfigError(f"ECF window for {kind!r} must be positive")
+
+
 @dataclass
 class Config:
     """Pipeline settings with the defaults used throughout.
@@ -23,20 +28,17 @@ class Config:
     ``w1``/``w2`` weight the two cross-visit views when both cover a cell and
     must sum to 1. ``chains``/``iterations`` size the chained-equation runs.
     ``ctp_truncate`` picks which end of an over-long visit feeds the
-    per-time-step view. ECF windows are minutes per feature kind.
+    per-time-step view. ECF windows are minutes per feature kind. The GP's
+    nugget schedule and length-scale search box are fixed by the constants
+    of ``gp_within_visit``.
     """
 
     w1: float = 0.5
     w2: float = 0.5
     chains: int = 5
     iterations: int = 10
-    gp_nugget: float = NUGGET_BASE
-    gp_nugget_max: float = NUGGET_MAX
-    gp_log10_alpha_lo: float = LOG10_ALPHA_BOUNDS[0]
-    gp_log10_alpha_hi: float = LOG10_ALPHA_BOUNDS[1]
     ctp_truncate: str = "keep_last"
     ecf_windows: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_ECF_WINDOWS))
-    normalize: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -50,10 +52,4 @@ class Config:
             raise ConfigError("iterations must be >= 1")
         if self.ctp_truncate not in CTP_TRUNCATE_MODES:
             raise ConfigError(f"ctp_truncate must be one of {CTP_TRUNCATE_MODES}")
-        if self.gp_nugget <= 0 or self.gp_nugget_max <= 0:
-            raise ConfigError("nugget values must be positive")
-        if self.gp_log10_alpha_lo >= self.gp_log10_alpha_hi:
-            raise ConfigError("alpha search bounds are empty")
-        for kind, window in self.ecf_windows.items():
-            if window <= 0:
-                raise ConfigError(f"ECF window for {kind!r} must be positive")
+        check_ecf_windows(self.ecf_windows)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple
 
 import numpy as np
 
@@ -47,20 +47,6 @@ class FeatureSpec:
             raise DataError(f"unknown feature kind {self.kind!r} for {self.name!r}")
 
 
-@dataclass(frozen=True)
-class Event:
-    """A single timestamped row of feature values (NaN = missing)."""
-
-    time: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "time", int(self.time))
-
-
 class Visit:
     """One visit: strictly time-ordered events over D feature slots.
 
@@ -81,12 +67,6 @@ class Visit:
         self.times = times
         self.values = values
 
-    @classmethod
-    def from_events(cls, visit_id: str, events: Sequence[Event]) -> "Visit":
-        times = [e.time for e in events]
-        values = np.array([e.values for e in events], dtype=float)
-        return cls(visit_id, times, values)
-
     @property
     def n_events(self) -> int:
         return self.times.shape[0]
@@ -94,10 +74,6 @@ class Visit:
     @property
     def n_features(self) -> int:
         return self.values.shape[1]
-
-    def events(self) -> Iterator[Event]:
-        for t, row in zip(self.times, self.values):
-            yield Event(int(t), row)
 
     def observed(self) -> np.ndarray:
         """Boolean (T, D) array, True where a value is present."""

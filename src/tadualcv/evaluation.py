@@ -45,13 +45,6 @@ class NormalizationMap:
         return self.offsets.size
 
 
-def identity_map(n_features: int) -> NormalizationMap:
-    """The map that leaves every feature unchanged."""
-    return NormalizationMap(
-        np.zeros(n_features), np.ones(n_features), np.zeros(n_features, dtype=bool)
-    )
-
-
 def fit_normalization(dataset: Dataset) -> NormalizationMap:
     holes = np.isnan(dataset.values)
     lo = np.min(np.where(holes, np.inf, dataset.values), axis=0)
@@ -156,15 +149,15 @@ class EvalReport:
 
 def _per_patient_ranges(premask: Dataset) -> np.ndarray:
     """(N, D) observed value range per visit and feature; 1 where degenerate."""
-    n, d = premask.n_visits, premask.n_features
-    ranges = np.ones((n, d))
-    for i, visit in enumerate(premask.visits):
-        holes = np.isnan(visit.values)
-        lo = np.min(np.where(holes, np.inf, visit.values), axis=0)
-        hi = np.max(np.where(holes, -np.inf, visit.values), axis=0)
-        span = hi - lo
-        good = np.isfinite(span) & (span > 0)
-        ranges[i, good] = span[good]
+    ranges = np.ones((premask.n_visits, premask.n_features))
+    # fmin/fmax skip NaN; an empty visit's start would alias the next visit
+    # (or lie past the last row), so only non-empty visits are reduced
+    nonempty = np.diff(premask.starts) > 0
+    at = premask.starts[:-1][nonempty]
+    span = np.fmax.reduceat(premask.values, at, axis=0) - np.fmin.reduceat(
+        premask.values, at, axis=0
+    )
+    ranges[nonempty] = np.where(np.isfinite(span) & (span > 0), span, 1.0)
     return ranges
 
 

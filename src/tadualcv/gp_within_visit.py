@@ -20,6 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+# The nugget starts at n * NUGGET_BASE and doubles up to NUGGET_MAX until the
+# correlation matrix factors; log10(alpha) is searched within the bounds.
+# Functions read them at call time, not as default arguments, so tests can
+# patch them.
 NUGGET_BASE = 1e-8
 NUGGET_MAX = 1e-2
 LOG10_ALPHA_BOUNDS = (-6.0, 4.0)
@@ -47,27 +51,27 @@ def corr_matrix(alpha: float, times: np.ndarray) -> np.ndarray:
     return corr(alpha, t[:, None], t[None, :])
 
 
-def _factor_correlation(alpha, times, nugget_base=NUGGET_BASE, nugget_max=NUGGET_MAX):
-    """Cholesky of R + delta*I, doubling delta until it succeeds."""
+def _factor_correlation(alpha, times):
+    """Cholesky of R + delta*I, doubling delta from n * NUGGET_BASE up to NUGGET_MAX."""
     n = len(times)
     base = corr_matrix(alpha, times)
-    delta = nugget_base * n
+    delta = NUGGET_BASE * n
     while True:
         try:
             factor = cho_factor(base + delta * np.eye(n), lower=True)
             return factor, delta
         except np.linalg.LinAlgError:
-            if delta >= nugget_max:
+            if delta >= NUGGET_MAX:
                 raise IllConditionedCorrelationError(
                     f"ill-conditioned correlation at alpha={alpha:g}"
                 ) from None
-            delta = min(2.0 * delta, nugget_max)
+            delta = min(2.0 * delta, NUGGET_MAX)
 
 
-def _profile_terms(alpha, times, values, nugget_base=NUGGET_BASE, nugget_max=NUGGET_MAX):
+def _profile_terms(alpha, times, values):
     y = np.asarray(values, dtype=float)
     n = y.size
-    factor, delta = _factor_correlation(alpha, times, nugget_base, nugget_max)
+    factor, delta = _factor_correlation(alpha, times)
     ones = np.ones(n)
     rinv_y = cho_solve(factor, y)
     rinv_1 = cho_solve(factor, ones)
@@ -78,13 +82,7 @@ def _profile_terms(alpha, times, values, nugget_base=NUGGET_BASE, nugget_max=NUG
     return factor, delta, mu, quad, logdet
 
 
-def profile_neg_log_likelihood(
-    alpha: float,
-    times,
-    values,
-    nugget_base: float = NUGGET_BASE,
-    nugget_max: float = NUGGET_MAX,
-) -> float:
+def profile_neg_log_likelihood(alpha: float, times, values) -> float:
     """Negative profile log-likelihood with mean and variance concentrated out.
 
     Returns log|R| + n*log(residual quadratic form), where R carries the
@@ -94,7 +92,7 @@ def profile_neg_log_likelihood(
     y = np.asarray(values, dtype=float)
     if y.size < 2:
         raise ValueError("need at least two observations")
-    _, _, _, quad, logdet = _profile_terms(alpha, times, y, nugget_base, nugget_max)
+    _, _, _, quad, logdet = _profile_terms(alpha, times, y)
     return logdet + y.size * np.log(max(quad, 0.0) + RESIDUAL_FLOOR)
 
 
@@ -127,7 +125,6 @@ class GPModel:
     mu_hat: float
     sigma2_hat: float
     train_times: np.ndarray
-    train_values: np.ndarray
     nugget: float
     time_scale: float
     _factor: tuple = field(repr=False, default=None)
@@ -135,16 +132,10 @@ class GPModel:
     _rinv_1: np.ndarray = field(repr=False, default=None)
 
 
-def fit_gp(
-    times,
-    values,
-    nugget_base: float = NUGGET_BASE,
-    nugget_max: float = NUGGET_MAX,
-    log10_alpha_bounds: tuple[float, float] = LOG10_ALPHA_BOUNDS,
-) -> GPModel:
+def fit_gp(times, values) -> GPModel:
     """Fit the length-scale parameter by golden-section search.
 
-    The search runs over log10(alpha) within ``log10_alpha_bounds`` to a
+    The search runs over log10(alpha) within ``LOG10_ALPHA_BOUNDS`` to a
     bracket width of ``ALPHA_SEARCH_TOL``; no randomness is involved.
     """
     times = np.asarray(times, dtype=float)
@@ -160,12 +151,12 @@ def fit_gp(
     t = times / scale
 
     def objective(u):
-        return profile_neg_log_likelihood(10.0**u, t, y, nugget_base, nugget_max)
+        return profile_neg_log_likelihood(10.0**u, t, y)
 
-    lo, hi = log10_alpha_bounds
+    lo, hi = LOG10_ALPHA_BOUNDS
     alpha = 10.0 ** _golden_section(objective, lo, hi, ALPHA_SEARCH_TOL)
 
-    factor, delta, mu, quad, _ = _profile_terms(alpha, t, y, nugget_base, nugget_max)
+    factor, delta, mu, quad, _ = _profile_terms(alpha, t, y)
     sigma2 = max(quad, 0.0) / y.size
     resid = y - mu
     return GPModel(
@@ -173,7 +164,6 @@ def fit_gp(
         mu_hat=mu,
         sigma2_hat=sigma2,
         train_times=t,
-        train_values=y,
         nugget=delta,
         time_scale=scale,
         _factor=factor,
@@ -212,13 +202,7 @@ class GPVisitResult:
     diagnostics: list[str] = field(default_factory=list)
 
 
-def gp_impute_visit(
-    times,
-    values: np.ndarray,
-    nugget_base: float = NUGGET_BASE,
-    nugget_max: float = NUGGET_MAX,
-    log10_alpha_bounds: tuple[float, float] = LOG10_ALPHA_BOUNDS,
-) -> GPVisitResult:
+def gp_impute_visit(times, values: np.ndarray) -> GPVisitResult:
     """GP-impute every feature of one visit's (T, D) normalized value matrix.
 
     Features with fewer than two observations are reported in
@@ -242,9 +226,7 @@ def gp_impute_visit(
             skipped.append(feat)
             continue
         try:
-            model = fit_gp(
-                times[obs], col[obs], nugget_base, nugget_max, log10_alpha_bounds
-            )
+            model = fit_gp(times[obs], col[obs])
             means, sds = gp_predict(model, times[mis])
         except (IllConditionedCorrelationError, np.linalg.LinAlgError) as exc:
             skipped.append(feat)

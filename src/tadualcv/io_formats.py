@@ -276,9 +276,6 @@ def read_mask_csv(path, dataset: Dataset, strategy="external", rate=None, seed=0
     return MaskSet(entries, strategy=strategy, rate=rate, seed=seed)
 
 
-_CONFIG_BOOLS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
-
-
 def parse_config_text(text: str, base: Config | None = None) -> Config:
     """Parse ``key = value`` lines into a Config on top of ``base`` (defaults)."""
     values = dict((base or Config()).__dict__)
@@ -297,11 +294,7 @@ def parse_config_text(text: str, base: Config | None = None) -> Config:
             continue
         if key not in known:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        if key == "normalize":
-            if value.lower() not in _CONFIG_BOOLS:
-                raise ConfigError(f"line {lineno}: expected a boolean, got {value!r}")
-            values[key] = _CONFIG_BOOLS[value.lower()]
-        elif key == "ctp_truncate":
+        if key == "ctp_truncate":
             values[key] = value
         elif key in ("chains", "iterations", "seed"):
             values[key] = int(value)

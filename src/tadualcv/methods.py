@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_ECF_WINDOWS, Config, ConfigError
+from .config import DEFAULT_ECF_WINDOWS, Config, ConfigError, check_ecf_windows
 from .data_model import DataError, Dataset
 from .dualcv import cfp_impute, dualcv_impute, per_visit_mean_std
-from .evaluation import identity_map, normalize
+from .evaluation import normalize
 from .gp_within_visit import gp_impute_visit
 
 # Model variant -> (cross-visit part, within-visit GP on). Parts are tags, not
@@ -83,12 +83,17 @@ def fuse(cross, gp, theta1, theta2):
     return np.where(np.isnan(gp), cross, blend)
 
 
-def feature_means(dataset: Dataset) -> np.ndarray:
-    holes = np.isnan(dataset.values)
-    counts = (~holes).sum(axis=0)
+def _require_observed(dataset: Dataset) -> np.ndarray:
+    """Observed cells per feature; a feature with none is a ``DataError``."""
+    counts = (~np.isnan(dataset.values)).sum(axis=0)
     for f in np.nonzero(counts == 0)[0]:
         raise DataError(f"feature {dataset.features[int(f)].name!r} has no observations")
-    return np.where(holes, 0.0, dataset.values).sum(axis=0) / counts
+    return counts
+
+
+def feature_means(dataset: Dataset) -> np.ndarray:
+    counts = _require_observed(dataset)
+    return np.where(np.isnan(dataset.values), 0.0, dataset.values).sum(axis=0) / counts
 
 
 def mean_fill(dataset: Dataset) -> Dataset:
@@ -105,9 +110,7 @@ def ecf_fill(dataset: Dataset, windows: dict[str, int] | None = None) -> Dataset
     feature's kind; everything else falls back to the cross-visit mean.
     """
     windows = dict(DEFAULT_ECF_WINDOWS if windows is None else windows)
-    for kind, minutes in windows.items():
-        if minutes <= 0:
-            raise ConfigError(f"ECF window for {kind!r} must be positive")
+    check_ecf_windows(windows)
     means = feature_means(dataset)
 
     values = dataset.values.copy()
@@ -126,23 +129,11 @@ def ecf_fill(dataset: Dataset, windows: dict[str, int] | None = None) -> Dataset
     return dataset.with_values(values)
 
 
-def missing_indicators(dataset: Dataset) -> list[np.ndarray]:
-    """Per-visit (T, D) binary arrays: 1 exactly where a value is missing."""
-    return [(~visit.observed()).astype(np.int8) for visit in dataset.visits]
-
-
-def _gp_per_visit(dataset: Dataset, config: Config):
+def _gp_per_visit(dataset: Dataset):
     """GP fills/stds as ``(E, D)`` arrays plus per-visit mean GP std (NaN if no fills)."""
     rows, cols, fills, stds = [], [], [], []
-    bounds = (config.gp_log10_alpha_lo, config.gp_log10_alpha_hi)
     for start, visit in zip(dataset.starts.tolist(), dataset.visits):
-        result = gp_impute_visit(
-            visit.times,
-            visit.values,
-            nugget_base=config.gp_nugget,
-            nugget_max=config.gp_nugget_max,
-            log10_alpha_bounds=bounds,
-        )
+        result = gp_impute_visit(visit.times, visit.values)
         for e, f in result.fills:
             rows.append(start + e)
             cols.append(f)
@@ -174,12 +165,14 @@ def impute(dataset: Dataset, variant: str, config: Config | None = None) -> Impu
 
     Chained-equation and GP variants run on range-normalized values and their
     fills are mapped back afterwards; observed cells are copied from the
-    source and never rescaled.
+    source and never rescaled. Every feature needs at least one observed
+    value, else ``DataError``.
     """
     config = config or Config()
     n = dataset.n_visits
     if variant not in VARIANTS:
         raise ConfigError(f"unknown method variant {variant!r}")
+    _require_observed(dataset)
 
     if variant in ("mean_fill", "ecf"):
         if variant == "mean_fill":
@@ -190,14 +183,10 @@ def impute(dataset: Dataset, variant: str, config: Config | None = None) -> Impu
         return ImputationOutput(completed, variant, *undefined, np.zeros(dataset.values.shape))
 
     cross, gp = MODEL_VARIANTS[variant]
-    if config.normalize:
-        normalized, nmap = normalize(dataset)
-    else:
-        normalized, nmap = dataset, identity_map(dataset.n_features)
-
+    normalized, nmap = normalize(dataset)
     fills, stds, sigma_m = _cross_visit(normalized, cross, config)
     if gp:
-        gp_fills, gp_stds, sigma_g = _gp_per_visit(normalized, config)
+        gp_fills, gp_stds, sigma_g = _gp_per_visit(normalized)
         # theta stays NaN for visits the cross-visit part filled nothing
         theta1, theta2 = (
             np.where(np.isnan(sigma_m), np.nan, w) for w in fusion_weights(sigma_m, sigma_g)

@@ -98,18 +98,6 @@ def test_apply_mask_rejects_missing_target(two_visit_dataset):
         apply_mask(two_visit_dataset, twice)
 
 
-def test_visit_from_events():
-    from tadualcv.data_model import Event
-
-    events = [Event(0, [1.0, NAN]), Event(30, [2.0, 5.0])]
-    visit = Visit.from_events("a", events)
-    assert visit.n_events == 2 and visit.n_features == 2
-    np.testing.assert_array_equal(visit.times, [0, 30])
-    assert np.isnan(visit.values[0, 1])
-    listed = list(visit.events())
-    assert listed[1].time == 30 and listed[1].values[1] == 5.0
-
-
 def test_visit_arrays_are_read_only(two_visit_dataset):
     visit = two_visit_dataset.visits[0]
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import pytest
 from tadualcv.config import Config
 from tadualcv.data_model import CellIndex, DataError, MaskSet, apply_mask
 from tadualcv.evaluation import (
+    _per_patient_ranges,
     denormalize,
     denormalize_value,
     mask_one_per_feature_visit,
@@ -154,6 +155,22 @@ def test_nrmse_two_patient_hand_value():
     report = nrmse(mask, imputed, premask)
     assert report.per_feature_nrmse[0] == 0.25
     assert report.per_feature_masked[0] == 2
+
+
+def test_per_patient_ranges_skip_empty_visits():
+    # empty visits, in the middle and at the end, keep range 1 and shift no other visit
+    empty = np.empty((0, 2))
+    premask = make_dataset(
+        [
+            ("a", [0, 10], [[1.0, NAN], [3.0, NAN]]),
+            ("e1", [], empty),
+            ("b", [0, 10, 20], [[10.0, 2.0], [NAN, 2.0], [14.0, 7.0]]),
+            ("e2", [], empty),
+        ]
+    )
+    np.testing.assert_array_equal(
+        _per_patient_ranges(premask), [[2.0, 1.0], [1.0, 1.0], [4.0, 5.0], [1.0, 1.0]]
+    )
 
 
 def test_nrmse_zero_range_divisor_one():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tadualcv import gp_within_visit
 from tadualcv.gp_within_visit import (
     _profile_terms,
     corr,
@@ -128,10 +129,11 @@ def test_fit_rejects_degenerate_input():
         fit_gp([0.0, 0.0], [1.0, 2.0])
 
 
-def test_predict_interpolates_training_points_with_tiny_nugget():
+def test_predict_interpolates_training_points_with_tiny_nugget(monkeypatch):
+    monkeypatch.setattr(gp_within_visit, "NUGGET_BASE", 1e-12)
     rng = np.random.default_rng(4)
     t, y = sample_smooth_series(rng, 8)
-    model = fit_gp(t, y, nugget_base=1e-12)
+    model = fit_gp(t, y)
     mean, std = gp_predict(model, t)
     np.testing.assert_allclose(mean, y, atol=1e-6)
     assert np.all(std <= 1e-3)
@@ -151,7 +153,6 @@ def test_predict_symmetric_midpoint():
         mu_hat=mu,
         sigma2_hat=quad / 2,
         train_times=t,
-        train_values=y,
         nugget=delta,
         time_scale=1.0,
         _factor=factor,

@@ -129,21 +129,28 @@ def test_config_file_parse_and_override(tmp_path):
         "chains = 3\n"
         "iterations = 4\n"
         "ctp_truncate = keep_first\n"
-        "normalize = false\n"
         "ecf_window_vital = 240\n"
         "seed = 42\n"
     )
     config = io_formats.load_config(path)
     assert config.w1 == 0.7 and config.chains == 3
     assert config.ctp_truncate == "keep_first"
-    assert config.normalize is False
     assert config.ecf_windows["vital"] == 240
     assert config.ecf_windows["lab"] == 1440  # untouched default
 
 
-def test_config_file_rejects_unknown_key():
-    with pytest.raises(ConfigError, match="unknown config key"):
-        io_formats.parse_config_text("bogus = 1\n")
+def test_config_file_rejects_unknown_key(tmp_path):
+    # the GP and normalization keys are no longer settings
+    removed = ["gp_nugget", "gp_nugget_max", "gp_log10_alpha_lo", "gp_log10_alpha_hi",
+               "normalize"]
+    for key in ["bogus", *removed]:
+        with pytest.raises(ConfigError, match="unknown config key"):
+            io_formats.parse_config_text(f"{key} = 1\n")
+    path = tmp_path / "run.cfg"
+    path.write_text("normalize = 1\n")
+    code = main(["impute", "--data", str(_write_synth(tmp_path)), "--method", "meanfill",
+                 "--config", str(path), "--out", str(tmp_path / "o.csv")])
+    assert code == 1
 
 
 def test_config_file_rejects_bad_weights():
@@ -224,6 +231,33 @@ def test_cli_unknown_method_is_usage_error(tmp_path):
     data = _write_synth(tmp_path)
     code = main(["impute", "--data", str(data), "--method", "nosuch", "--out", "x.csv"])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["impute", "--method", "meanfill", "--out", "x.csv"]],
+    ids=["no_subcommand", "missing_required_flag"],
+)
+def test_cli_usage_error_exits_1(argv, capsys):
+    assert main(argv) == 1
+    assert "tadualcv" in capsys.readouterr().err
+
+
+def test_cli_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert main(["impute", "--help"]) == 0
+    assert "usage: tadualcv" in capsys.readouterr().out
+
+
+def test_cli_manifest_feature_without_rows_is_data_error(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("visit_id,time_min,feature,value\na,0,x,1.0\na,10,x,2.0\nb,0,x,3.0\n")
+    manifest = tmp_path / "features.csv"
+    manifest.write_text("name,kind\nx,vital\ny,lab\n")
+    code = main(["impute", "--data", str(data), "--features", str(manifest),
+                 "--method", "mice", "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert "feature 'y' has no observations" in capsys.readouterr().err
 
 
 def test_cli_missing_file_is_data_error(tmp_path):

@@ -14,7 +14,6 @@ from tadualcv.methods import (
     fusion_weights,
     impute,
     mean_fill,
-    missing_indicators,
 )
 from tadualcv.synthetic import SynthConfig, generate
 
@@ -138,19 +137,24 @@ def test_ecf_infinite_window_is_locf():
     assert out.visits[0].values[6, 0] == values[5, 0]
 
 
-def test_missing_indicators():
-    ds = make_dataset([("a", [0, 10], [[1.0, NAN], [2.0, 3.0]])])
-    mi = missing_indicators(ds)
-    np.testing.assert_array_equal(mi[0], [[0, 1], [0, 0]])
-    assert mi[0].sum() == 1
-    complete = make_dataset([("a", [0], [[1.0, 2.0]])])
-    assert missing_indicators(complete)[0].sum() == 0
-
-
 def test_unknown_variant_rejected():
     ds = make_dataset([("a", [0], [[1.0]])])
     with pytest.raises(ConfigError, match="unknown method variant"):
         impute(ds, "nosuch")
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_unobserved_feature_rejected(variant):
+    # no variant may fill a feature it never saw with a placeholder
+    ds = make_dataset(
+        [
+            ("a", [0, 10, 20], [[1.0, NAN], [2.0, NAN], [NAN, NAN]]),
+            ("b", [0, 10], [[3.0, NAN], [4.0, NAN]]),
+        ],
+        names=["x", "y"],
+    )
+    with pytest.raises(DataError, match="feature 'y' has no observations"):
+        impute(ds, variant, Config(chains=2, iterations=2))
 
 
 def test_mice_only_matches_cfp_dispatch():
