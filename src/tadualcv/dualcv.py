@@ -166,15 +166,13 @@ def dualcv_impute(dataset: Dataset, config: Config) -> DualcvOutput:
     return DualcvOutput(per_visit_mean_std(dataset, stds), fills, stds)
 
 
-def per_visit_mean_std(dataset: Dataset, stds: np.ndarray, at=None) -> np.ndarray:
+def per_visit_mean_std(dataset: Dataset, stds: np.ndarray) -> np.ndarray:
     """Mean std per visit over its imputed cells; NaN where it has none.
 
-    ``stds`` is an ``(E, D)`` array. ``at`` gives the (row, column) arrays of
-    the imputed cells in the order they are summed, which fixes the rounding;
-    by default it is every non-NaN cell in row-major order.
+    ``stds`` is an ``(E, D)`` array, NaN at cells that were not imputed; each
+    visit's cells are summed in row-major order.
     """
-    if at is None:
-        at = np.nonzero(~np.isnan(stds))
+    at = np.nonzero(~np.isnan(stds))
     lengths = np.diff(dataset.starts)
     visit = np.repeat(np.arange(dataset.n_visits), lengths)[at[0]]
     # bincount adds the weights one by one in input order

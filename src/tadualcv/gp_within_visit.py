@@ -8,9 +8,17 @@ search on the negative profile log-likelihood. Predictions at the feature's
 missing times provide a mean fill and a standard deviation used later as a
 confidence signal.
 
-Times are divided by the visit's observed span before fitting so one search
+Times are divided by the problem's observed span before fitting so one search
 box works for visits spanning minutes or days; the fitted parameter is
 expressed in those rescaled units.
+
+Every fit runs through one batched kernel. Problems with the same observed
+count ``n`` form a bucket whose golden-section searches run in lockstep: each
+step evaluates one ``log10(alpha)`` per member with one batched Cholesky
+factorization, and each member stops on its own bracket width and escalates
+its own nugget. The kernel only combines values of the same member, so a fit
+gives the same bits alone or in any batch; ``fit_gp``,
+``profile_neg_log_likelihood`` and ``gp_predict`` are batches of one.
 """
 
 from __future__ import annotations
@@ -18,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 # The nugget starts at n * NUGGET_BASE and doubles up to NUGGET_MAX until the
 # correlation matrix factors; log10(alpha) is searched within the bounds.
@@ -51,35 +58,187 @@ def corr_matrix(alpha: float, times: np.ndarray) -> np.ndarray:
     return corr(alpha, t[:, None], t[None, :])
 
 
-def _factor_correlation(alpha, times):
-    """Cholesky of R + delta*I, doubling delta from n * NUGGET_BASE up to NUGGET_MAX."""
-    n = len(times)
-    base = corr_matrix(alpha, times)
+def _cholesky(mats):
+    """Lower Cholesky factors of a ``(B, n, n)`` stack, and which members factored.
+
+    ``np.linalg.cholesky`` raises if any member is not positive definite, so a
+    failing stack is halved until each failure is isolated; members that fail
+    come back as NaN.
+    """
+    try:
+        return np.linalg.cholesky(mats), np.ones(len(mats), dtype=bool)
+    except np.linalg.LinAlgError:
+        if len(mats) == 1:
+            return np.full_like(mats, np.nan), np.zeros(1, dtype=bool)
+        half = len(mats) // 2
+        (low, ok_low), (high, ok_high) = _cholesky(mats[:half]), _cholesky(mats[half:])
+        return np.concatenate([low, high]), np.concatenate([ok_low, ok_high])
+
+
+def _whiten(chol, rhs):
+    """Solve ``chol[b] @ x[b, k] = rhs[b, k]`` by forward substitution.
+
+    ``chol`` is a ``(B, n, n)`` stack of lower-triangular factors and ``rhs``
+    holds ``K`` right-hand sides per member, ``(B, K, n)``. Eliminating column
+    by column takes elementwise operations only, so no sum mixes members or
+    right-hand sides.
+    """
+    x = rhs.copy()
+    for j in range(chol.shape[-1]):
+        x[:, :, j] /= chol[:, None, j, j]
+        x[:, :, j + 1 :] -= x[:, :, j, None] * chol[:, None, j + 1 :, j]
+    return x
+
+
+@dataclass
+class _Profile:
+    """Profile-likelihood terms of a bucket at one alpha per member.
+
+    Members whose correlation matrix did not factor even at ``NUGGET_MAX``
+    carry NaN in every field.
+    """
+
+    nugget: np.ndarray  # (B,)
+    chol: np.ndarray  # (B, n, n) lower factor of R + nugget * I
+    ones: np.ndarray  # (B, n) whitened ones, chol^-1 1
+    resid: np.ndarray  # (B, n) whitened residuals, chol^-1 (y - mu)
+    mu: np.ndarray  # (B,)
+    quad: np.ndarray  # (B,) residual quadratic form
+    nll: np.ndarray  # (B,) negative profile log-likelihood
+
+
+def _profile(alpha, t, y) -> _Profile:
+    """Profile terms for ``(B,)`` alphas at ``(B, n)`` times and values.
+
+    The nugget starts at ``n * NUGGET_BASE`` and doubles up to ``NUGGET_MAX``
+    for the members that failed to factor, and only for them.
+    """
+    size, n = y.shape
+    base = corr(alpha[:, None, None], t[:, :, None], t[:, None, :])
+    chol = np.full_like(base, np.nan)
+    nugget = np.full(size, np.nan)
+    todo = np.arange(size)
     delta = NUGGET_BASE * n
     while True:
-        try:
-            factor = cho_factor(base + delta * np.eye(n), lower=True)
-            return factor, delta
-        except np.linalg.LinAlgError:
-            if delta >= NUGGET_MAX:
-                raise IllConditionedCorrelationError(
-                    f"ill-conditioned correlation at alpha={alpha:g}"
-                ) from None
-            delta = min(2.0 * delta, NUGGET_MAX)
+        factors, ok = _cholesky(base[todo] + delta * np.eye(n))
+        chol[todo[ok]] = factors[ok]
+        nugget[todo[ok]] = delta
+        todo = todo[~ok]
+        if todo.size == 0 or delta >= NUGGET_MAX:
+            break
+        delta = min(2.0 * delta, NUGGET_MAX)
+
+    z, ones = _whiten(chol, np.stack([y, np.ones_like(y)], axis=1)).transpose(1, 0, 2)
+    mu = (ones * z).sum(axis=1) / (ones * ones).sum(axis=1)
+    resid = z - mu[:, None] * ones
+    quad = (resid * resid).sum(axis=1)
+    logdet = 2.0 * np.log(chol[:, range(n), range(n)]).sum(axis=1)
+    nll = logdet + n * np.log(quad + RESIDUAL_FLOOR)
+    return _Profile(nugget, chol, ones, resid, mu, quad, nll)
 
 
-def _profile_terms(alpha, times, values):
-    y = np.asarray(values, dtype=float)
-    n = y.size
-    factor, delta = _factor_correlation(alpha, times)
-    ones = np.ones(n)
-    rinv_y = cho_solve(factor, y)
-    rinv_1 = cho_solve(factor, ones)
-    mu = float(ones @ rinv_y) / float(ones @ rinv_1)
-    resid = y - mu
-    quad = float(resid @ cho_solve(factor, resid))
-    logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-    return factor, delta, mu, quad, logdet
+def _search(t, y):
+    """Golden-section search over log10(alpha), all members in lockstep.
+
+    Each member follows the scalar search: it narrows its own bracket until
+    that is no wider than ``ALPHA_SEARCH_TOL`` and returns the best point it
+    evaluated (lowest objective, ties to the lower point). Returns
+    ``(u, failed_alpha)``: ``u`` is the best log10(alpha), NaN for members
+    that stopped because a correlation matrix did not factor, and
+    ``failed_alpha`` is that matrix's alpha, NaN for the rest.
+    """
+    size = len(y)
+    best_f, best_u = np.full(size, np.inf), np.full(size, np.nan)
+    failed_alpha = np.full(size, np.nan)
+
+    def objective(u, rows):
+        alpha = 10.0**u
+        f = _profile(alpha, t[rows], y[rows]).nll
+        failed = np.isnan(f)
+        failed_alpha[rows[failed]] = alpha[failed]
+        better = (f < best_f[rows]) | ((f == best_f[rows]) & (u < best_u[rows]))
+        best_f[rows[better]], best_u[rows[better]] = f[better], u[better]
+        return f
+
+    def live():
+        return np.nonzero(np.isnan(failed_alpha))[0]
+
+    lo, hi = LOG10_ALPHA_BOUNDS
+    a, b = np.full(size, lo), np.full(size, hi)
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = np.full(size, np.nan), np.full(size, np.nan)
+    for u in (a, b):
+        rows = live()
+        objective(u[rows], rows)
+    rows = live()
+    fc[rows] = objective(c[rows], rows)
+    rows = live()
+    fd[rows] = objective(d[rows], rows)
+
+    while True:
+        rows = live()
+        rows = rows[np.abs(b[rows] - a[rows]) > ALPHA_SEARCH_TOL]
+        if rows.size == 0:
+            break
+        left = fc[rows] < fd[rows]
+        old_c, old_d = c[rows], d[rows]
+        a[rows] = np.where(left, a[rows], old_c)
+        b[rows] = np.where(left, old_d, b[rows])
+        new_a, new_b = a[rows], b[rows]
+        c[rows] = np.where(left, new_b - _INV_PHI * (new_b - new_a), old_d)
+        d[rows] = np.where(left, old_c, new_a + _INV_PHI * (new_b - new_a))
+        f = objective(np.where(left, c[rows], d[rows]), rows)
+        fc[rows], fd[rows] = np.where(left, f, fd[rows]), np.where(left, fc[rows], f)
+
+    return np.where(np.isnan(failed_alpha), best_u, np.nan), failed_alpha
+
+
+@dataclass
+class _Fits:
+    """GPs fitted to a bucket of problems, in rescaled time."""
+
+    times: np.ndarray  # (B, n) training times divided by scale
+    scale: np.ndarray  # (B,) observed time span
+    alpha: np.ndarray  # (B,)
+    sigma2: np.ndarray  # (B,) process variance
+    profile: _Profile  # terms at alpha
+
+
+def _fit(times, values):
+    """Fit one GP per row of ``(B, n)`` raw times and values.
+
+    Returns ``(fits, ok, failed_alpha)``: ``fits`` covers the rows where
+    ``ok``; the other rows hit an ill-conditioned correlation matrix at
+    ``failed_alpha``.
+    """
+    ordered = np.sort(times, axis=1)
+    if (np.diff(ordered, axis=1) == 0).any():
+        raise ValueError("training times must be distinct")
+    scale = ordered[:, -1] - ordered[:, 0]
+    t = times / scale[:, None]
+    u, failed_alpha = _search(t, values)
+    ok = ~np.isnan(u)
+    alpha = 10.0 ** u[ok]
+    profile = _profile(alpha, t[ok], values[ok])
+    fits = _Fits(t[ok], scale[ok], alpha, profile.quad / values.shape[1], profile)
+    return fits, ok, failed_alpha
+
+
+def _predict(fits: _Fits, query):
+    """Predictive mean and std at ``(B, m)`` query times in rescaled units.
+
+    The variance accounts for the estimated mean and is clipped at zero
+    before the square root.
+    """
+    p = fits.profile
+    r = corr(fits.alpha[:, None, None], query[:, :, None], fits.times[:, None, :])
+    s = _whiten(p.chol, r)
+    mean = p.mu[:, None] + (s * p.resid[:, None, :]).sum(axis=2)
+    quad = (s * s).sum(axis=2)
+    one_r = (s * p.ones[:, None, :]).sum(axis=2)
+    denom = (p.ones * p.ones).sum(axis=1)
+    var = fits.sigma2[:, None] * np.maximum(0.0, 1.0 - quad + (1.0 - one_r) ** 2 / denom[:, None])
+    return mean, np.sqrt(var)
 
 
 def profile_neg_log_likelihood(alpha: float, times, values) -> float:
@@ -92,29 +251,11 @@ def profile_neg_log_likelihood(alpha: float, times, values) -> float:
     y = np.asarray(values, dtype=float)
     if y.size < 2:
         raise ValueError("need at least two observations")
-    _, _, _, quad, logdet = _profile_terms(alpha, times, y)
-    return logdet + y.size * np.log(max(quad, 0.0) + RESIDUAL_FLOOR)
-
-
-def _golden_section(f, a, b, tol):
-    """Minimize f on [a, b]; returns the best point actually evaluated."""
-    evals = [(f(a), a), (f(b), b)]
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    evals += [(fc, c), (fd, d)]
-    while abs(b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-            evals.append((fc, c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-            evals.append((fd, d))
-    return min(evals)[1]
+    t = np.asarray(times, dtype=float)
+    nll = _profile(np.array([alpha], dtype=float), t[None], y[None]).nll[0]
+    if np.isnan(nll):
+        raise IllConditionedCorrelationError(f"ill-conditioned correlation at alpha={alpha:g}")
+    return float(nll)
 
 
 @dataclass
@@ -127,9 +268,7 @@ class GPModel:
     train_times: np.ndarray
     nugget: float
     time_scale: float
-    _factor: tuple = field(repr=False, default=None)
-    _rinv_resid: np.ndarray = field(repr=False, default=None)
-    _rinv_1: np.ndarray = field(repr=False, default=None)
+    _fits: _Fits = field(repr=False, default=None)
 
 
 def fit_gp(times, values) -> GPModel:
@@ -138,58 +277,89 @@ def fit_gp(times, values) -> GPModel:
     The search runs over log10(alpha) within ``LOG10_ALPHA_BOUNDS`` to a
     bracket width of ``ALPHA_SEARCH_TOL``; no randomness is involved.
     """
-    times = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
     if y.size < 2:
         raise ValueError("need at least two observations to fit")
-    if np.unique(times).size != times.size:
-        raise ValueError("training times must be distinct")
-
-    scale = float(times.max() - times.min())
-    if scale <= 0:
-        scale = 1.0
-    t = times / scale
-
-    def objective(u):
-        return profile_neg_log_likelihood(10.0**u, t, y)
-
-    lo, hi = LOG10_ALPHA_BOUNDS
-    alpha = 10.0 ** _golden_section(objective, lo, hi, ALPHA_SEARCH_TOL)
-
-    factor, delta, mu, quad, _ = _profile_terms(alpha, t, y)
-    sigma2 = max(quad, 0.0) / y.size
-    resid = y - mu
+    fits, ok, failed_alpha = _fit(np.asarray(times, dtype=float)[None], y[None])
+    if not ok[0]:
+        raise IllConditionedCorrelationError(
+            f"ill-conditioned correlation at alpha={failed_alpha[0]:g}"
+        )
     return GPModel(
-        alpha=alpha,
-        mu_hat=mu,
-        sigma2_hat=sigma2,
-        train_times=t,
-        nugget=delta,
-        time_scale=scale,
-        _factor=factor,
-        _rinv_resid=cho_solve(factor, resid),
-        _rinv_1=cho_solve(factor, np.ones(y.size)),
+        alpha=float(fits.alpha[0]),
+        mu_hat=float(fits.profile.mu[0]),
+        sigma2_hat=float(fits.sigma2[0]),
+        train_times=fits.times[0],
+        nugget=float(fits.profile.nugget[0]),
+        time_scale=float(fits.scale[0]),
+        _fits=fits,
     )
 
 
 def gp_predict(model: GPModel, query_times) -> tuple[np.ndarray, np.ndarray]:
-    """Predictive mean and standard deviation at the given (raw) times.
-
-    The variance accounts for the estimated mean and is clipped at zero
-    before the square root.
-    """
+    """Predictive mean and standard deviation at the given (raw) times."""
     q = np.asarray(query_times, dtype=float) / model.time_scale
-    r = corr(model.alpha, model.train_times[:, None], q[None, :])
-    mean = model.mu_hat + r.T @ model._rinv_resid
+    mean, std = _predict(model._fits, q[None])
+    return mean[0], std[0]
 
-    rinv_r = cho_solve(model._factor, r)
-    quad = np.sum(r * rinv_r, axis=0)
-    one_rinv_r = r.T @ model._rinv_1
-    denom = float(np.sum(model._rinv_1))
-    var = model.sigma2_hat * np.maximum(
-        0.0, 1.0 - quad + (1.0 - one_rinv_r) ** 2 / denom
-    )
-    return mean, np.sqrt(var)
+
+@dataclass
+class GPStackedResult:
+    """GP fills and stds over a stacked ``(E, D)`` layout, NaN where no fill."""
+
+    fills: np.ndarray
+    stds: np.ndarray
+    skipped: list[tuple[int, int]]  # (visit, feature) pairs with holes left open
+    diagnostics: list[str]
+
+
+def gp_impute_stacked(times, values, starts) -> GPStackedResult:
+    """GP-impute every (visit, feature) of a stacked ``(E, D)`` value matrix.
+
+    ``times`` holds the ``(E,)`` event times and visit ``i`` owns rows
+    ``starts[i]:starts[i + 1]``. A (visit, feature) with a hole and at least
+    two observations is one fit; fits are bucketed by observed count and each
+    bucket is fitted and predicted as one batch. A (visit, feature) with a
+    hole and fewer than two observations is skipped, and so is one whose
+    correlation matrix does not factor at ``NUGGET_MAX``, with a diagnostic.
+    """
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    n_visits = len(starts) - 1
+    visit = np.repeat(np.arange(n_visits), np.diff(starts))
+    # problem id feature * n_visits + visit; the feature-major cell lists hold
+    # each problem's observations (and holes) as one run in event order
+    obs_f, obs_e = np.nonzero(~np.isnan(values.T))
+    hole_f, hole_e = np.nonzero(np.isnan(values.T))
+    n_problems = values.shape[1] * n_visits
+    n_obs = np.bincount(obs_f * n_visits + visit[obs_e], minlength=n_problems)
+    n_holes = np.bincount(hole_f * n_visits + visit[hole_e], minlength=n_problems)
+    obs_at, hole_at = np.cumsum(n_obs) - n_obs, np.cumsum(n_holes) - n_holes
+
+    fills = np.full(values.shape, np.nan)
+    stds = fills.copy()
+    few = np.nonzero((n_holes > 0) & (n_obs < 2))[0]
+    skipped = [(int(p % n_visits), int(p // n_visits)) for p in few]
+    failed: dict[tuple[int, int], str] = {}
+    for n in np.unique(n_obs[(n_holes > 0) & (n_obs >= 2)]):
+        ids = np.nonzero((n_holes > 0) & (n_obs == n))[0]
+        rows = obs_e[obs_at[ids, None] + np.arange(n)]
+        fits, ok, failed_alpha = _fit(times[rows], values[rows, ids[:, None] // n_visits])
+        for p, alpha in zip(ids[~ok], failed_alpha[~ok]):
+            f, v = divmod(int(p), n_visits)
+            failed[(v, f)] = f"visit {v}, feature {f}: ill-conditioned correlation at alpha={alpha:g}"
+        if not ok.any():
+            continue
+        ids = ids[ok]
+        m = n_holes[ids]
+        # every member queries max(m) times: its own holes, then its last hole again
+        holes = hole_e[hole_at[ids, None] + np.minimum(np.arange(m.max()), m[:, None] - 1)]
+        mean, std = _predict(fits, times[holes] / fits.scale[:, None])
+        cols = ids[:, None] // n_visits
+        fills[holes, cols] = mean
+        stds[holes, cols] = std
+    diagnostics = [failed[key] for key in sorted(failed)]
+    return GPStackedResult(fills, stds, sorted(skipped + list(failed)), diagnostics)
 
 
 @dataclass
@@ -209,30 +379,13 @@ def gp_impute_visit(times, values: np.ndarray) -> GPVisitResult:
     ``skipped_features``; per-feature numerical failures downgrade to a skip
     with a diagnostic instead of failing the visit.
     """
-    times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    fills: dict[tuple[int, int], float] = {}
-    stds: dict[tuple[int, int], float] = {}
-    skipped: list[int] = []
-    diagnostics: list[str] = []
-
-    for feat in range(values.shape[1]):
-        col = values[:, feat]
-        obs = ~np.isnan(col)
-        mis = np.nonzero(~obs)[0]
-        if mis.size == 0:
-            continue
-        if obs.sum() < 2:
-            skipped.append(feat)
-            continue
-        try:
-            model = fit_gp(times[obs], col[obs])
-            means, sds = gp_predict(model, times[mis])
-        except (IllConditionedCorrelationError, np.linalg.LinAlgError) as exc:
-            skipped.append(feat)
-            diagnostics.append(f"feature {feat}: {exc}")
-            continue
-        for e, mu, sd in zip(mis.tolist(), means, sds):
-            fills[(e, feat)] = float(mu)
-            stds[(e, feat)] = float(sd)
-    return GPVisitResult(fills, stds, skipped, diagnostics)
+    result = gp_impute_stacked(times, values, [0, len(values)])
+    feats, events = np.nonzero(~np.isnan(result.fills.T))
+    cells = list(zip(events.tolist(), feats.tolist()))
+    return GPVisitResult(
+        fills={cell: float(result.fills[cell]) for cell in cells},
+        stds={cell: float(result.stds[cell]) for cell in cells},
+        skipped_features=[f for _, f in result.skipped],
+        diagnostics=result.diagnostics,
+    )

@@ -26,7 +26,8 @@ from .config import DEFAULT_ECF_WINDOWS, Config, ConfigError, check_ecf_windows
 from .data_model import DataError, Dataset
 from .dualcv import cfp_impute, dualcv_impute, per_visit_mean_std
 from .evaluation import normalize
-from .gp_within_visit import gp_impute_visit
+# gp_impute_visit stays importable here because perfbench/tracing.py wraps methods.gp_impute_visit
+from .gp_within_visit import gp_impute_stacked, gp_impute_visit  # noqa: F401
 
 # Model variant -> (cross-visit part, within-visit GP on). Parts are tags, not
 # functions, so calls resolve through this module's attributes at run time.
@@ -131,21 +132,8 @@ def ecf_fill(dataset: Dataset, windows: dict[str, int] | None = None) -> Dataset
 
 def _gp_per_visit(dataset: Dataset):
     """GP fills/stds as ``(E, D)`` arrays plus per-visit mean GP std (NaN if no fills)."""
-    rows, cols, fills, stds = [], [], [], []
-    for start, visit in zip(dataset.starts.tolist(), dataset.visits):
-        result = gp_impute_visit(visit.times, visit.values)
-        for e, f in result.fills:
-            rows.append(start + e)
-            cols.append(f)
-        fills.extend(result.fills.values())
-        stds.extend(result.stds.values())
-    # sigma_g sums each visit's stds in the GP's own (feature, event) order
-    at = (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))
-    gp_fills = np.full(dataset.values.shape, np.nan)
-    gp_stds = gp_fills.copy()
-    gp_fills[at] = fills
-    gp_stds[at] = stds
-    return gp_fills, gp_stds, per_visit_mean_std(dataset, gp_stds, at)
+    result = gp_impute_stacked(dataset.times, dataset.values, dataset.starts)
+    return result.fills, result.stds, per_visit_mean_std(dataset, result.stds)
 
 
 def _cross_visit(dataset: Dataset, cross: str | None, config: Config):

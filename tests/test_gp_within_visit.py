@@ -3,10 +3,10 @@ import pytest
 
 from tadualcv import gp_within_visit
 from tadualcv.gp_within_visit import (
-    _profile_terms,
     corr,
     corr_matrix,
     fit_gp,
+    gp_impute_stacked,
     gp_impute_visit,
     gp_predict,
     profile_neg_log_likelihood,
@@ -79,7 +79,8 @@ def test_profile_nll_constant_values_finite():
 
 
 def test_profile_nll_symmetric_two_points_mean():
-    _, _, mu, _, _ = _profile_terms(1.0, [0.0, 1.0], [0.0, 1.0])
+    # two points: both rows of R sum alike at every alpha, so mu = 0.5
+    mu = fit_gp([0.0, 1.0], [0.0, 1.0]).mu_hat
     assert abs(mu - 0.5) < 1e-12
 
 
@@ -140,25 +141,9 @@ def test_predict_interpolates_training_points_with_tiny_nugget(monkeypatch):
 
 
 def test_predict_symmetric_midpoint():
-    # alpha fixed at 1: equal row sums force mu = 0.5 and the midpoint
+    # at every alpha equal row sums force mu = 0.5 and the midpoint
     # correlation vector is symmetric, so the prediction is the mean.
-    from tadualcv.gp_within_visit import GPModel
-    from scipy.linalg import cho_solve
-
-    t = np.array([0.0, 1.0])
-    y = np.array([0.0, 1.0])
-    factor, delta, mu, quad, _ = _profile_terms(1.0, t, y)
-    model = GPModel(
-        alpha=1.0,
-        mu_hat=mu,
-        sigma2_hat=quad / 2,
-        train_times=t,
-        nugget=delta,
-        time_scale=1.0,
-        _factor=factor,
-        _rinv_resid=cho_solve(factor, y - mu),
-        _rinv_1=cho_solve(factor, np.ones(2)),
-    )
+    model = fit_gp([0.0, 1.0], [0.0, 1.0])
     mean, _ = gp_predict(model, [0.5])
     assert abs(mean[0] - 0.5) < 1e-12
 
@@ -182,7 +167,8 @@ def test_predict_far_field_variance_level():
     model = fit_gp(t, y)
     far = (t.max() + 100.0 / np.sqrt(model.alpha)) * model.time_scale
     _, std = gp_predict(model, [far])
-    denom = float(np.sum(model._rinv_1))
+    corr_full = corr_matrix(model.alpha, model.train_times) + model.nugget * np.eye(t.size)
+    denom = float(np.sum(np.linalg.solve(corr_full, np.ones(t.size))))
     want = np.sqrt(model.sigma2_hat * (1.0 + 1.0 / denom))
     assert abs(std[0] - want) <= 0.05 * want
 
@@ -214,3 +200,123 @@ def test_impute_visit_linear_trend():
     result = gp_impute_visit(times, col[:, None])
     assert abs(result.fills[(2, 0)] - 1.5) < 0.1
     assert result.stds[(2, 0)] >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# The batched kernel: every (visit, feature) fit is isolated from the others
+# fitted with it.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def bucket_fits(monkeypatch):
+    """Record each bucket the stacked path fits as (times, values, fits, ok, failed_alpha)."""
+    calls = []
+    fit = gp_within_visit._fit
+
+    def recording_fit(times, values):
+        out = fit(times, values)
+        calls.append((times, values, *out))
+        return out
+
+    monkeypatch.setattr(gp_within_visit, "_fit", recording_fit)
+    return calls
+
+
+def ragged_layout():
+    """Stacked (E, 2) layout whose fits have n = 2 and 3 to 30 observations.
+
+    Sizes 2, 5 and 12 appear twice so those buckets hold several members, and
+    feature 1 of visit 3 is constant.
+    """
+    rng = np.random.default_rng(12)
+    times, blocks = [], []
+    for i, n in enumerate([2, 2, 3, 5, 5, 8, 12, 12, 17, 23, 30]):
+        size = n + 1 + i % 3
+        t = np.cumsum(rng.uniform(1.0, 30.0, size=size))
+        block = np.full((size, 2), NAN)
+        seen = np.sort(rng.choice(size, size=n, replace=False))
+        block[seen, 0] = np.sin(t[seen] / 40.0) + 0.1 * rng.standard_normal(n)
+        block[:, 1] = 0.7 if i == 3 else rng.uniform(0.0, 1.0, size=size)
+        block[i % size, 1] = NAN
+        times.append(t)
+        blocks.append(block)
+    starts = np.cumsum([0] + [len(t) for t in times])
+    return np.concatenate(times), np.vstack(blocks), starts
+
+
+def near_duplicate_layout():
+    """Three visits with one n = 3 fit each; visit 0's times 0 and 1e-12 nearly coincide."""
+    times = np.array([0, 1e-12, 0.3, 0.7, 1.0, 0, 0.3, 0.5, 0.7, 1.0, 0, 0.2, 0.6, 0.8, 1.0])
+    values = np.array(
+        [0.1, 0.4, NAN, NAN, 0.9, 0.2, NAN, 0.5, NAN, 0.1, 0.3, 0.6, NAN, NAN, 0.2]
+    )
+    return times, values[:, None], np.array([0, 5, 10, 15])
+
+
+def singleton_fills(times, values, starts, visit, feature):
+    """Fills and stds of one (visit, feature) fitted alone through the public API."""
+    rows = slice(starts[visit], starts[visit + 1])
+    col = values[rows, feature]
+    seen = ~np.isnan(col)
+    model = fit_gp(times[rows][seen], col[seen])
+    return gp_predict(model, times[rows][~seen])
+
+
+def test_stacked_fits_are_bit_identical_to_singletons(bucket_fits):
+    times, values, starts = ragged_layout()
+    result = gp_impute_stacked(times, values, starts)
+    buckets = list(bucket_fits)
+    sizes = [y.shape[1] for _, y, *_ in buckets]
+    assert min(sizes) == 2 and max(sizes) >= 30 and len(set(sizes)) == len(sizes)
+    assert max(len(y) for _, y, *_ in buckets) > 1
+    for t, y, fits, ok, _ in buckets:
+        assert ok.all()
+        for b in range(len(y)):
+            alone = fit_gp(t[b], y[b])
+            assert alone.alpha == fits.alpha[b]
+            assert alone.nugget == fits.profile.nugget[b]
+    assert result.skipped == []
+    for visit in range(len(starts) - 1):
+        rows = slice(starts[visit], starts[visit + 1])
+        for feature in range(2):
+            holes = np.isnan(values[rows, feature])
+            mean, std = singleton_fills(times, values, starts, visit, feature)
+            np.testing.assert_array_equal(result.fills[rows, feature][holes], mean)
+            np.testing.assert_array_equal(result.stds[rows, feature][holes], std)
+    constant = slice(starts[3], starts[4])
+    np.testing.assert_allclose(result.fills[constant, 1][np.isnan(values[constant, 1])], 0.7)
+
+
+def test_nugget_escalates_only_for_the_ill_conditioned_member(monkeypatch, bucket_fits):
+    # at the default nugget no Gaussian correlation matrix fails to factor
+    monkeypatch.setattr(gp_within_visit, "NUGGET_BASE", 1e-20)
+    times, values, starts = near_duplicate_layout()
+    result = gp_impute_stacked(times, values, starts)
+    [(_, _, fits, ok, _)] = bucket_fits
+    assert ok.all() and result.skipped == []
+    assert fits.profile.nugget[0] > 3 * gp_within_visit.NUGGET_BASE
+    assert list(fits.profile.nugget[1:]) == [3 * gp_within_visit.NUGGET_BASE] * 2
+    assert np.isfinite(result.fills[np.isnan(values)]).all()
+    for visit in range(3):
+        mean, _ = singleton_fills(times, values, starts, visit, 0)
+        rows = slice(starts[visit], starts[visit + 1])
+        np.testing.assert_array_equal(result.fills[rows, 0][np.isnan(values[rows, 0])], mean)
+
+
+def test_member_failing_at_max_nugget_is_skipped_alone(monkeypatch):
+    monkeypatch.setattr(gp_within_visit, "NUGGET_BASE", 1e-20)
+    monkeypatch.setattr(gp_within_visit, "NUGGET_MAX", 1e-18)
+    times, values, starts = near_duplicate_layout()
+    result = gp_impute_stacked(times, values, starts)
+    assert result.skipped == [(0, 0)]
+    assert len(result.diagnostics) == 1
+    assert result.diagnostics[0].startswith("visit 0, feature 0: ill-conditioned correlation")
+    assert np.isnan(result.fills[: starts[1]]).all()
+    # the other two members keep the fills they get without the failing one
+    mates = gp_impute_stacked(times[starts[1]:], values[starts[1]:], starts[1:] - starts[1])
+    np.testing.assert_array_equal(result.fills[starts[1]:], mates.fills)
+    np.testing.assert_array_equal(result.stds[starts[1]:], mates.stds)
+    assert np.isfinite(mates.fills[np.isnan(values[starts[1]:])]).all()
+    with pytest.raises(gp_within_visit.IllConditionedCorrelationError):
+        fit_gp(times[:2].tolist() + [1.0], [0.1, 0.4, 0.9])

@@ -214,6 +214,36 @@ def test_cli_pipeline_smoke(tmp_path, capsys):
     assert float(parsed["header"]["macro_nrmse"]) >= 0.0
 
 
+def test_cli_evaluate_report_config_block_is_empty(tmp_path):
+    # evaluate runs no imputation, so it has no configuration to echo
+    data = _write_synth(tmp_path)
+    masked, mask_csv = tmp_path / "masked.csv", tmp_path / "mask.csv"
+    imputed, report = tmp_path / "imputed.csv", tmp_path / "report.txt"
+    assert main(["mask", "--data", str(data), "--rate", "0.4", "--seed", "7",
+                 "--out", str(masked), "--mask-out", str(mask_csv)]) == 0
+    assert main(["impute", "--data", str(masked), "--method", "meanfill",
+                 "--out", str(imputed)]) == 0
+    assert main(["evaluate", "--truth-mask", str(mask_csv), "--imputed", str(imputed),
+                 "--masked", str(masked), "--method", "meanfill",
+                 "--out", str(report)]) == 0
+    text = report.read_text()
+    assert "\n[config]\n[per_feature]\n" in text
+    parsed = io_formats.parse_report(text)
+    assert parsed["config"] == {}
+    assert parsed["header"]["strategy"] == "external"
+    assert parsed["per_feature"] and all(row["nrmse"] for row in parsed["per_feature"])
+    # the parsed report renders back to the same text
+    rows = {int(r["feature"]): r for r in parsed["per_feature"]}
+    rebuilt = EvalReport(
+        variant=parsed["header"]["variant"], strategy="external", rate=None, seed=0,
+        per_feature_nrmse={f: float(r["nrmse"]) for f, r in rows.items()},
+        per_feature_masked={f: int(r["masked_cells"]) for f, r in rows.items()},
+        macro_nrmse=float(parsed["header"]["macro_nrmse"]), config_echo=parsed["config"],
+    )
+    names = {f: r["name"] for f, r in rows.items()}
+    assert io_formats.render_report(rebuilt, names) == text
+
+
 def test_cli_full_method_smoke(tmp_path):
     data = _write_synth(tmp_path)
     masked = tmp_path / "masked.csv"

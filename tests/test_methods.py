@@ -226,18 +226,14 @@ def test_all_variants_preserve_observed_cells():
 
 
 def _gp_parts(dataset):
-    """GP fills and stds as (E, D) arrays, and per-visit mean GP std, at default settings."""
+    """GP fills and stds as (E, D) arrays, fitted one visit at a time, and per-visit mean GP std."""
     fills, stds = np.full(dataset.values.shape, NAN), np.full(dataset.values.shape, NAN)
-    rows, cols = [], []
     for start, visit in zip(dataset.starts.tolist(), dataset.visits):
         result = gp_impute_visit(visit.times, visit.values)
         for (e, f), value in result.fills.items():
             fills[start + e, f] = value
             stds[start + e, f] = result.stds[(e, f)]
-            rows.append(start + e)
-            cols.append(f)
-    at = (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))
-    return fills, stds, per_visit_mean_std(dataset, stds, at)
+    return fills, stds, per_visit_mean_std(dataset, stds)
 
 
 @pytest.mark.parametrize("variant", ["ta_dualcv_noI", "three_d_mice", "ta_dualcv_noC"])
