@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chained_equations import run_chains
+from .chained_equations import chain_ensemble, run_chains
 from .config import Config
 from .data_model import CellIndex, Dataset, median_event_count
 
@@ -46,25 +46,27 @@ class CtpView:
     n_truncated: np.ndarray
 
 
-def build_ctp_view(dataset: Dataset, feature: int, t_med: int, truncate: str) -> CtpView:
-    n = dataset.n_visits
-    matrix = np.full((n, t_med), np.nan)
-    event_of = np.full((n, t_med), -1, dtype=np.int64)
-    n_padded = np.zeros(n, dtype=np.int64)
-    n_truncated = np.zeros(n, dtype=np.int64)
+def _ctp_stack(dataset: Dataset, t_med: int, truncate: str):
+    """All features' temporal views as one ``(D, n_visits, t_med)`` gather.
 
-    for i, visit in enumerate(dataset.visits):
-        t_i = visit.n_events
-        if t_i >= t_med:
-            offset = t_i - t_med if truncate == "keep_last" else 0
-            kept = np.arange(offset, offset + t_med)
-            n_truncated[i] = t_i - t_med
-        else:
-            kept = np.arange(t_i)
-            n_padded[i] = t_med - t_i
-        event_of[i, : kept.size] = kept
-        matrix[i, : kept.size] = visit.values[kept, feature]
-    return CtpView(feature, matrix, event_of, n_padded, n_truncated)
+    Also returns ``event_of`` and the per-visit padded and truncated counts,
+    which depend on visit lengths only and so hold for every feature.
+    """
+    lengths = np.diff(dataset.starts)
+    steps = np.arange(t_med)
+    n_truncated = np.maximum(lengths - t_med, 0)
+    offset = n_truncated if truncate == "keep_last" else np.zeros_like(lengths)
+    event_of = np.where(steps < lengths[:, None], offset[:, None] + steps, -1)
+    real = event_of >= 0
+    rows = dataset.starts[:-1, None] + np.where(real, event_of, 0)
+    # clip: an empty last visit starts past the final row
+    values = np.where(real[:, :, None], dataset.values.take(rows, axis=0, mode="clip"), np.nan)
+    return values.transpose(2, 0, 1), event_of, np.maximum(t_med - lengths, 0), n_truncated
+
+
+def build_ctp_view(dataset: Dataset, feature: int, t_med: int, truncate: str) -> CtpView:
+    stack, event_of, n_padded, n_truncated = _ctp_stack(dataset, t_med, truncate)
+    return CtpView(feature, stack[feature], event_of, n_padded, n_truncated)
 
 
 def cfp_impute(dataset: Dataset, config: Config) -> tuple[np.ndarray, np.ndarray]:
@@ -95,28 +97,22 @@ def ctp_impute(
     """
     if t_med < 1:
         raise ValueError("t_med must be >= 1")
-    fills: dict[CellIndex, float] = {}
-    stds: dict[CellIndex, float] = {}
-    for feature in range(dataset.n_features):
-        view = build_ctp_view(dataset, feature, t_med, config.ctp_truncate)
-        unobserved = np.isnan(view.matrix).all(axis=0)
-        result = run_chains(
-            view.matrix,
-            config.chains,
-            config.iterations,
-            config.seed,
-            stream=(_CTP_STREAM, feature),
-        )
-        for (row, col), fill, std in zip(
-            result.cells, result.pooled_fill, result.per_cell_std
-        ):
-            event = view.event_of[row, col]
-            if event < 0 or unobserved[col]:
-                continue
-            cell = CellIndex(row, int(event), feature)
-            fills[cell] = float(fill)
-            stds[cell] = float(std)
-    return fills, stds
+    stack, event_of, _, _ = _ctp_stack(dataset, t_med, config.ctp_truncate)
+    m = config.chains
+    streams = [(_CTP_STREAM, feature) for feature in range(dataset.n_features)]
+    completed = chain_ensemble(stack, m, config.iterations, config.seed, streams)
+
+    holes = np.isnan(stack)
+    kept = holes & (event_of >= 0) & ~holes.all(axis=1, keepdims=True)
+    per_chain = completed.swapaxes(0, 1)[:, kept]
+    pooled = per_chain.mean(axis=0)
+    std = per_chain.std(axis=0, ddof=1) if m > 1 else np.zeros_like(pooled)
+    feature, row, col = np.nonzero(kept)
+    cells = [
+        CellIndex(r, e, f)
+        for f, r, e in zip(feature.tolist(), row.tolist(), event_of[row, col].tolist())
+    ]
+    return dict(zip(cells, pooled.tolist())), dict(zip(cells, std.tolist()))
 
 
 def compromise(cfp, ctp, t_i, t_med: int, w1: float, w2: float):

@@ -1,8 +1,13 @@
 import numpy as np
+import pytest
 
 import tadualcv.chained_equations as ce
 from tadualcv.chained_equations import (
+    INERT_FILL,
+    PMM_DONORS,
     RIDGE,
+    DegenerateModelError,
+    chain_ensemble,
     fit_conditional,
     initialize_fills,
     pmm_draw,
@@ -98,6 +103,14 @@ def test_pmm_constant_predictors_fill_from_observed_set():
     assert set(fills) <= {1.0, 2.0, 3.0, 4.0, 5.0}
 
 
+def test_failed_gram_factorization_raises():
+    # an infinite predictor value leaves the Gram matrix without a factor
+    matrix = np.array([[1.0, 1.0], [np.inf, 2.0], [3.0, NAN], [4.0, 3.0]])
+    state = initialize_fills(matrix, np.random.default_rng(0))
+    with pytest.raises(DegenerateModelError):
+        pmm_draw(state, 1)
+
+
 def test_sweep_no_missing_leaves_matrix_unchanged():
     matrix = np.array([[1.0, 2.0], [3.0, 4.0]])
     state = initialize_fills(matrix, np.random.default_rng(0))
@@ -108,17 +121,18 @@ def test_sweep_no_missing_leaves_matrix_unchanged():
 
 def test_sweep_single_missing_cell_draws_once(monkeypatch):
     calls = []
-    real = ce.pmm_draw
+    real = ce._pmm_step
 
-    def counting(state, col):
-        calls.append(col)
-        return real(state, col)
+    def counting(aug, holes, inert, rngs, col):
+        member, row, fills = real(aug, holes, inert, rngs, col)
+        calls.extend((col, int(r)) for r in row)
+        return member, row, fills
 
-    monkeypatch.setattr(ce, "pmm_draw", counting)
+    monkeypatch.setattr(ce, "_pmm_step", counting)
     matrix = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, NAN]])
     state = initialize_fills(matrix, np.random.default_rng(0))
     ce.sweep(state)
-    assert calls == [1]
+    assert calls == [(1, 2)]
 
 
 def test_sweep_deterministic_replay():
@@ -183,3 +197,90 @@ def test_per_cell_std_nonnegative_and_zero_on_agreement():
     result = run_chains(duplicate_x_instance(), m=5, t=10, master_seed=3)
     assert np.all(result.per_cell_std >= 0.0)
     assert result.per_cell_std[0] == 0.0  # every chain picks the exact donor
+
+
+def gibbs_oracle(matrix, m, t, seed, stream):
+    """Plain per-chain Gibbs loop, written independently of the kernel.
+
+    Bootstrap, then per sweep and column: ridge fit on the observed rows,
+    coefficient perturbation, PMM; with the kernel's draw order and skip
+    rules. Returns the ``(m, n, k)`` completed matrices.
+    """
+    holes = np.isnan(matrix)
+    n, k = matrix.shape
+    inert = holes.all(axis=0)
+    out = []
+    for chain in range(m):
+        rng = np.random.default_rng(tuple(stream) + (seed, chain))
+        mat = matrix.copy()
+        for c in range(k):
+            if inert[c]:
+                mat[:, c] = INERT_FILL
+            elif holes[:, c].any():
+                mat[holes[:, c], c] = rng.choice(
+                    mat[~holes[:, c], c], size=holes[:, c].sum(), replace=True
+                )
+        for _ in range(t):
+            for c in range(k):
+                obs, mis = np.flatnonzero(~holes[:, c]), np.flatnonzero(holes[:, c])
+                if inert[c] or mis.size == 0 or obs.size < 2:
+                    continue
+                preds = [j for j in range(k) if j != c and not inert[j]]
+                design = np.column_stack([np.ones(n), mat[:, preds]])
+                beta = ridge_oracle(design[obs], mat[obs, c])
+                p = design.shape[1]
+                resid = mat[obs, c] - design[obs] @ beta
+                sigma2 = resid @ resid / max(1, obs.size - p)
+                if sigma2 > 0:
+                    gram = design[obs].T @ design[obs] + RIDGE * np.eye(p)
+                    cov = sigma2 * np.linalg.inv(gram)
+                    scale = np.linalg.cholesky(0.5 * (cov + cov.T))
+                    beta = beta + scale @ rng.standard_normal(p)
+                pred = design @ beta
+                u = rng.random(mis.size)
+                donors = obs[np.argsort(pred[obs], kind="stable")]
+                for hole, draw in zip(mis, u):
+                    ties = donors[pred[donors] == pred[hole]][:PMM_DONORS]
+                    if ties.size:
+                        mat[hole, c] = mat[ties[int(draw * ties.size)], c]
+                        continue
+                    near = sorted(donors, key=lambda r: abs(pred[r] - pred[hole]))
+                    near = near[: min(PMM_DONORS, obs.size)]
+                    mat[hole, c] = mat[near[int(draw * len(near))], c]
+        out.append(mat)
+    return np.stack(out)
+
+
+def ragged_stack():
+    """Four 24 x 5 views with different hole patterns.
+
+    View 0 has a column with no holes, view 1 an inert column (so its
+    members regress on one predictor fewer) and a column observed exactly
+    once, view 2 no holes at all, view 3 scattered holes everywhere.
+    """
+    rng = np.random.default_rng(20)
+    base = rng.normal(size=(4, 24, 1)) + 0.5 * rng.normal(size=(4, 24, 5))
+    holes = rng.random(base.shape) < 0.3
+    holes[0, :, 4] = False
+    holes[1, :, 2] = True
+    holes[1, :, 3] = True
+    holes[1, 7, 3] = False
+    holes[2] = False
+    return np.where(holes, np.nan, base)
+
+
+def test_chain_members_isolated_and_match_oracle():
+    stack = ragged_stack()
+    streams = [(9, v) for v in range(len(stack))]
+    m, t, seed = 3, 3, 4
+    batch = chain_ensemble(stack, m, t, seed, streams)
+    for v, view in enumerate(stack):
+        alone = chain_ensemble(view[None], m, t, seed, [streams[v]])[0]
+        oracle = gibbs_oracle(view, m, t, seed, streams[v])
+        bits = [np.ascontiguousarray(a).view(np.uint64) for a in (batch[v], alone)]
+        np.testing.assert_array_equal(*bits)
+        np.testing.assert_array_equal(batch[v], oracle)
+    # the ragged cases took their intended paths
+    np.testing.assert_array_equal(batch[1][:, :, 2], INERT_FILL)
+    np.testing.assert_array_equal(batch[1][:, :, 3], stack[1, 7, 3])
+    np.testing.assert_array_equal(batch[2], np.broadcast_to(stack[2], batch[2].shape))

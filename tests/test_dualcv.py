@@ -188,3 +188,93 @@ def test_dualcv_long_visits_take_cfp_exactly():
     np.testing.assert_array_equal(
         out.fills[long_rows][long_cells], cfp_fills[long_rows][long_cells]
     )
+
+
+def check_ctp_fills(ds, t_med, truncate):
+    """Every CTP fill is finite, sits at a real hole, comes from its column.
+
+    One chain, so a returned fill is a donor value itself: it must be among
+    the values its time-step column observes. The same seed must give the
+    same output.
+    """
+    config = Config(chains=1, ctp_truncate=truncate, seed=3)
+    fills, stds = ctp_impute(ds, t_med, config)
+    assert ctp_impute(ds, t_med, config) == (fills, stds)
+    assert fills.keys() == stds.keys()
+    for cell, fill in fills.items():
+        assert np.isfinite(fill) and stds[cell] == 0.0
+        assert np.isnan(ds.visits[cell.visit].values[cell.event, cell.feature])
+        view = build_ctp_view(ds, cell.feature, t_med, truncate)
+        (col,) = np.flatnonzero(view.event_of[cell.visit] == cell.event)
+        column = view.matrix[:, col]
+        assert fill in set(column[~np.isnan(column)].tolist())
+    # five chains: same keys, finite pooled fills, still reproducible
+    config = Config(ctp_truncate=truncate, seed=3)
+    pooled, _ = ctp_impute(ds, t_med, config)
+    assert pooled.keys() == fills.keys()
+    assert all(np.isfinite(v) for v in pooled.values())
+    assert ctp_impute(ds, t_med, config)[0] == pooled
+    return fills
+
+
+def ragged_visits(lengths, seed=0, hole_rate=0.3):
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i, t_i in enumerate(lengths):
+        values = rng.uniform(0.01, 0.49, size=(t_i, 2))
+        values[rng.random(values.shape) < hole_rate] = NAN
+        rows.append((f"v{i}", (np.arange(t_i) * 10).tolist(), values))
+    return rows
+
+
+@pytest.mark.parametrize("truncate", ["keep_last", "keep_first"])
+def test_ctp_single_time_step_is_intercept_only(truncate):
+    ds = make_dataset(ragged_visits([1, 3, 1, 2, 4, 1, 2], seed=1))
+    fills = check_ctp_fills(ds, 1, truncate)
+    assert fills
+
+
+@pytest.mark.parametrize("truncate", ["keep_last", "keep_first"])
+def test_ctp_single_event_visits(truncate):
+    ds = make_dataset(ragged_visits([1, 1, 1, 1, 1, 1, 3, 3], seed=2, hole_rate=0.4))
+    fills = check_ctp_fills(ds, 1, truncate)
+    assert {cell.event for cell in fills} <= {0, 1, 2}
+    check_ctp_fills(ds, 3, truncate)
+
+
+@pytest.mark.parametrize(
+    "truncate, long_values",
+    [
+        # keep_last keeps events 2-3: step 1 only saw event 1, cut off
+        ("keep_last", [[0.1, 0.2], [0.3, 0.4], [0.2, 0.3], [0.4, NAN]]),
+        # keep_first keeps events 0-1: step 1 only saw event 3, cut off
+        ("keep_first", [[0.1, 0.2], [0.3, NAN], [0.2, 0.3], [0.4, 0.1]]),
+    ],
+    ids=["keep_last", "keep_first"],
+)
+def test_ctp_column_emptied_by_truncation(truncate, long_values):
+    rows = [
+        ("a", [0, 10], [[0.1, 0.2], [0.2, NAN]]),
+        ("b", [0, 10], [[0.3, NAN], [0.4, NAN]]),
+        ("c", [0, 10], [[0.2, 0.1], [NAN, NAN]]),
+        ("long", [0, 10, 20, 30], long_values),
+    ]
+    ds = make_dataset(rows)
+    view = build_ctp_view(ds, 1, 2, truncate)
+    assert np.isnan(view.matrix[:, 1]).all()
+    fills = check_ctp_fills(ds, 2, truncate)
+    # the emptied column's holes get no fill; the rest of the view does
+    emptied = {CellIndex(i, int(e), 1) for i, e in enumerate(view.event_of[:, 1])}
+    assert len(emptied) == 4 and not emptied & fills.keys()
+    assert CellIndex(2, 1, 0) in fills
+
+
+@pytest.mark.parametrize("truncate", ["keep_last", "keep_first"])
+def test_ctp_constant_feature(truncate):
+    rows = ragged_visits([3, 2, 4, 3, 3, 5], seed=4)
+    for _, _, values in rows:
+        values[:, 1] = np.where(np.isnan(values[:, 1]), NAN, 0.25)
+    ds = make_dataset(rows)
+    fills = check_ctp_fills(ds, 3, truncate)
+    constant = [v for cell, v in fills.items() if cell.feature == 1]
+    assert constant and set(constant) == {0.25}
