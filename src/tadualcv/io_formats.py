@@ -249,6 +249,8 @@ def read_mask_csv(path, dataset: Dataset, strategy="external", rate=None, seed=0
     """
     visit_index = {v.visit_id: i for i, v in enumerate(dataset.visits)}
     feat_index = {s.name: s.id for s in dataset.features}
+    # time -> event, built on a visit's first row; times are strictly increasing
+    event_index: dict[int, dict[int, int]] = {}
     entries = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -263,16 +265,17 @@ def read_mask_csv(path, dataset: Dataset, strategy="external", rate=None, seed=0
             if feat_name not in feat_index:
                 raise DataError(f"{path}:{lineno}: unknown feature {feat_name!r}")
             i = visit_index[visit_id]
-            visit = dataset.visits[i]
             try:
                 time = int(time_s)
                 truth = float(truth_s)
             except ValueError:
                 raise DataError(f"{path}:{lineno}: malformed row") from None
-            matches = np.nonzero(visit.times == time)[0]
-            if matches.size != 1:
+            if i not in event_index:
+                event_index[i] = {t: e for e, t in enumerate(dataset.visits[i].times.tolist())}
+            event = event_index[i].get(time)
+            if event is None:
                 raise DataError(f"{path}:{lineno}: no event at time {time} in {visit_id!r}")
-            entries.append((CellIndex(i, int(matches[0]), feat_index[feat_name]), truth))
+            entries.append((CellIndex(i, event, feat_index[feat_name]), truth))
     return MaskSet(entries, strategy=strategy, rate=rate, seed=seed)
 
 

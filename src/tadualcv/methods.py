@@ -113,21 +113,18 @@ def ecf_fill(dataset: Dataset, windows: dict[str, int] | None = None) -> Dataset
     windows = dict(DEFAULT_ECF_WINDOWS if windows is None else windows)
     check_ecf_windows(windows)
     means = feature_means(dataset)
+    limit = np.array([windows.get(s.kind, windows.get("other", 480)) for s in dataset.features])
 
-    values = dataset.values.copy()
-    for start, visit in zip(dataset.starts.tolist(), dataset.visits):
-        times = visit.times
-        for f, spec in enumerate(dataset.features):
-            window = windows.get(spec.kind, windows.get("other", 480))
-            col = visit.values[:, f]
-            obs = np.nonzero(~np.isnan(col))[0]
-            for e in np.nonzero(np.isnan(col))[0]:
-                pos = np.searchsorted(times[obs], times[e], side="right") - 1
-                carried = None
-                if pos >= 0 and times[e] - times[obs[pos]] <= window:
-                    carried = col[obs[pos]]
-                values[start + e, f] = means[f] if carried is None else carried
-    return dataset.with_values(values)
+    values, times = dataset.values, dataset.times
+    holes = np.isnan(values)
+    # last observed row at or before each row, per feature, across the stack;
+    # one before the row's visit start carries nothing
+    last = np.maximum.accumulate(np.where(holes, -1, np.arange(len(values))[:, None]), axis=0)
+    visit_start = np.repeat(dataset.starts[:-1], np.diff(dataset.starts))[:, None]
+    source = np.maximum(last, 0)
+    carry = (last >= visit_start) & (times[:, None] - times[source] <= limit)
+    fills = np.where(carry, np.take_along_axis(values, source, axis=0), means)
+    return dataset.with_values(np.where(holes, fills, values))
 
 
 def _gp_per_visit(dataset: Dataset):

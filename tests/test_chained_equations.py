@@ -1,3 +1,7 @@
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -284,3 +288,92 @@ def test_chain_members_isolated_and_match_oracle():
     np.testing.assert_array_equal(batch[1][:, :, 2], INERT_FILL)
     np.testing.assert_array_equal(batch[1][:, :, 3], stack[1, 7, 3])
     np.testing.assert_array_equal(batch[2], np.broadcast_to(stack[2], batch[2].shape))
+
+
+def force_groups(monkeypatch, groups):
+    """Split every ensemble into ``groups`` member groups, CPUs permitting or not."""
+    monkeypatch.setattr(ce, "_group_count", lambda n_members: min(n_members, groups))
+
+
+def assert_same_bits(a, b):
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64)
+    )
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("groups", [1, 2, 3])
+def test_member_groups_match_oracle(monkeypatch, groups):
+    # 12 members, 3 per view: 6/6 splits between views, 4/4/4 through views 1 and 2
+    force_groups(monkeypatch, groups)
+    stack = ragged_stack()
+    streams = [(9, v) for v in range(len(stack))]
+    m, t, seed = 3, 3, 4
+    batch = chain_ensemble(stack, m, t, seed, streams)
+    for v, view in enumerate(stack):
+        assert_same_bits(batch[v], gibbs_oracle(view, m, t, seed, streams[v]))
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize(("m", "groups"), [(5, 2), (5, 3), (1, 3)])
+def test_member_groups_same_bits_as_one_group(monkeypatch, m, groups):
+    # B = 5 splits 3/2 and 2/2/1; B = 1 stays one group
+    rng = np.random.default_rng(31)
+    view = rng.normal(size=(30, 4))
+    view[rng.random(view.shape) < 0.35] = np.nan
+    force_groups(monkeypatch, 1)
+    alone = chain_ensemble(view[None], m, 4, 2, [(5,)])
+    force_groups(monkeypatch, groups)
+    assert_same_bits(chain_ensemble(view[None], m, 4, 2, [(5,)]), alone)
+    assert_no_child_left()
+
+
+def test_group_count_follows_cpus_and_threads():
+    cpus = len(os.sched_getaffinity(0))
+    assert ce._group_count(40) == min(40, cpus)
+    assert ce._group_count(1) == 1
+    release = threading.Event()
+    worker = threading.Thread(target=release.wait)
+    worker.start()
+    try:
+        assert ce._group_count(40) == 1
+    finally:
+        release.set()
+        worker.join(timeout=10)
+    assert not worker.is_alive()
+
+
+def degenerate_stack():
+    """Two 4 x 2 views; the second has an infinite predictor value."""
+    good = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, NAN], [4.0, 3.0]])
+    bad = np.array([[1.0, 1.0], [np.inf, 2.0], [3.0, NAN], [4.0, 3.0]])
+    return np.stack([good, bad])
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_degenerate_member_in_any_group_raises(monkeypatch, order):
+    # order 1 puts the bad view's members in the forked group, -1 in this process
+    force_groups(monkeypatch, 2)
+    stack = degenerate_stack()[::order]
+    with pytest.raises(DegenerateModelError, match="^degenerate conditional model for column 1$"):
+        chain_ensemble(stack, 2, 2, 0, [(1,), (2,)])
+    assert_no_child_left()
+
+
+def test_interrupted_parent_kills_its_children():
+    out = np.zeros((2, 3))
+
+    def work(lo, hi):
+        if lo == 0:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        ce._in_groups(out, 2, work)
+    assert time.perf_counter() - start < 30
+    assert_no_child_left()

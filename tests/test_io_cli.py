@@ -120,6 +120,22 @@ def test_mask_csv_round_trip(tmp_path):
     assert back.entries[0].truth == 3.5
 
 
+def test_mask_csv_resolves_times_and_rejects_missing_event(tmp_path):
+    ds = make_dataset(
+        [("a", [0, 30, 90], [[1.0], [2.0], [3.0]]), ("b", [5, 30], [[4.0], [5.0]])]
+    )
+    path = tmp_path / "mask.csv"
+    path.write_text("visit_id,time,feature,truth\nb,30,f0,5\na,90,f0,3\na,0,f0,1\n")
+    back = io_formats.read_mask_csv(path, ds)
+    assert [e.cell for e in back.entries] == [
+        CellIndex(1, 1, 0), CellIndex(0, 2, 0), CellIndex(0, 0, 0)
+    ]
+    path.write_text("visit_id,time,feature,truth\na,30,f0,2\nb,90,f0,3\n")
+    with pytest.raises(DataError) as err:
+        io_formats.read_mask_csv(path, ds)
+    assert str(err.value) == f"{path}:3: no event at time 90 in 'b'"
+
+
 def test_config_file_parse_and_override(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(

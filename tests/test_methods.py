@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+import tadualcv.chained_equations as ce
 from tadualcv.config import Config, ConfigError
 from tadualcv.data_model import DataError
 from tadualcv.dualcv import cfp_impute, dualcv_impute, per_visit_mean_std
@@ -137,6 +140,45 @@ def test_ecf_infinite_window_is_locf():
     assert out.visits[0].values[6, 0] == values[5, 0]
 
 
+def ecf_oracle(dataset, windows):
+    """Per-visit, per-feature, per-hole carry-forward loop."""
+    means = feature_means(dataset)
+    values = dataset.values.copy()
+    for start, visit in zip(dataset.starts.tolist(), dataset.visits):
+        times = visit.times
+        for f, spec in enumerate(dataset.features):
+            window = windows.get(spec.kind, windows.get("other", 480))
+            col = visit.values[:, f]
+            obs = np.nonzero(~np.isnan(col))[0]
+            for e in np.nonzero(np.isnan(col))[0]:
+                pos = np.searchsorted(times[obs], times[e], side="right") - 1
+                carried = None
+                if pos >= 0 and times[e] - times[obs[pos]] <= window:
+                    carried = col[obs[pos]]
+                values[start + e, f] = means[f] if carried is None else carried
+    return values
+
+
+@pytest.mark.parametrize(
+    "windows", [None, {"vital": 30, "lab": 60, "other": 45}, {"other": 10**9}]
+)
+def test_ecf_matches_loop_oracle(windows):
+    generated, _ = generate(
+        SynthConfig(n_visits=40, n_features=4, events_per_visit=(2, 12),
+                    native_missing_rate=0.5, seed=6)
+    )
+    visits = [(v.visit_id, v.times, v.values.copy()) for v in generated.visits]
+    for _, _, values in visits:
+        values[:, 2] = NAN
+    # a single-event visit holds the only observation of feature 2
+    visits.append(("solo", [5], [[NAN, 0.3, 0.7, NAN]]))
+    ds = make_dataset(visits, kinds=["vital", "lab", "other", "vital"])
+    out = ecf_fill(ds, windows)
+    expected = ecf_oracle(ds, dict(windows or Config().ecf_windows))
+    np.testing.assert_array_equal(out.values.view(np.uint64), expected.view(np.uint64))
+    assert not np.isnan(out.values).any()
+
+
 def test_unknown_variant_rejected():
     ds = make_dataset([("a", [0], [[1.0]])])
     with pytest.raises(ConfigError, match="unknown method variant"):
@@ -223,6 +265,32 @@ def test_all_variants_preserve_observed_cells():
                 after.values[observed], before.values[observed]
             )
             assert not np.isnan(after.values).any()
+
+
+def test_impute_leaves_no_child_process(monkeypatch):
+    # every ensemble splits into two groups; the second run fails in the child
+    monkeypatch.setattr(ce, "_group_count", lambda n_members: min(n_members, 2))
+    ds, _ = generate(
+        SynthConfig(n_visits=6, n_features=3, events_per_visit=(4, 7),
+                    noise_scale=0.02, native_missing_rate=0.25, seed=5)
+    )
+    config = Config(chains=2, iterations=2, seed=0)
+    impute(ds, "ta_dualcv", config)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+    parent, sweep = os.getpid(), ce._sweep
+
+    def fail_in_child(*batch):
+        if os.getpid() != parent:
+            raise ce.DegenerateModelError("failed in a child")
+        sweep(*batch)
+
+    monkeypatch.setattr(ce, "_sweep", fail_in_child)
+    with pytest.raises(ce.DegenerateModelError, match="^failed in a child$"):
+        impute(ds, "ta_dualcv", config)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _gp_parts(dataset):
