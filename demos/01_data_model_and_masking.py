@@ -37,11 +37,12 @@ print("median events per visit:", median_event_count(dataset))
 print("observed cells:", dataset.n_observed_cells())
 
 mask = mask_random(dataset, rate=0.5, seed=3)
+# a mask is four parallel arrays: where each hidden cell is, and its truth
 print(f"\nmasked {len(mask)} cells at rate 0.5:")
-for cell, truth in mask.entries:
-    visit = dataset.visits[cell.visit]
-    name = features[cell.feature].name
-    print(f"  {visit.visit_id} t={visit.times[cell.event]:>3} {name:<10} truth={truth}")
+for i, e, f, truth in zip(mask.visit, mask.event, mask.feature, mask.truth.tolist()):
+    visit = dataset.visits[i]
+    name = features[f].name
+    print(f"  {visit.visit_id} t={visit.times[e]:>3} {name:<10} truth={truth}")
 
 masked = apply_mask(dataset, mask)
 print("\nmasked visit stay-001 values:\n", masked.visits[0].values)

@@ -10,6 +10,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import io_formats
 from .config import Config, ConfigError
 from .data_model import DataError, apply_mask, restore_mask
@@ -129,11 +131,10 @@ def cmd_evaluate(args) -> int:
     masked = io_formats.ingest_long_csv(args.masked)
     mask = io_formats.read_mask_csv(args.truth_mask, masked)
     imputed = io_formats.read_wide_csv(args.imputed, features=list(masked.features))
-    aligned = len(imputed.visits) == len(masked.visits) and all(
-        a.visit_id == b.visit_id
-        and a.n_events == b.n_events
-        and (a.times == b.times).all()
-        for a, b in zip(imputed.visits, masked.visits)
+    aligned = (
+        [v.visit_id for v in imputed.visits] == [v.visit_id for v in masked.visits]
+        and np.array_equal(imputed.starts, masked.starts)
+        and np.array_equal(imputed.times, masked.times)
     )
     if not aligned:
         raise DataError("imputed file does not align with the masked input")

@@ -6,9 +6,9 @@ The dataset stacks every visit's events, in visit order, into one
 ``(E, D)`` float array ``values`` and one ``(E,)`` integer array ``times``;
 rows ``starts[i]:starts[i + 1]`` belong to visit ``i``, and each ``Visit`` in
 ``dataset.visits`` is a view of its rows. Code that works on all cells at
-once reads the stacked arrays and maps ``CellIndex`` cells onto them with
-``rows``. Masking bookkeeping (which cells were hidden on purpose, and what
-their true values were) lives in ``MaskSet``.
+once reads the stacked arrays and maps ``(visit, event, feature)`` cells onto
+them with ``rows``. Masking bookkeeping (which cells were hidden on purpose,
+and what their true values were) lives in ``MaskSet``, as parallel arrays.
 
 All containers here are immutable after construction: the value arrays are
 flagged read-only, and the mutating-looking operations (``with_values``,
@@ -18,8 +18,9 @@ flagged read-only, and the mutating-looking operations (``with_values``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
-from typing import Collection, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -109,6 +110,17 @@ class Dataset:
         starts = np.cumsum([0] + [v.n_events for v in visits])
         self._assign(features, [v.visit_id for v in visits], times, values, starts)
 
+    @classmethod
+    def from_stacked(cls, features, visit_ids, times, values, starts) -> "Dataset":
+        """A dataset over already stacked arrays, which it takes over and flags read-only.
+
+        ``times`` and ``values`` hold every event in visit order, and visit
+        ``i`` owns rows ``starts[i]:starts[i + 1]``.
+        """
+        out = object.__new__(cls)
+        out._assign(tuple(features), list(visit_ids), times, values, starts)
+        return out
+
     def _assign(self, features, visit_ids, times, values, starts) -> None:
         times.flags.writeable = False
         values.flags.writeable = False
@@ -137,9 +149,15 @@ class Dataset:
     def n_observed_cells(self) -> int:
         return int(np.count_nonzero(~np.isnan(self.values)))
 
-    def rows(self, cells: Collection[CellIndex]) -> tuple[np.ndarray, np.ndarray]:
-        """The (row, column) index arrays of ``cells`` in the stacked layout."""
-        idx = np.fromiter(chain.from_iterable(cells), np.int64, 3 * len(cells)).reshape(-1, 3)
+    def rows(self, cells) -> tuple[np.ndarray, np.ndarray]:
+        """The (row, column) index arrays of ``cells`` in the stacked layout.
+
+        ``cells`` is a ``(K, 3)`` integer array of (visit, event, feature)
+        rows, as ``MaskSet.cells`` returns, or a collection of ``CellIndex``.
+        """
+        if not isinstance(cells, np.ndarray):
+            cells = np.fromiter(chain.from_iterable(cells), np.int64, 3 * len(cells))
+        idx = cells.reshape(-1, 3)
         if np.any(idx[:, 1] >= np.diff(self.starts)[idx[:, 0]]):
             raise IndexError("cell event index beyond the end of its visit")
         return self.starts[idx[:, 0]] + idx[:, 1], idx[:, 2]
@@ -152,11 +170,9 @@ class Dataset:
         values = np.asarray(values, dtype=float)
         if values.shape != self.values.shape:
             raise DataError(f"values of shape {values.shape}, expected {self.values.shape}")
-        out = object.__new__(type(self))
-        out._assign(
+        return self.from_stacked(
             self.features, [v.visit_id for v in self.visits], self.times, values, self.starts
         )
-        return out
 
 
 class CellIndex(NamedTuple):
@@ -172,33 +188,73 @@ class MaskEntry(NamedTuple):
     truth: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaskSet:
     """Cells hidden by the harness, with their ground-truth values.
+
+    Stored as four read-only arrays of one length, one entry per hidden
+    cell: ``visit``, ``event`` and ``feature`` (int64) locate the cell and
+    ``truth`` (float64) holds its value. ``MaskSet(entries)`` builds one from
+    ``(cell, truth)`` pairs and ``MaskSet.from_arrays`` from the arrays.
 
     ``strategy`` is "random_rate" or "one_per_feature_visit"; ``rate`` is only
     meaningful for the former. Entries must reference cells that were observed
     in the source dataset, with no duplicates.
     """
 
-    entries: tuple[MaskEntry, ...]
+    visit: np.ndarray = field(repr=False)
+    event: np.ndarray = field(repr=False)
+    feature: np.ndarray = field(repr=False)
+    truth: np.ndarray = field(repr=False)
     strategy: str = "random_rate"
     rate: float | None = None
     seed: int = 0
 
-    def __init__(self, entries, strategy="random_rate", rate=None, seed=0):
-        object.__setattr__(
-            self, "entries", tuple(MaskEntry(CellIndex(*c), float(t)) for c, t in entries)
-        )
+    def __init__(self, entries=(), strategy="random_rate", rate=None, seed=0):
+        pairs = [(tuple(cell), truth) for cell, truth in entries]
+        cells = np.array([cell for cell, _ in pairs], dtype=np.int64).reshape(-1, 3)
+        truth = np.array([truth for _, truth in pairs], dtype=float)
+        self._assign(cells[:, 0], cells[:, 1], cells[:, 2], truth, strategy, rate, seed)
+
+    @classmethod
+    def from_arrays(
+        cls, visit, event, feature, truth, strategy="random_rate", rate=None, seed=0
+    ) -> "MaskSet":
+        """A mask over per-entry arrays; each is copied and flagged read-only."""
+        out = object.__new__(cls)
+        out._assign(visit, event, feature, truth, strategy, rate, seed)
+        return out
+
+    def _assign(self, visit, event, feature, truth, strategy, rate, seed) -> None:
+        arrays = {
+            "visit": np.array(visit, dtype=np.int64),
+            "event": np.array(event, dtype=np.int64),
+            "feature": np.array(feature, dtype=np.int64),
+            "truth": np.array(truth, dtype=float),
+        }
+        if len({a.shape for a in arrays.values()}) != 1 or arrays["truth"].ndim != 1:
+            raise DataError("mask arrays must be one-dimensional and of one length")
+        for name, array in arrays.items():
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         object.__setattr__(self, "strategy", strategy)
         object.__setattr__(self, "rate", rate)
         object.__setattr__(self, "seed", int(seed))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.truth.shape[0]
 
-    def cells(self) -> list[CellIndex]:
-        return [e.cell for e in self.entries]
+    def cells(self) -> np.ndarray:
+        """``(K, 3)`` int64 array of (visit, event, feature), one row per entry."""
+        return np.stack((self.visit, self.event, self.feature), axis=1)
+
+    @cached_property
+    def entries(self) -> tuple[MaskEntry, ...]:
+        """The entries as ``(CellIndex, truth)`` pairs, built on first read."""
+        return tuple(
+            MaskEntry(CellIndex(*cell), truth)
+            for cell, truth in zip(self.cells().tolist(), self.truth.tolist())
+        )
 
 
 def validate(dataset: Dataset) -> list[str]:
@@ -221,7 +277,19 @@ def validate(dataset: Dataset) -> list[str]:
     if dataset.n_visits < 1:
         problems.append("dataset has no visits")
 
-    for i, visit in enumerate(dataset.visits):
+    # one pass over the stacked layout flags the visits that have a problem;
+    # only those are examined one by one, for the messages
+    lengths = np.diff(dataset.starts)
+    visit_of_row = np.repeat(np.arange(dataset.n_visits), lengths)
+    gaps = np.diff(dataset.times)
+    bad_gap = (gaps <= 0) & (visit_of_row[1:] == visit_of_row[:-1])
+    bad_row = (dataset.times < 0) | np.isnan(dataset.values).all(axis=1)
+    suspect = (lengths < 1) | (dataset.values.shape[1] != d)
+    suspect[visit_of_row[bad_row]] = True
+    suspect[visit_of_row[1:][bad_gap]] = True
+
+    for i in np.flatnonzero(suspect).tolist():
+        visit = dataset.visits[i]
         vid = visit.visit_id
         if visit.n_events < 1:
             problems.append(f"visit {vid!r}: no events")
@@ -259,8 +327,8 @@ def median_event_count(dataset: Dataset) -> int:
     return counts[(len(counts) - 1) // 2]
 
 
-def write_cells(dataset: Dataset, cells: Collection[CellIndex], values) -> Dataset:
-    """Copy of ``dataset`` with ``values`` written into ``cells``.
+def write_cells(dataset: Dataset, cells, values) -> Dataset:
+    """Copy of ``dataset`` with ``values`` written into ``cells`` (as ``Dataset.rows`` takes them).
 
     ``values`` holds one value per cell, or a single value for all of them.
     """
@@ -283,10 +351,10 @@ def apply_mask(dataset: Dataset, mask: MaskSet) -> Dataset:
     first[np.unique(rows * dataset.n_features + cols, return_index=True)[1]] = True
     valid = first & ~np.isnan(dataset.values[rows, cols])
     if not valid.all():
-        raise DataError(f"mask targets missing cell {tuple(cells[int(np.argmin(valid))])}")
+        raise DataError(f"mask targets missing cell {tuple(cells[np.argmin(valid)].tolist())}")
     return write_cells(dataset, cells, np.nan)
 
 
 def restore_mask(dataset: Dataset, mask: MaskSet) -> Dataset:
     """Inverse of ``apply_mask``: write every entry's truth back into place."""
-    return write_cells(dataset, mask.cells(), [e.truth for e in mask.entries])
+    return write_cells(dataset, mask.cells(), mask.truth)

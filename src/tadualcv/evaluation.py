@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import (
-    CellIndex,
     DataError,
     Dataset,
     MaskSet,
@@ -83,9 +82,10 @@ def mask_random(dataset: Dataset, rate: float, seed: int) -> MaskSet:
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError("rate must be in [0, 1]")
-    entries = []
+    hidden = np.zeros(dataset.values.shape, dtype=bool)
     for i, visit in enumerate(dataset.visits):
         observed = visit.observed()
+        hidden_rows = hidden[dataset.starts[i] : dataset.starts[i + 1]]
         for e in range(visit.n_events):
             row_obs = observed[e]
             n_obs = int(row_obs.sum())
@@ -102,9 +102,19 @@ def mask_random(dataset: Dataset, rate: float, seed: int) -> MaskSet:
                 chosen = row_obs.copy()
             if chosen.sum() == n_obs:
                 chosen[np.nonzero(row_obs)[0][0]] = False
-            for f in np.nonzero(chosen)[0].tolist():
-                entries.append((CellIndex(i, e, f), float(visit.values[e, f])))
-    return MaskSet(entries, strategy="random_rate", rate=rate, seed=seed)
+            hidden_rows[e] = chosen
+    # entries in stacked order: visit, then event, then feature
+    rows, features = np.nonzero(hidden)
+    visits = np.searchsorted(dataset.starts, rows, side="right") - 1
+    return MaskSet.from_arrays(
+        visits,
+        rows - dataset.starts[visits],
+        features,
+        dataset.values[rows, features],
+        strategy="random_rate",
+        rate=rate,
+        seed=seed,
+    )
 
 
 def mask_one_per_feature_visit(dataset: Dataset, seed: int) -> MaskSet:
@@ -115,7 +125,7 @@ def mask_one_per_feature_visit(dataset: Dataset, seed: int) -> MaskSet:
     choice avoids emptying an event (cells whose event would be left with no
     values are ineligible).
     """
-    entries = []
+    cells = []
     for i, visit in enumerate(dataset.visits):
         rng = np.random.default_rng((int(seed), i))
         observed = visit.observed()
@@ -129,8 +139,12 @@ def mask_one_per_feature_visit(dataset: Dataset, seed: int) -> MaskSet:
                 continue
             e = int(eligible[rng.integers(eligible.size)])
             remaining[e, f] = False
-            entries.append((CellIndex(i, e, f), float(visit.values[e, f])))
-    return MaskSet(entries, strategy="one_per_feature_visit", rate=None, seed=seed)
+            cells.append((i, e, f))
+    visits, events, features = np.array(cells, dtype=np.int64).reshape(-1, 3).T
+    truths = dataset.values[dataset.starts[visits] + events, features]
+    return MaskSet.from_arrays(
+        visits, events, features, truths, strategy="one_per_feature_visit", rate=None, seed=seed
+    )
 
 
 @dataclass
@@ -180,11 +194,9 @@ def nrmse(
     values = imputed.values[rows, cols]
     missing = np.isnan(values)
     if missing.any():
-        cell = cells[int(np.argmax(missing))]
-        raise DataError(f"incomplete imputation: cell {tuple(cell)} still missing")
-    truths = np.fromiter((e.truth for e in mask.entries), float, len(cells))
-    visits = np.fromiter((c.visit for c in cells), np.int64, len(cells))
-    resid = (values - truths) / ranges[visits, cols]
+        cell = tuple(cells[np.argmax(missing)].tolist())
+        raise DataError(f"incomplete imputation: cell {cell} still missing")
+    resid = (values - mask.truth) / ranges[mask.visit, cols]
     # bincount adds the weights one by one in mask order
     sq_sums = np.bincount(cols, weights=resid * resid, minlength=imputed.n_features)
     counts = np.bincount(cols, minlength=imputed.n_features)

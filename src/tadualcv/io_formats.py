@@ -21,18 +21,18 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import fields as dataclass_fields
+from itertools import islice, repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .config import Config, ConfigError
 from .data_model import (
-    CellIndex,
     DataError,
     Dataset,
     FeatureSpec,
     MaskSet,
-    Visit,
     validate,
 )
 from .evaluation import EvalReport
@@ -60,6 +60,129 @@ def read_feature_manifest(path) -> list[FeatureSpec]:
     return specs
 
 
+# Records are converted in blocks of about this many fields, which bounds
+# the field strings alive at once.
+_BLOCK_FIELDS = 1 << 14
+
+
+def _convert_blocks(records, width: int, keep, empty: tuple, convert, scan, lineno: int = 1):
+    """Concatenated ``convert(rows)`` arrays over consecutive blocks of ``records``.
+
+    ``records`` yields each record as a tuple of its fields, the first of
+    them on line ``lineno``; line numbers count records, as ``csv.reader``
+    yields them. A block holds about ``_BLOCK_FIELDS // width`` records.
+    ``keep(block, lineno)`` returns one bool per record of a block whose
+    first record is on line ``lineno``. ``scan`` checks the kept records and
+    ``convert`` turns them into one array per column of ``empty``. Reading
+    stops after the first block with a bad record.
+    """
+    size, parts = max(1, _BLOCK_FIELDS // width), [empty]
+    while block := list(islice(records, size)):
+        kept = np.flatnonzero(keep(block, lineno))
+        scan.block(kept + lineno)
+        parts.append(convert(block if kept.size == len(block) else [block[i] for i in kept]))
+        if scan.error is not None:
+            break
+        lineno += len(block)
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+class _Scan:
+    """The earliest bad record of a columnar read, and the message it raises.
+
+    Records are checked a block at a time, and a read stops after the first
+    block with a bad record. Within a block, ``n`` counts the records before
+    the earliest failure found so far, and each check looks only at those.
+    So whatever order the checks run in, the error kept is the one a
+    record-by-record read raises: the first bad record in file order,
+    failing its first check in the documented order.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self.error: str | None = None
+        self.block([])
+
+    def block(self, linenos) -> None:
+        """Check next the records on ``linenos``, all before any failure found."""
+        self.linenos, self.n = linenos, len(linenos)
+
+    def fail(self, bad: np.ndarray, message) -> None:
+        """Note the first True of ``bad[:n]``; ``message(j)`` describes record ``j``."""
+        hits = np.flatnonzero(bad[: self.n])
+        if hits.size:
+            self._at(int(hits[0]), message)
+
+    def convert(self, column, kind, dtype, message) -> np.ndarray:
+        """``column[:n]`` converted with ``kind``; a ``ValueError`` marks a bad record."""
+        column = column[: self.n]
+        try:
+            return np.fromiter(map(kind, column), dtype, len(column))
+        except ValueError:
+            for j, text in enumerate(column):
+                try:
+                    kind(text)
+                except ValueError:
+                    break
+            self._at(j, message)
+            return np.fromiter(map(kind, column[:j]), dtype, j)
+
+    def _at(self, j: int, message) -> None:
+        self.n, self.error = j, f"{self.path}:{self.linenos[j]}: {message(j)}"
+
+    def raise_first(self) -> None:
+        if self.error is not None:
+            raise DataError(self.error)
+
+
+def _field_counts(rows) -> np.ndarray:
+    return np.fromiter(map(len, rows), np.int64, len(rows))
+
+
+def _columns(rows, width: int, strip: bool) -> list[list[str]]:
+    """The first ``width`` fields of ``rows`` as columns, optionally stripped."""
+    columns = [list(map(itemgetter(k), rows)) for k in range(width)]
+    return [list(map(str.strip, c)) for c in columns] if strip else columns
+
+
+def _codes(names: list[str], index: dict[str, int], register: bool = False) -> np.ndarray:
+    """``index[name]`` for every name, -1 where it has none.
+
+    With ``register``, names new to ``index`` first join it, numbered on in
+    first-appearance order.
+    """
+    if register:
+        for name in dict.fromkeys(names):
+            index.setdefault(name, len(index))
+    return np.fromiter(map(index.get, names, repeat(-1)), np.int64, len(names))
+
+
+def _long_keep(block, lineno: int) -> np.ndarray:
+    # blank lines and one-field comment lines are skipped, and so is a
+    # header on the first line
+    counts = _field_counts(block)
+    keep = counts > 0
+    for i in np.flatnonzero(counts == 1).tolist():
+        keep[i] = not block[i][0].startswith("#")
+    if lineno == 1 and block[0][:2] == ("visit_id", "time_min"):
+        keep[0] = False
+    return keep
+
+
+def _long_block(scan: _Scan, rows, registry, fixed_features: bool, visit_index):
+    """(visit, time, feature, value) arrays of one block's records before any failure."""
+    scan.fail(_field_counts(rows) != 4, lambda j: f"expected 4 fields, got {len(rows[j])}")
+    visit_s, time_s, feat_s, value_s = _columns(rows[: scan.n], 4, strip=True)
+    times = scan.convert(time_s, int, np.int64, lambda j: f"non-integer time {time_s[j]!r}")
+    values = scan.convert(value_s, float, float, lambda j: f"non-numeric value {value_s[j]!r}")
+    scan.fail(~np.isfinite(values), lambda j: f"non-finite value {value_s[j]!r}")
+    feature = _codes(feat_s[: scan.n], registry, register=not fixed_features)
+    scan.fail(feature < 0, lambda j: f"unknown feature {feat_s[j]!r}")
+    n = scan.n
+    visit = _codes(visit_s[:n], visit_index, register=True)
+    return scan.linenos[:n], visit, times[:n], feature[:n], values[:n]
+
+
 def ingest_long_csv(path, features: list[FeatureSpec] | None = None) -> Dataset:
     """Parse long-format rows into a validated dataset.
 
@@ -67,81 +190,74 @@ def ingest_long_csv(path, features: list[FeatureSpec] | None = None) -> Dataset:
     (visit, time, feature) rows, non-numeric values, and malformed rows are
     rejected with their line number.
     """
-    registry: dict[str, int] = {}
-    specs: list[FeatureSpec] = []
     fixed_features = features is not None
-    if fixed_features:
-        specs = list(features)
-        registry = {s.name: s.id for s in specs}
-
-    cells: dict[str, dict[int, dict[int, float]]] = {}
-    visit_order: list[str] = []
+    registry = {s.name: s.id for s in features} if fixed_features else {}
+    visit_index: dict[str, int] = {}
+    scan = _Scan(path)
+    empty = np.empty(0, np.int64)
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or (row[0].startswith("#") and len(row) == 1):
-                continue
-            if lineno == 1 and row[:2] == ["visit_id", "time_min"]:
-                continue
-            if len(row) != 4:
-                raise DataError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            visit_id, time_s, feat_name, value_s = (s.strip() for s in row)
-            try:
-                time = int(time_s)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-integer time {time_s!r}") from None
-            try:
-                value = float(value_s)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric value {value_s!r}") from None
-            if not np.isfinite(value):
-                raise DataError(f"{path}:{lineno}: non-finite value {value_s!r}")
-            if feat_name not in registry:
-                if fixed_features:
-                    raise DataError(f"{path}:{lineno}: unknown feature {feat_name!r}")
-                registry[feat_name] = len(specs)
-                specs.append(FeatureSpec(len(specs), feat_name, "other"))
-            feat = registry[feat_name]
-            if visit_id not in cells:
-                cells[visit_id] = {}
-                visit_order.append(visit_id)
-            by_time = cells[visit_id].setdefault(time, {})
-            if feat in by_time:
-                raise DataError(
-                    f"{path}:{lineno}: duplicate record for ({visit_id}, {time}, {feat_name})"
-                )
-            by_time[feat] = value
+        linenos, visit, times, feature, values = _convert_blocks(
+            map(tuple, csv.reader(fh)),
+            4,
+            _long_keep,
+            (empty, empty, empty, empty, np.empty(0)),
+            lambda rows: _long_block(scan, rows, registry, fixed_features, visit_index),
+            scan,
+        )
 
-    if not visit_order:
+    # a stable sort keeps file order among equal keys, so every record after
+    # the first of its (visit, time, feature) key is a duplicate
+    order = np.lexsort((feature, times, visit))
+    v, t, f = visit[order], times[order], feature[order]
+    same_event = (v[1:] == v[:-1]) & (t[1:] == t[:-1])
+    duplicate = np.zeros(len(order), dtype=bool)
+    duplicate[order[1:][same_event & (f[1:] == f[:-1])]] = True
+    visit_ids, names = list(visit_index), {code: name for name, code in registry.items()}
+    scan.block(linenos)
+    scan.fail(
+        duplicate,
+        lambda j: f"duplicate record for ({visit_ids[visit[j]]}, {times[j]}, {names[feature[j]]})",
+    )
+    scan.raise_first()
+    if not visit_ids:
         raise DataError(f"{path}: no records")
 
-    d = len(specs)
-    visits = []
-    for visit_id in visit_order:
-        times = sorted(cells[visit_id])
-        values = np.full((len(times), d), np.nan)
-        for r, t in enumerate(times):
-            for f, v in cells[visit_id][t].items():
-                values[r, f] = v
-        visits.append(Visit(visit_id, times, values))
-    dataset = Dataset(specs, visits)
+    if not fixed_features:
+        features = [FeatureSpec(code, name, "other") for name, code in registry.items()]
+    first = np.concatenate(([True], ~same_event))
+    event = np.cumsum(first) - 1
+    stacked = np.full((int(event[-1]) + 1, len(features)), np.nan)
+    stacked[event, f] = values[order]
+    starts = np.concatenate(([0], np.cumsum(np.bincount(v[first], minlength=len(visit_ids)))))
+    dataset = Dataset.from_stacked(features, visit_ids, t[first], stacked, starts)
     problems = validate(dataset)
     if problems:
         raise DataError(f"{path}: invalid dataset: " + "; ".join(problems))
     return dataset
 
 
-def emit_long_csv(dataset: Dataset, path) -> None:
-    """One row per observed cell, visit order then time then feature."""
+def _emit_cells(path, dataset: Dataset, rows, cols, values, value_column: str) -> None:
+    """One line per cell at stacked ``(rows, cols)``: visit id, time, feature, value."""
+    visits = np.searchsorted(dataset.starts, rows, side="right") - 1
+    ids = [v.visit_id for v in dataset.visits]
+    names = [spec.name for spec in dataset.features]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["visit_id", "time_min", "feature", "value"])
-        for visit in dataset.visits:
-            for e, t in enumerate(visit.times):
-                for f, spec in enumerate(dataset.features):
-                    v = visit.values[e, f]
-                    if not np.isnan(v):
-                        writer.writerow([visit.visit_id, int(t), spec.name, fmt(v)])
+        writer.writerow(["visit_id", "time_min", "feature", value_column])
+        writer.writerows(
+            zip(
+                map(ids.__getitem__, visits.tolist()),
+                dataset.times[rows].tolist(),
+                map(names.__getitem__, cols.tolist()),
+                map(fmt, values.tolist()),
+            )
+        )
+
+
+def emit_long_csv(dataset: Dataset, path) -> None:
+    """One row per observed cell, visit order then time then feature."""
+    rows, cols = np.nonzero(~np.isnan(dataset.values))
+    _emit_cells(path, dataset, rows, cols, dataset.values[rows, cols], "value")
 
 
 def _emit_wide(path, dataset: Dataset, rows) -> None:
@@ -182,63 +298,103 @@ def emit_mi_csv(dataset: Dataset, path) -> None:
     _emit_wide(path, dataset, np.where(np.isnan(dataset.values), "1", "0").tolist())
 
 
+def _wide_block(scan: _Scan, rows, d: int, visit_index):
+    """(visit, time, values) arrays of one block's rows before any failure."""
+    scan.fail(_field_counts(rows) != d + 2, lambda j: f"expected {d + 2} fields")
+    visit_s, time_s, *value_s = _columns(rows[: scan.n], d + 2, strip=False)
+    times = scan.convert(time_s, int, np.int64, lambda j: "malformed row")
+    columns = [scan.convert(c, float, float, lambda j: "malformed row") for c in value_s]
+    n = scan.n
+    values = np.empty((n, d))
+    for k, column in enumerate(columns):
+        values[:, k] = column[:n]
+    return _codes(visit_s[:n], visit_index, register=True), times[:n], values
+
+
 def read_wide_csv(path, features: list[FeatureSpec] | None = None) -> Dataset:
     """Read a complete wide file back into a dataset.
 
     Columns map positionally onto ``features`` when given (they must match in
     count); otherwise placeholder specs named after the header are created.
+    Each visit's rows are put in (time, values) order.
     """
-    visits_cells: dict[str, list[tuple[int, list[float]]]] = {}
-    order: list[str] = []
+    visit_index: dict[str, int] = {}
+    scan = _Scan(path)
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[:2] != ["visit_id", "time_min"]:
+        records = map(tuple, csv.reader(fh))
+        header = next(records, None)
+        if not header or header[:2] != ("visit_id", "time_min"):
             raise DataError(f"{path}: missing wide-format header")
         d = len(header) - 2
         if features is not None and len(features) != d:
             raise DataError(f"{path}: expected {len(features)} feature columns, found {d}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != d + 2:
-                raise DataError(f"{path}:{lineno}: expected {d + 2} fields")
-            visit_id = row[0]
-            try:
-                time = int(row[1])
-                vals = [float(x) for x in row[2:]]
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: malformed row") from None
-            if visit_id not in visits_cells:
-                visits_cells[visit_id] = []
-                order.append(visit_id)
-            visits_cells[visit_id].append((time, vals))
-    if not order:
+        visit, times, values = _convert_blocks(
+            records,
+            d + 2,
+            # blank lines after the header are skipped
+            lambda block, _: list(map(bool, block)),
+            (np.empty(0, np.int64), np.empty(0, np.int64), np.empty((0, d))),
+            lambda rows: _wide_block(scan, rows, d, visit_index),
+            scan,
+            lineno=2,
+        )
+    scan.raise_first()
+    if not visit_index:
         raise DataError(f"{path}: no records")
+    order = np.lexsort((*values.T[::-1], times, visit))
+    starts = np.concatenate(([0], np.cumsum(np.bincount(visit, minlength=len(visit_index)))))
     specs = features or [FeatureSpec(k, f"f_{k}", "other") for k in range(d)]
-    visits = []
-    for visit_id in order:
-        rows = sorted(visits_cells[visit_id])
-        times = [t for t, _ in rows]
-        values = np.array([v for _, v in rows], dtype=float)
-        visits.append(Visit(visit_id, times, values))
-    return Dataset(specs, visits)
+    return Dataset.from_stacked(specs, list(visit_index), times[order], values[order], starts)
 
 
 def emit_mask_csv(dataset: Dataset, mask: MaskSet, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["visit_id", "time_min", "feature", "truth"])
-        for cell, truth in mask.entries:
-            visit = dataset.visits[cell.visit]
-            writer.writerow(
-                [
-                    visit.visit_id,
-                    int(visit.times[cell.event]),
-                    dataset.features[cell.feature].name,
-                    fmt(truth),
-                ]
-            )
+    rows, cols = dataset.rows(mask.cells())
+    _emit_cells(path, dataset, rows, cols, mask.truth, "truth")
+
+
+def _event_finder(dataset: Dataset):
+    """A function giving the stacked row of each (visit, time) pair, -1 where none.
+
+    Rows are keyed by visit and the rank of their time among all event
+    times. Each call ranks the wanted times the same way, then finds every
+    pair with one ``searchsorted`` over the keyed rows. Where a visit
+    repeats a time, the last such event answers.
+    """
+    known_times = np.unique(dataset.times)
+    visit_of_row = np.repeat(np.arange(dataset.n_visits), np.diff(dataset.starts))
+    keys = visit_of_row * known_times.size + np.searchsorted(known_times, dataset.times)
+    by_key = np.argsort(keys, kind="stable")
+
+    def rows_of(visit: np.ndarray, times: np.ndarray) -> np.ndarray:
+        rank = np.searchsorted(known_times, times)
+        known = rank < known_times.size
+        known[known] = known_times[rank[known]] == times[known]
+        wanted = visit * known_times.size + rank
+        at = np.searchsorted(keys, wanted, side="right", sorter=by_key) - 1
+        found = known & (at >= 0)
+        found[found] = keys[by_key[at[found]]] == wanted[found]
+        rows = np.full(times.shape, -1)
+        rows[found] = by_key[at[found]]
+        return rows
+
+    return rows_of
+
+
+def _mask_block(scan: _Scan, rows, dataset: Dataset, visit_index, feat_index, event_rows):
+    """(visit, event, feature, truth) arrays of one block's records before any failure."""
+    scan.fail(_field_counts(rows) != 4, lambda j: "expected 4 fields")
+    visit_s, time_s, feat_s, truth_s = _columns(rows[: scan.n], 4, strip=True)
+    visit = _codes(visit_s, visit_index)
+    scan.fail(visit < 0, lambda j: f"unknown visit {visit_s[j]!r}")
+    feature = _codes(feat_s[: scan.n], feat_index)
+    scan.fail(feature < 0, lambda j: f"unknown feature {feat_s[j]!r}")
+    times = scan.convert(time_s, int, np.int64, lambda j: "malformed row")
+    truth = scan.convert(truth_s, float, float, lambda j: "malformed row")
+    n = scan.n
+    rows_at = event_rows(visit[:n], times[:n])
+    scan.fail(rows_at < 0, lambda j: f"no event at time {times[j]} in {visit_s[j]!r}")
+    n = scan.n
+    return visit[:n], rows_at[:n] - dataset.starts[visit[:n]], feature[:n], truth[:n]
 
 
 def read_mask_csv(path, dataset: Dataset, strategy="external", rate=None, seed=0) -> MaskSet:
@@ -249,34 +405,23 @@ def read_mask_csv(path, dataset: Dataset, strategy="external", rate=None, seed=0
     """
     visit_index = {v.visit_id: i for i, v in enumerate(dataset.visits)}
     feat_index = {s.name: s.id for s in dataset.features}
-    # time -> event, built on a visit's first row; times are strictly increasing
-    event_index: dict[int, dict[int, int]] = {}
-    entries = []
+    event_rows = _event_finder(dataset)
+    scan = _Scan(path)
+    empty = np.empty(0, np.int64)
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or row[0] == "visit_id":
-                continue
-            if len(row) != 4:
-                raise DataError(f"{path}:{lineno}: expected 4 fields")
-            visit_id, time_s, feat_name, truth_s = (s.strip() for s in row)
-            if visit_id not in visit_index:
-                raise DataError(f"{path}:{lineno}: unknown visit {visit_id!r}")
-            if feat_name not in feat_index:
-                raise DataError(f"{path}:{lineno}: unknown feature {feat_name!r}")
-            i = visit_index[visit_id]
-            try:
-                time = int(time_s)
-                truth = float(truth_s)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: malformed row") from None
-            if i not in event_index:
-                event_index[i] = {t: e for e, t in enumerate(dataset.visits[i].times.tolist())}
-            event = event_index[i].get(time)
-            if event is None:
-                raise DataError(f"{path}:{lineno}: no event at time {time} in {visit_id!r}")
-            entries.append((CellIndex(i, event, feat_index[feat_name]), truth))
-    return MaskSet(entries, strategy=strategy, rate=rate, seed=seed)
+        visit, event, feature, truth = _convert_blocks(
+            map(tuple, csv.reader(fh)),
+            4,
+            # blank lines and header lines (anywhere) are skipped
+            lambda block, _: [bool(r) and r[0] != "visit_id" for r in block],
+            (empty, empty, empty, np.empty(0)),
+            lambda rows: _mask_block(scan, rows, dataset, visit_index, feat_index, event_rows),
+            scan,
+        )
+    scan.raise_first()
+    return MaskSet.from_arrays(
+        visit, event, feature, truth, strategy=strategy, rate=rate, seed=seed
+    )
 
 
 def parse_config_text(text: str, base: Config | None = None) -> Config:

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tadualcv.data_model import (
     CellIndex,
     DataError,
+    Dataset,
+    FeatureSpec,
     MaskSet,
     Visit,
     apply_mask,
@@ -128,3 +132,88 @@ def test_dataset_layout_shapes_and_widths():
     swapped = ds.with_values(np.array([[3.0, 4.0]]))
     assert swapped.visits[0].values.tolist() == [[3.0, 4.0]]
     assert ds.values.tolist() == [[1.0, 2.0]]
+
+
+def test_mask_arrays_and_pairs_agree(two_visit_dataset):
+    pairs = [(CellIndex(1, 1, 1), 50.0), (CellIndex(0, 0, 0), 1.0)]
+    mask = MaskSet(pairs, strategy="random_rate", rate=0.5, seed=2)
+    same = MaskSet.from_arrays([1, 0], [1, 0], [1, 0], [50.0, 1.0], "random_rate", 0.5, 2)
+    for m in (mask, same):
+        assert len(m) == 2 and (m.strategy, m.rate, m.seed) == ("random_rate", 0.5, 2)
+        assert m.cells().dtype == np.int64 and m.cells().tolist() == [[1, 1, 1], [0, 0, 0]]
+        assert m.truth.tolist() == [50.0, 1.0]
+        assert m.entries == tuple(pairs) and m.entries is m.entries
+        with pytest.raises(ValueError):
+            m.truth[0] = 0.0
+    rows, cols = two_visit_dataset.rows(mask.cells())
+    assert rows.tolist() == [4, 0] and cols.tolist() == [1, 0]
+    empty = MaskSet([])
+    assert len(empty) == 0 and empty.cells().shape == (0, 3) and empty.entries == ()
+    with pytest.raises(DataError, match="one length"):
+        MaskSet.from_arrays([0], [0], [0], [1.0, 2.0])
+
+
+def validate_oracle(dataset):
+    """The per-visit loop ``validate`` replaced, kept as its reference."""
+    problems = []
+    d = dataset.n_features
+    ids = [f.id for f in dataset.features]
+    if ids != list(range(d)):
+        problems.append(f"feature ids not dense 0..{d - 1}: {ids}")
+    names = [f.name for f in dataset.features]
+    if len(set(names)) != len(names):
+        problems.append("duplicate feature names")
+    if dataset.n_visits < 1:
+        problems.append("dataset has no visits")
+    for visit in dataset.visits:
+        vid = visit.visit_id
+        if visit.n_events < 1:
+            problems.append(f"visit {vid!r}: no events")
+            continue
+        if visit.n_features != d:
+            problems.append(
+                f"visit {vid!r}: events carry {visit.n_features} value slots, expected {d}"
+            )
+            continue
+        times = visit.times
+        if np.any(times < 0):
+            problems.append(f"visit {vid!r}: negative event time")
+        diffs = np.diff(times)
+        if np.any(diffs < 0):
+            problems.append(f"visit {vid!r}: events not in ascending time order")
+        elif np.any(diffs == 0):
+            dup = int(times[np.nonzero(diffs == 0)[0][0]])
+            problems.append(f"visit {vid!r}: duplicate event time {dup}")
+        empty = np.nonzero(~visit.observed().any(axis=1))[0]
+        for e in empty:
+            problems.append(f"visit {vid!r}: empty event at index {int(e)} (all values missing)")
+    return problems
+
+
+@st.composite
+def flawed_datasets(draw):
+    """Small datasets with any mix of the flaws ``validate`` reports."""
+    width = draw(st.integers(0, 3))
+    visits = []
+    for i in range(draw(st.integers(0, 5))):
+        n = draw(st.integers(0, 4))
+        cells = np.reshape(draw(st.lists(st.sampled_from([1.0, NAN]), min_size=n * width,
+                                         max_size=n * width)), (n, width))
+        if draw(st.booleans()):
+            # a well-formed visit, unless the dataset's width disagrees
+            times = np.cumsum(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+            cells[:, :1] = 1.0
+        else:
+            times = draw(st.lists(st.integers(-2, 4), min_size=n, max_size=n))
+        visits.append(Visit(f"v{i}", times, cells))
+    names = draw(st.lists(st.sampled_from("abc"), min_size=width, max_size=width))
+    d = width + draw(st.sampled_from([0, 0, 0, 1])) if visits else width
+    features = [FeatureSpec(k + draw(st.sampled_from([0, 0, 1])), (names + ["z"])[k])
+                for k in range(d)]
+    return Dataset(features, visits)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(flawed_datasets())
+def test_validate_matches_per_visit_oracle(dataset):
+    assert validate(dataset) == validate_oracle(dataset)

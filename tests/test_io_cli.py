@@ -1,10 +1,23 @@
+import csv
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tadualcv import io_formats
 from tadualcv.cli import main
 from tadualcv.config import Config, ConfigError
-from tadualcv.data_model import CellIndex, DataError, MaskSet
+from tadualcv.data_model import (
+    CellIndex,
+    DataError,
+    Dataset,
+    FeatureSpec,
+    MaskSet,
+    Visit,
+    validate,
+)
 from tadualcv.evaluation import EvalReport
 from tadualcv.synthetic import SynthConfig, generate
 
@@ -260,6 +273,28 @@ def test_cli_evaluate_report_config_block_is_empty(tmp_path):
     assert io_formats.render_report(rebuilt, names) == text
 
 
+def test_cli_evaluate_rejects_misaligned_imputed_file(tmp_path, capsys):
+    data = _write_synth(tmp_path)
+    masked, mask_csv, imputed = tmp_path / "masked.csv", tmp_path / "mask.csv", tmp_path / "i.csv"
+    assert main(["mask", "--data", str(data), "--rate", "0.4", "--seed", "7",
+                 "--out", str(masked), "--mask-out", str(mask_csv)]) == 0
+    assert main(["impute", "--data", str(masked), "--method", "meanfill",
+                 "--out", str(imputed)]) == 0
+    header, first, *rest = imputed.read_text().splitlines()
+    vid, time, *cells = first.split(",")
+    misaligned = {
+        "time": [",".join([vid, str(int(time) + 1), *cells])] + rest,
+        "visit id": [",".join(["other", time, *cells])] + rest,
+        "event count": rest,
+    }
+    for lines in misaligned.values():
+        imputed.write_text("\n".join([header, *lines]) + "\n")
+        capsys.readouterr()
+        assert main(["evaluate", "--truth-mask", str(mask_csv), "--imputed", str(imputed),
+                     "--masked", str(masked)]) == 2
+        assert "imputed file does not align with the masked input" in capsys.readouterr().err
+
+
 def test_cli_full_method_smoke(tmp_path):
     data = _write_synth(tmp_path)
     masked = tmp_path / "masked.csv"
@@ -332,3 +367,372 @@ def test_cli_synth_writes_ingestible_csv(tmp_path):
                  "--seed", "3"]) == 0
     ds = io_formats.ingest_long_csv(out)
     assert ds.n_visits == 5 and ds.n_features == 2
+
+
+# ---------------------------------------------------------------------------
+# The columnar readers against the record-by-record readers they replaced.
+#
+# The three oracles below are the row-loop readers, kept as references: for
+# every generated file the columnar reader must give the same dataset or mask
+# (bit for bit) or raise the same DataError text.
+
+
+def oracle_ingest_long_csv(path, features=None):
+    registry, specs = {}, []
+    fixed_features = features is not None
+    if fixed_features:
+        specs = list(features)
+        registry = {s.name: s.id for s in specs}
+    cells, visit_order = {}, []
+    with open(path, newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row or (row[0].startswith("#") and len(row) == 1):
+                continue
+            if lineno == 1 and row[:2] == ["visit_id", "time_min"]:
+                continue
+            if len(row) != 4:
+                raise DataError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+            visit_id, time_s, feat_name, value_s = (s.strip() for s in row)
+            try:
+                time = int(time_s)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: non-integer time {time_s!r}") from None
+            try:
+                value = float(value_s)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: non-numeric value {value_s!r}") from None
+            if not np.isfinite(value):
+                raise DataError(f"{path}:{lineno}: non-finite value {value_s!r}")
+            if feat_name not in registry:
+                if fixed_features:
+                    raise DataError(f"{path}:{lineno}: unknown feature {feat_name!r}")
+                registry[feat_name] = len(specs)
+                specs.append(FeatureSpec(len(specs), feat_name, "other"))
+            feat = registry[feat_name]
+            if visit_id not in cells:
+                cells[visit_id] = {}
+                visit_order.append(visit_id)
+            by_time = cells[visit_id].setdefault(time, {})
+            if feat in by_time:
+                raise DataError(
+                    f"{path}:{lineno}: duplicate record for ({visit_id}, {time}, {feat_name})"
+                )
+            by_time[feat] = value
+    if not visit_order:
+        raise DataError(f"{path}: no records")
+    visits = []
+    for visit_id in visit_order:
+        times = sorted(cells[visit_id])
+        values = np.full((len(times), len(specs)), np.nan)
+        for r, t in enumerate(times):
+            for f, v in cells[visit_id][t].items():
+                values[r, f] = v
+        visits.append(Visit(visit_id, times, values))
+    dataset = Dataset(specs, visits)
+    problems = validate(dataset)
+    if problems:
+        raise DataError(f"{path}: invalid dataset: " + "; ".join(problems))
+    return dataset
+
+
+def oracle_read_mask_csv(path, dataset, strategy="external", rate=None, seed=0):
+    visit_index = {v.visit_id: i for i, v in enumerate(dataset.visits)}
+    feat_index = {s.name: s.id for s in dataset.features}
+    event_index = {}
+    entries = []
+    with open(path, newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row or row[0] == "visit_id":
+                continue
+            if len(row) != 4:
+                raise DataError(f"{path}:{lineno}: expected 4 fields")
+            visit_id, time_s, feat_name, truth_s = (s.strip() for s in row)
+            if visit_id not in visit_index:
+                raise DataError(f"{path}:{lineno}: unknown visit {visit_id!r}")
+            if feat_name not in feat_index:
+                raise DataError(f"{path}:{lineno}: unknown feature {feat_name!r}")
+            i = visit_index[visit_id]
+            try:
+                time = int(time_s)
+                truth = float(truth_s)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: malformed row") from None
+            if i not in event_index:
+                event_index[i] = {t: e for e, t in enumerate(dataset.visits[i].times.tolist())}
+            event = event_index[i].get(time)
+            if event is None:
+                raise DataError(f"{path}:{lineno}: no event at time {time} in {visit_id!r}")
+            entries.append((CellIndex(i, event, feat_index[feat_name]), truth))
+    return MaskSet(entries, strategy=strategy, rate=rate, seed=seed)
+
+
+def oracle_read_wide_csv(path, features=None):
+    visits_cells, order = {}, []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if not header or header[:2] != ["visit_id", "time_min"]:
+            raise DataError(f"{path}: missing wide-format header")
+        d = len(header) - 2
+        if features is not None and len(features) != d:
+            raise DataError(f"{path}: expected {len(features)} feature columns, found {d}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != d + 2:
+                raise DataError(f"{path}:{lineno}: expected {d + 2} fields")
+            visit_id = row[0]
+            try:
+                time = int(row[1])
+                vals = [float(x) for x in row[2:]]
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: malformed row") from None
+            if visit_id not in visits_cells:
+                visits_cells[visit_id] = []
+                order.append(visit_id)
+            visits_cells[visit_id].append((time, vals))
+    if not order:
+        raise DataError(f"{path}: no records")
+    specs = features or [FeatureSpec(k, f"f_{k}", "other") for k in range(d)]
+    visits = []
+    for visit_id in order:
+        rows = sorted(visits_cells[visit_id])
+        values = np.array([v for _, v in rows], dtype=float)
+        visits.append(Visit(visit_id, [t for t, _ in rows], values))
+    return Dataset(specs, visits)
+
+
+def outcome(read, *args):
+    """What a reader returns, or the text of the DataError it raises."""
+    try:
+        return read(*args)
+    except DataError as exc:
+        return str(exc)
+
+
+def bits(array):
+    return np.ascontiguousarray(array, dtype=float).view(np.uint64)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+    elif isinstance(want, MaskSet):
+        np.testing.assert_array_equal(got.cells(), want.cells())
+        np.testing.assert_array_equal(bits(got.truth), bits(want.truth))
+        assert (got.strategy, got.rate, got.seed) == (want.strategy, want.rate, want.seed)
+    else:
+        assert got.features == want.features
+        assert [v.visit_id for v in got.visits] == [v.visit_id for v in want.visits]
+        np.testing.assert_array_equal(got.starts, want.starts)
+        assert got.times.dtype == want.times.dtype == np.int64
+        np.testing.assert_array_equal(got.times, want.times)
+        np.testing.assert_array_equal(bits(got.values), bits(want.values))
+
+
+@contextmanager
+def block_fields(n):
+    """Read in blocks of about ``n`` fields, so small files span many blocks."""
+    saved = io_formats._BLOCK_FIELDS
+    io_formats._BLOCK_FIELDS = n
+    try:
+        yield
+    finally:
+        io_formats._BLOCK_FIELDS = saved
+
+
+def examples(n):
+    return settings(max_examples=n, deadline=None, derandomize=True, database=None)
+
+
+def mostly(valid, invalid):
+    """A token that is usually valid."""
+    return st.sampled_from(valid * 12 + invalid)
+
+
+BLOCK_FIELDS = st.sampled_from([1, 4, 8, 12, 1 << 14])
+
+
+@st.composite
+def csv_lines(draw, record, extras, header, header_anywhere=False):
+    """CSV text: records, mixed with blank, comment and malformed lines.
+
+    ``header`` opens the file or not; with ``header_anywhere`` it may also
+    repeat between records.
+    """
+    lines = [header] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["record"] * 8 + ["extra", "blank", "header"]))
+        if kind == "record":
+            lines.append(",".join(draw(record)))
+        elif kind == "extra":
+            lines.append(draw(st.sampled_from(extras)))
+        elif kind == "blank":
+            lines.append("")
+        elif header_anywhere:
+            lines.append(header)
+    return "\n".join(lines) + ("\n" if lines and draw(st.booleans()) else "")
+
+
+LONG_HEADER = "visit_id,time_min,feature,value"
+long_records = st.tuples(
+    mostly(["a", "b", " a", "c "], ['"q,r"']),
+    mostly(["0", "30", "7", " 30", "120", "+5"], ["1.5", "x", "", "-5", "1e3"]),
+    mostly(["x", "y", "z", " y"], ["w"]),
+    mostly(["1.5", "-2", " 3 ", "0", "-0.0", "1e-3"], ["nan", "inf", "-inf", "1e999", "abc", ""]),
+)
+long_files = csv_lines(
+    long_records,
+    ["# note", "#a,0,x,1", "a,0,x", "a,0,x,1,2", "a", LONG_HEADER],
+    LONG_HEADER,
+)
+manifests = st.sampled_from([None, ("x", "y", "z"), ("y", "x"), ("z", "x", "y", "w")])
+
+
+@examples(400)
+@given(long_files, manifests, BLOCK_FIELDS)
+def test_ingest_matches_row_oracle(tmp_path_factory, text, manifest, fields):
+    path = tmp_path_factory.getbasetemp() / "long.csv"
+    path.write_text(text)
+    features = None
+    if manifest is not None:
+        features = [FeatureSpec(k, name, "lab") for k, name in enumerate(manifest)]
+    want = outcome(oracle_ingest_long_csv, path, features)
+    with block_fields(fields):
+        got = outcome(io_formats.ingest_long_csv, path, features)
+    assert_same_outcome(got, want)
+
+
+MASK_DATASET = make_dataset(
+    [
+        ("a", [0, 30, 90], [[1.0, 2.0], [3.0, NAN], [5.0, 6.0]]),
+        ("b", [5, 30], [[7.0, 8.0], [NAN, 9.0]]),
+        (" d", [0], [[1.0, 1.0]]),
+    ],
+    names=["x", "y"],
+)
+MASK_HEADER = "visit_id,time_min,feature,truth"
+mask_records = st.tuples(
+    mostly(["a", "b", " b "], ["d", " d", "zz"]),
+    mostly(["0", "30", "90", "5", " 30"], ["31", "x", "1.0", ""]),
+    mostly(["x", "y", " y"], ["q"]),
+    mostly(["1.5", " 2 ", "-0.0", "nan", "-inf"], ["abc", ""]),
+)
+mask_files = csv_lines(
+    mask_records, ["# note", "a,0,x", "a,0,x,1,2", "visit_id"], MASK_HEADER, header_anywhere=True
+)
+
+
+@examples(400)
+@given(mask_files, BLOCK_FIELDS)
+def test_read_mask_matches_row_oracle(tmp_path_factory, text, fields):
+    path = tmp_path_factory.getbasetemp() / "mask.csv"
+    path.write_text(text)
+    want = outcome(oracle_read_mask_csv, path, MASK_DATASET, "random_rate", 0.5, 3)
+    with block_fields(fields):
+        got = outcome(io_formats.read_mask_csv, path, MASK_DATASET, "random_rate", 0.5, 3)
+    assert_same_outcome(got, want)
+
+
+# NaN is left out of the wide values: rows of one visit that share a time are
+# ordered by their values, and Python's sort and numpy's order NaN apart
+wide_records = st.tuples(
+    mostly(["a", "b", " a"], []),
+    mostly(["0", "5", " 5", "9"], ["x", "1.5"]),
+    mostly(["1.5", "-0.0", "0", "inf", " 2"], ["abc"]),
+    mostly(["1.5", "-0.0", "0", "-inf", "3 "], ["", "nan?"]),
+)
+
+
+@st.composite
+def wide_files(draw):
+    header = draw(st.sampled_from(
+        ["visit_id,time_min,f_0,f_1"] * 6
+        + ["visit_id,time_min,f_0", "visit_id,time_min", "id,time,f_0,f_1", ""]
+    ))
+    text = draw(csv_lines(wide_records, ["a,0,1", "a,0,1,2,3", "a"], header))
+    return text if text.startswith(header) or not header else header + "\n" + text
+
+
+@examples(400)
+@given(wide_files(), st.booleans(), BLOCK_FIELDS)
+def test_read_wide_matches_row_oracle(tmp_path_factory, text, named, fields):
+    path = tmp_path_factory.getbasetemp() / "wide.csv"
+    path.write_text(text)
+    features = [FeatureSpec(0, "HR", "vital"), FeatureSpec(1, "Cr", "lab")] if named else None
+    want = outcome(oracle_read_wide_csv, path, features)
+    with block_fields(fields):
+        got = outcome(io_formats.read_wide_csv, path, features)
+    assert_same_outcome(got, want)
+
+
+@pytest.mark.parametrize(
+    "text, manifest, message",
+    [
+        ("a,0,x,1\n\na,0,x\n", None, ":3: expected 4 fields, got 3"),
+        ("a,0,x,1\na,1.5,x,1\n", None, ":2: non-integer time '1.5'"),
+        ("a,0,x, abc \n", None, ":1: non-numeric value 'abc'"),
+        ("# one field\na,0,x,inf\n", None, ":2: non-finite value 'inf'"),
+        ("a,0,x,1\na,5,q,2\n", ("x",), ":2: unknown feature 'q'"),
+        ("a,30,x,1\nb,0,x,1\na , 30,x,2\n", None, ":3: duplicate record for (a, 30, x)"),
+        ("a,-5,x,1\n", None, ": invalid dataset: visit 'a': negative event time"),
+        ("visit_id,time_min,feature,value\n# c\n", None, ": no records"),
+        # one record failing several checks raises the first in check order
+        ("a,x,q\n", ("x",), ":1: expected 4 fields, got 3"),
+        ("a,x,q,abc\n", ("x",), ":1: non-integer time 'x'"),
+        ("a,0,q,abc\n", ("x",), ":1: non-numeric value 'abc'"),
+        ("a,0,q,inf\n", ("x",), ":1: non-finite value 'inf'"),
+        ("a,0,x,1\na,0,q,1\na,0,x,2\n", ("x",), ":2: unknown feature 'q'"),
+    ],
+)
+def test_ingest_error_messages(tmp_path, text, manifest, message):
+    path = tmp_path / "long.csv"
+    path.write_text(text)
+    features = None if manifest is None else [FeatureSpec(0, manifest[0])]
+    with pytest.raises(DataError) as err:
+        io_formats.ingest_long_csv(path, features)
+    assert str(err.value) == f"{path}{message}"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a,0,x,1\nvisit_id,t,f,v\n# note\n", ":3: expected 4 fields"),
+        ("a,0,x,1\n\nzz,0,x,1\n", ":3: unknown visit 'zz'"),
+        ("a,0,q,1\n", ":1: unknown feature 'q'"),
+        ("a,0,x,1\na,0,y,abc\n", ":2: malformed row"),
+        ("a,0.5,x,1\n", ":1: malformed row"),
+        # one record failing several checks raises the first in check order
+        ("zz,x,q\n", ":1: expected 4 fields"),
+        ("zz,x,q,abc\n", ":1: unknown visit 'zz'"),
+        ("a,x,q,abc\n", ":1: unknown feature 'q'"),
+        ("a,31,x,abc\n", ":1: malformed row"),
+        ("a,31,x,1\n", ":1: no event at time 31 in 'a'"),
+    ],
+)
+def test_mask_error_messages(tmp_path, text, message):
+    path = tmp_path / "mask.csv"
+    path.write_text(text)
+    with pytest.raises(DataError) as err:
+        io_formats.read_mask_csv(path, MASK_DATASET)
+    assert str(err.value) == f"{path}{message}"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", ": missing wide-format header"),
+        ("visit_id,time_min,f_0\n", ": expected 2 feature columns, found 1"),
+        ("visit_id,time_min,f_0,f_1\n\na,0,1\n", ":3: expected 4 fields"),
+        ("visit_id,time_min,f_0,f_1\na,0,1,2\na,0,1,x\n", ":3: malformed row"),
+        ("visit_id,time_min,f_0,f_1\n\n", ": no records"),
+        ("visit_id,time_min,f_0,f_1\na,x,abc\n", ":2: expected 4 fields"),
+    ],
+)
+def test_wide_error_messages(tmp_path, text, message):
+    path = tmp_path / "wide.csv"
+    path.write_text(text)
+    features = [FeatureSpec(0, "HR"), FeatureSpec(1, "Cr")]
+    with pytest.raises(DataError) as err:
+        io_formats.read_wide_csv(path, features)
+    assert str(err.value) == f"{path}{message}"
