@@ -131,12 +131,10 @@ def cmd_evaluate(args) -> int:
     masked = io_formats.ingest_long_csv(args.masked)
     mask = io_formats.read_mask_csv(args.truth_mask, masked)
     imputed = io_formats.read_wide_csv(args.imputed, features=list(masked.features))
-    aligned = (
-        [v.visit_id for v in imputed.visits] == [v.visit_id for v in masked.visits]
-        and np.array_equal(imputed.starts, masked.starts)
+    if imputed.visit_ids != masked.visit_ids or not (
+        np.array_equal(imputed.starts, masked.starts)
         and np.array_equal(imputed.times, masked.times)
-    )
-    if not aligned:
+    ):
         raise DataError("imputed file does not align with the masked input")
     premask = restore_mask(masked, mask)
     report = nrmse(mask, imputed, premask, variant=args.method or "unknown")

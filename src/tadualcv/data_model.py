@@ -4,8 +4,10 @@ A dataset is a collection of visits; each visit is a sequence of timestamped
 events carrying one value slot per feature, with NaN for a missing value.
 The dataset stacks every visit's events, in visit order, into one
 ``(E, D)`` float array ``values`` and one ``(E,)`` integer array ``times``;
-rows ``starts[i]:starts[i + 1]`` belong to visit ``i``, and each ``Visit`` in
-``dataset.visits`` is a view of its rows. Code that works on all cells at
+rows ``starts[i]:starts[i + 1]`` belong to visit ``i``. The dataset also owns
+the rest of that layout, computed once: ``visit_ids``, ``lengths`` and the
+row-to-visit map ``visit_of_row``. Each ``Visit`` in ``dataset.visits`` is a
+view of its rows, built only when read. Code that works on all cells at
 once reads the stacked arrays and maps ``(visit, event, feature)`` cells onto
 them with ``rows``. Masking bookkeeping (which cells were hidden on purpose,
 and what their true values were) lives in ``MaskSet``, as parallel arrays.
@@ -81,34 +83,36 @@ class Visit:
         return ~np.isnan(self.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Features plus visits, stacked event-wise; ``validate`` reports violations.
 
     ``values`` (float64, ``(E, D)``) and ``times`` (int64, ``(E,)``) hold all
-    events in visit order, and ``starts`` (``(N + 1,)``) holds each visit's
-    first row plus the total ``E``. All three are read-only, and every visit's
-    arrays are views of its rows. Visits of unequal width are rejected.
+    events in visit order. Visit ``i`` is named ``visit_ids[i]``, owns rows
+    ``starts[i]:starts[i + 1]`` and has ``lengths[i]`` events; row ``r``
+    belongs to visit ``visit_of_row[r]``. All arrays are read-only, visits of
+    unequal width are rejected, and datasets compare by identity. ``visits``
+    (one ``Visit`` view of its rows per visit) is built on first read.
     """
 
     features: tuple[FeatureSpec, ...]
-    visits: tuple[Visit, ...]
-    values: np.ndarray = field(repr=False, compare=False)
-    times: np.ndarray = field(repr=False, compare=False)
-    starts: np.ndarray = field(repr=False, compare=False)
+    visit_ids: tuple[str, ...]
+    values: np.ndarray = field(repr=False)
+    times: np.ndarray = field(repr=False)
+    starts: np.ndarray = field(repr=False)
+    lengths: np.ndarray = field(repr=False)
+    visit_of_row: np.ndarray = field(repr=False)
 
     def __init__(self, features: Iterable[FeatureSpec], visits: Iterable[Visit]):
         features, visits = tuple(features), tuple(visits)
         widths = sorted({v.n_features for v in visits})
         if len(widths) > 1:
             raise DataError(f"visits carry value rows of unequal widths {widths}")
-        if visits:
-            values = np.concatenate([v.values for v in visits])
-            times = np.concatenate([v.times for v in visits])
-        else:
-            values, times = np.empty((0, len(features))), np.empty(0, dtype=np.int64)
+        width = widths[0] if widths else len(features)
+        values = np.concatenate([np.empty((0, width)), *(v.values for v in visits)])
+        times = np.concatenate([np.empty(0, dtype=np.int64), *(v.times for v in visits)])
         starts = np.cumsum([0] + [v.n_events for v in visits])
-        self._assign(features, [v.visit_id for v in visits], times, values, starts)
+        self._assign(features, tuple(v.visit_id for v in visits), times, values, starts)
 
     @classmethod
     def from_stacked(cls, features, visit_ids, times, values, starts) -> "Dataset":
@@ -118,29 +122,32 @@ class Dataset:
         ``i`` owns rows ``starts[i]:starts[i + 1]``.
         """
         out = object.__new__(cls)
-        out._assign(tuple(features), list(visit_ids), times, values, starts)
+        out._assign(tuple(features), tuple(map(str, visit_ids)), times, values, starts)
         return out
 
-    def _assign(self, features, visit_ids, times, values, starts) -> None:
-        times.flags.writeable = False
-        values.flags.writeable = False
-        bounds = starts.tolist()
-        visits = tuple(
-            Visit(vid, times[a:b], values[a:b])
-            for vid, a, b in zip(visit_ids, bounds[:-1], bounds[1:])
+    def _assign(self, features, visit_ids, times, values, starts, lengths=None, visit_of_row=None):
+        if lengths is None:
+            lengths = np.diff(starts)
+            visit_of_row = np.repeat(np.arange(len(visit_ids)), lengths)
+        for array in (values, times, starts, lengths, visit_of_row):
+            array.flags.writeable = False
+        self.__dict__.update(
+            features=features, visit_ids=visit_ids, values=values, times=times,
+            starts=starts, lengths=lengths, visit_of_row=visit_of_row,
         )
-        for name, value in (
-            ("features", features),
-            ("visits", visits),
-            ("values", values),
-            ("times", times),
-            ("starts", starts),
-        ):
-            object.__setattr__(self, name, value)
+
+    @cached_property
+    def visits(self) -> tuple[Visit, ...]:
+        """One read-only ``Visit`` view of its rows per visit, built on first read."""
+        bounds = self.starts.tolist()
+        return tuple(
+            Visit(vid, self.times[a:b], self.values[a:b])
+            for vid, a, b in zip(self.visit_ids, bounds[:-1], bounds[1:])
+        )
 
     @property
     def n_visits(self) -> int:
-        return len(self.visits)
+        return len(self.visit_ids)
 
     @property
     def n_features(self) -> int:
@@ -154,25 +161,32 @@ class Dataset:
 
         ``cells`` is a ``(K, 3)`` integer array of (visit, event, feature)
         rows, as ``MaskSet.cells`` returns, or a collection of ``CellIndex``.
+        ``IndexError`` names the first cell with a negative index, a visit
+        ``>= N`` or a feature ``>= D``; an event past its visit's end raises it too.
         """
         if not isinstance(cells, np.ndarray):
             cells = np.fromiter(chain.from_iterable(cells), np.int64, 3 * len(cells))
         idx = cells.reshape(-1, 3)
-        if np.any(idx[:, 1] >= np.diff(self.starts)[idx[:, 0]]):
+        visit, event, feature = idx.T
+        outside = (idx < 0).any(axis=1) | (visit >= self.n_visits) | (feature >= self.n_features)
+        if outside.any():
+            raise IndexError(f"cell {tuple(idx[np.argmax(outside)].tolist())} outside the dataset")
+        if np.any(event >= self.lengths[visit]):
             raise IndexError("cell event index beyond the end of its visit")
-        return self.starts[idx[:, 0]] + idx[:, 1], idx[:, 2]
+        return self.starts[visit] + event, feature
 
     def with_values(self, values) -> "Dataset":
         """Same features, visits and times over a new ``(E, D)`` value array.
 
-        The array is taken over, not copied, and flagged read-only.
+        The array is taken over, not copied, and flagged read-only; the layout is shared.
         """
         values = np.asarray(values, dtype=float)
         if values.shape != self.values.shape:
             raise DataError(f"values of shape {values.shape}, expected {self.values.shape}")
-        return self.from_stacked(
-            self.features, [v.visit_id for v in self.visits], self.times, values, self.starts
-        )
+        layout = (self.starts, self.lengths, self.visit_of_row)
+        out = object.__new__(type(self))
+        out._assign(self.features, self.visit_ids, self.times, values, *layout)
+        return out
 
 
 class CellIndex(NamedTuple):
@@ -279,27 +293,24 @@ def validate(dataset: Dataset) -> list[str]:
 
     # one pass over the stacked layout flags the visits that have a problem;
     # only those are examined one by one, for the messages
-    lengths = np.diff(dataset.starts)
-    visit_of_row = np.repeat(np.arange(dataset.n_visits), lengths)
+    lengths, visit_of_row, width = dataset.lengths, dataset.visit_of_row, dataset.values.shape[1]
     gaps = np.diff(dataset.times)
     bad_gap = (gaps <= 0) & (visit_of_row[1:] == visit_of_row[:-1])
     bad_row = (dataset.times < 0) | np.isnan(dataset.values).all(axis=1)
-    suspect = (lengths < 1) | (dataset.values.shape[1] != d)
+    suspect = (lengths < 1) | (width != d)
     suspect[visit_of_row[bad_row]] = True
     suspect[visit_of_row[1:][bad_gap]] = True
 
+    bounds = dataset.starts.tolist()
     for i in np.flatnonzero(suspect).tolist():
-        visit = dataset.visits[i]
-        vid = visit.visit_id
-        if visit.n_events < 1:
+        vid = dataset.visit_ids[i]
+        if lengths[i] < 1:
             problems.append(f"visit {vid!r}: no events")
             continue
-        if visit.n_features != d:
-            problems.append(
-                f"visit {vid!r}: events carry {visit.n_features} value slots, expected {d}"
-            )
+        if width != d:
+            problems.append(f"visit {vid!r}: events carry {width} value slots, expected {d}")
             continue
-        times = visit.times
+        times = dataset.times[bounds[i] : bounds[i + 1]]
         if np.any(times < 0):
             problems.append(f"visit {vid!r}: negative event time")
         diffs = np.diff(times)
@@ -308,9 +319,9 @@ def validate(dataset: Dataset) -> list[str]:
         elif np.any(diffs == 0):
             dup = int(times[np.nonzero(diffs == 0)[0][0]])
             problems.append(f"visit {vid!r}: duplicate event time {dup}")
-        empty = np.nonzero(~visit.observed().any(axis=1))[0]
-        for e in empty:
-            problems.append(f"visit {vid!r}: empty event at index {int(e)} (all values missing)")
+        empty = np.isnan(dataset.values[bounds[i] : bounds[i + 1]]).all(axis=1)
+        for e in np.flatnonzero(empty).tolist():
+            problems.append(f"visit {vid!r}: empty event at index {e} (all values missing)")
 
     return problems
 
@@ -323,8 +334,7 @@ def median_event_count(dataset: Dataset) -> int:
     """
     if dataset.n_visits == 0:
         raise DataError("no visits")
-    counts = sorted(v.n_events for v in dataset.visits)
-    return counts[(len(counts) - 1) // 2]
+    return int(np.sort(dataset.lengths)[(dataset.n_visits - 1) // 2])
 
 
 def write_cells(dataset: Dataset, cells, values) -> Dataset:

@@ -52,7 +52,7 @@ def _ctp_stack(dataset: Dataset, t_med: int, truncate: str):
     Also returns ``event_of`` and the per-visit padded and truncated counts,
     which depend on visit lengths only and so hold for every feature.
     """
-    lengths = np.diff(dataset.starts)
+    lengths = dataset.lengths
     steps = np.arange(t_med)
     n_truncated = np.maximum(lengths - t_med, 0)
     offset = n_truncated if truncate == "keep_last" else np.zeros_like(lengths)
@@ -155,8 +155,7 @@ def dualcv_impute(dataset: Dataset, config: Config) -> DualcvOutput:
     ctp_fills[at] = np.fromiter(ctp_cell_fills.values(), float, len(ctp_cell_fills))
     ctp_stds[at] = np.fromiter(ctp_cell_stds.values(), float, len(ctp_cell_stds))
 
-    lengths = np.diff(dataset.starts)
-    t_i = np.repeat(lengths, lengths)[:, None]
+    t_i = dataset.lengths[dataset.visit_of_row][:, None]
     fills = compromise(cfp_fills, ctp_fills, t_i, t_med, config.w1, config.w2)
     stds = compromise(cfp_stds, ctp_stds, t_i, t_med, config.w1, config.w2)
     return DualcvOutput(per_visit_mean_std(dataset, stds), fills, stds)
@@ -169,8 +168,7 @@ def per_visit_mean_std(dataset: Dataset, stds: np.ndarray) -> np.ndarray:
     visit's cells are summed in row-major order.
     """
     at = np.nonzero(~np.isnan(stds))
-    lengths = np.diff(dataset.starts)
-    visit = np.repeat(np.arange(dataset.n_visits), lengths)[at[0]]
+    visit = dataset.visit_of_row[at[0]]
     # bincount adds the weights one by one in input order
     sums = np.bincount(visit, weights=stds[at], minlength=dataset.n_visits)
     counts = np.bincount(visit, minlength=dataset.n_visits)

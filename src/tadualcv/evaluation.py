@@ -82,38 +82,30 @@ def mask_random(dataset: Dataset, rate: float, seed: int) -> MaskSet:
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError("rate must be in [0, 1]")
-    hidden = np.zeros(dataset.values.shape, dtype=bool)
-    for i, visit in enumerate(dataset.visits):
-        observed = visit.observed()
-        hidden_rows = hidden[dataset.starts[i] : dataset.starts[i + 1]]
-        for e in range(visit.n_events):
-            row_obs = observed[e]
-            n_obs = int(row_obs.sum())
-            if n_obs == 0:
-                continue
-            chosen = None
-            for attempt in range(_MAX_MASK_REDRAWS):
-                rng = np.random.default_rng((int(seed), i, e, attempt))
-                cand = row_obs & (rng.random(row_obs.size) < rate)
-                if cand.sum() < n_obs or rate >= 1.0:
-                    chosen = cand
-                    break
-            if chosen is None:
-                chosen = row_obs.copy()
-            if chosen.sum() == n_obs:
-                chosen[np.nonzero(row_obs)[0][0]] = False
-            hidden_rows[e] = chosen
+    observed = ~np.isnan(dataset.values)
+    hidden = np.zeros(observed.shape, dtype=bool)
+    # one pass over the events (stacked rows) that have an observed cell
+    rows = np.flatnonzero(observed.any(axis=1))
+    visits = dataset.visit_of_row[rows]
+    for r, i, e in zip(rows.tolist(), visits.tolist(), (rows - dataset.starts[visits]).tolist()):
+        row_obs = observed[r]
+        n_obs = int(row_obs.sum())
+        for attempt in range(_MAX_MASK_REDRAWS):
+            rng = np.random.default_rng((int(seed), i, e, attempt))
+            chosen = row_obs & (rng.random(row_obs.size) < rate)
+            if chosen.sum() < n_obs or rate >= 1.0:
+                break
+        else:
+            chosen = row_obs.copy()
+        if chosen.sum() == n_obs:
+            chosen[np.argmax(row_obs)] = False
+        hidden[r] = chosen
     # entries in stacked order: visit, then event, then feature
     rows, features = np.nonzero(hidden)
-    visits = np.searchsorted(dataset.starts, rows, side="right") - 1
+    visits = dataset.visit_of_row[rows]
     return MaskSet.from_arrays(
-        visits,
-        rows - dataset.starts[visits],
-        features,
-        dataset.values[rows, features],
-        strategy="random_rate",
-        rate=rate,
-        seed=seed,
+        visits, rows - dataset.starts[visits], features, dataset.values[rows, features],
+        strategy="random_rate", rate=rate, seed=seed,
     )
 
 
@@ -126,9 +118,10 @@ def mask_one_per_feature_visit(dataset: Dataset, seed: int) -> MaskSet:
     values are ineligible).
     """
     cells = []
-    for i, visit in enumerate(dataset.visits):
+    observed_all, bounds = ~np.isnan(dataset.values), dataset.starts.tolist()
+    for i in range(dataset.n_visits):
         rng = np.random.default_rng((int(seed), i))
-        observed = visit.observed()
+        observed = observed_all[bounds[i] : bounds[i + 1]]
         remaining = observed.copy()
         for f in range(dataset.n_features):
             rows = np.nonzero(observed[:, f])[0]
@@ -166,7 +159,7 @@ def _per_patient_ranges(premask: Dataset) -> np.ndarray:
     ranges = np.ones((premask.n_visits, premask.n_features))
     # fmin/fmax skip NaN; an empty visit's start would alias the next visit
     # (or lie past the last row), so only non-empty visits are reduced
-    nonempty = np.diff(premask.starts) > 0
+    nonempty = premask.lengths > 0
     at = premask.starts[:-1][nonempty]
     span = np.fmax.reduceat(premask.values, at, axis=0) - np.fmin.reduceat(
         premask.values, at, axis=0

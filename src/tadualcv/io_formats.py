@@ -114,15 +114,15 @@ class _Scan:
             self._at(int(hits[0]), message)
 
     def convert(self, column, kind, dtype, message) -> np.ndarray:
-        """``column[:n]`` converted with ``kind``; a ``ValueError`` marks a bad record."""
+        """``column[:n]`` as ``dtype``; a text ``kind`` rejects or ``dtype`` cannot hold is bad."""
         column = column[: self.n]
         try:
             return np.fromiter(map(kind, column), dtype, len(column))
-        except ValueError:
+        except (ValueError, OverflowError):
             for j, text in enumerate(column):
                 try:
-                    kind(text)
-                except ValueError:
+                    dtype(kind(text))
+                except (ValueError, OverflowError):
                     break
             self._at(j, message)
             return np.fromiter(map(kind, column[:j]), dtype, j)
@@ -169,11 +169,19 @@ def _long_keep(block, lineno: int) -> np.ndarray:
     return keep
 
 
+def _bad_time(text: str) -> str:
+    try:
+        int(text)
+    except ValueError:
+        return f"non-integer time {text!r}"
+    return f"time out of range {text!r}"
+
+
 def _long_block(scan: _Scan, rows, registry, fixed_features: bool, visit_index):
     """(visit, time, feature, value) arrays of one block's records before any failure."""
     scan.fail(_field_counts(rows) != 4, lambda j: f"expected 4 fields, got {len(rows[j])}")
     visit_s, time_s, feat_s, value_s = _columns(rows[: scan.n], 4, strip=True)
-    times = scan.convert(time_s, int, np.int64, lambda j: f"non-integer time {time_s[j]!r}")
+    times = scan.convert(time_s, int, np.int64, lambda j: _bad_time(time_s[j]))
     values = scan.convert(value_s, float, float, lambda j: f"non-numeric value {value_s[j]!r}")
     scan.fail(~np.isfinite(values), lambda j: f"non-finite value {value_s[j]!r}")
     feature = _codes(feat_s[: scan.n], registry, register=not fixed_features)
@@ -238,15 +246,13 @@ def ingest_long_csv(path, features: list[FeatureSpec] | None = None) -> Dataset:
 
 def _emit_cells(path, dataset: Dataset, rows, cols, values, value_column: str) -> None:
     """One line per cell at stacked ``(rows, cols)``: visit id, time, feature, value."""
-    visits = np.searchsorted(dataset.starts, rows, side="right") - 1
-    ids = [v.visit_id for v in dataset.visits]
     names = [spec.name for spec in dataset.features]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["visit_id", "time_min", "feature", value_column])
         writer.writerows(
             zip(
-                map(ids.__getitem__, visits.tolist()),
+                map(dataset.visit_ids.__getitem__, dataset.visit_of_row[rows].tolist()),
                 dataset.times[rows].tolist(),
                 map(names.__getitem__, cols.tolist()),
                 map(fmt, values.tolist()),
@@ -266,7 +272,7 @@ def _emit_wide(path, dataset: Dataset, rows) -> None:
     ``rows`` yields one sequence of ``D`` strings per event, in stacked order.
     """
     d = dataset.n_features
-    ids = [v.visit_id for v in dataset.visits for _ in range(v.n_events)]
+    ids = map(dataset.visit_ids.__getitem__, dataset.visit_of_row.tolist())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["visit_id", "time_min"] + [f"f_{k}" for k in range(d)])
@@ -283,8 +289,8 @@ def emit_wide_csv(dataset: Dataset, path) -> None:
     """Complete data only: every cell must hold a value."""
     incomplete = np.isnan(dataset.values).any(axis=1)
     if incomplete.any():
-        visit = np.searchsorted(dataset.starts, np.argmax(incomplete), side="right") - 1
-        raise DataError(f"visit {dataset.visits[visit].visit_id!r} still has missing cells")
+        vid = dataset.visit_ids[dataset.visit_of_row[np.argmax(incomplete)]]
+        raise DataError(f"visit {vid!r} still has missing cells")
     _emit_wide(path, dataset, _fmt_rows(dataset.values))
 
 
@@ -361,8 +367,7 @@ def _event_finder(dataset: Dataset):
     repeats a time, the last such event answers.
     """
     known_times = np.unique(dataset.times)
-    visit_of_row = np.repeat(np.arange(dataset.n_visits), np.diff(dataset.starts))
-    keys = visit_of_row * known_times.size + np.searchsorted(known_times, dataset.times)
+    keys = dataset.visit_of_row * known_times.size + np.searchsorted(known_times, dataset.times)
     by_key = np.argsort(keys, kind="stable")
 
     def rows_of(visit: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -403,7 +408,7 @@ def read_mask_csv(path, dataset: Dataset, strategy="external", rate=None, seed=0
     The file does not record how it was produced, so the default provenance
     is the placeholder ``external`` with rate NA and seed 0.
     """
-    visit_index = {v.visit_id: i for i, v in enumerate(dataset.visits)}
+    visit_index = {vid: i for i, vid in enumerate(dataset.visit_ids)}
     feat_index = {s.name: s.id for s in dataset.features}
     event_rows = _event_finder(dataset)
     scan = _Scan(path)

@@ -120,7 +120,7 @@ def ecf_fill(dataset: Dataset, windows: dict[str, int] | None = None) -> Dataset
     # last observed row at or before each row, per feature, across the stack;
     # one before the row's visit start carries nothing
     last = np.maximum.accumulate(np.where(holes, -1, np.arange(len(values))[:, None]), axis=0)
-    visit_start = np.repeat(dataset.starts[:-1], np.diff(dataset.starts))[:, None]
+    visit_start = dataset.starts[dataset.visit_of_row][:, None]
     source = np.maximum(last, 0)
     carry = (last >= visit_start) & (times[:, None] - times[source] <= limit)
     fills = np.where(carry, np.take_along_axis(values, source, axis=0), means)
@@ -176,8 +176,7 @@ def impute(dataset: Dataset, variant: str, config: Config | None = None) -> Impu
         theta1, theta2 = (
             np.where(np.isnan(sigma_m), np.nan, w) for w in fusion_weights(sigma_m, sigma_g)
         )
-        lengths = np.diff(normalized.starts)
-        t1, t2 = (np.repeat(w, lengths)[:, None] for w in (theta1, theta2))
+        t1, t2 = (w[normalized.visit_of_row][:, None] for w in (theta1, theta2))
         fills, stds = fuse(fills, gp_fills, t1, t2), fuse(stds, gp_stds, t1, t2)
     else:
         sigma_g, theta1, theta2 = (np.full(n, np.nan) for _ in range(3))

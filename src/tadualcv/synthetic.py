@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import Dataset, FeatureSpec, Visit
+from .data_model import Dataset, FeatureSpec
 
 # Integer minutes between consecutive events.
 _GAP_RANGE = (10, 45)
@@ -79,39 +79,34 @@ def generate(config: SynthConfig) -> tuple[Dataset, list[np.ndarray]]:
         raise ValueError("mixing matrix must be D x D")
 
     features = [FeatureSpec(f, f"f{f}", "other") for f in range(d)]
-    visits = []
-    truths = []
+    times, values, truths = [], [], []
     lo, hi = config.events_per_visit
     for i in range(config.n_visits):
         rng = np.random.default_rng((int(config.seed), i))
         t_i = int(rng.integers(lo, hi + 1))
         gaps = rng.integers(_GAP_RANGE[0], _GAP_RANGE[1] + 1, size=t_i - 1)
-        times = np.concatenate([[0], np.cumsum(gaps)])
+        times.append(np.concatenate([[0], np.cumsum(gaps)]))
 
         phases = rng.uniform(0.0, 2.0 * np.pi, size=d)
-        latent = np.sin(times[:, None] * freqs[None, :] + phases[None, :])
+        latent = np.sin(times[-1][:, None] * freqs[None, :] + phases[None, :])
         full = latent @ mixing.T
         if config.noise_scale > 0:
             full = full + config.noise_scale * rng.standard_normal((t_i, d))
         truths.append(full)
 
-        values = full.copy()
         if config.native_missing_rate > 0:
             holes = rng.random((t_i, d)) < config.native_missing_rate
-            empty_rows = np.nonzero(holes.all(axis=1))[0]
-            for row in empty_rows:
+            for row in np.nonzero(holes.all(axis=1))[0]:
                 holes[row, int(rng.integers(d))] = False
-            values = np.where(holes, np.nan, values)
-        visits.append(Visit(f"v{i}", times, values))
+            full = np.where(holes, np.nan, full)
+        values.append(full)
 
+    stacked = np.concatenate([np.empty((0, d)), *values])
     # A feature that lost every observation would break downstream baselines.
-    observed_any = np.zeros(d, dtype=bool)
-    for visit in visits:
-        observed_any |= visit.observed().any(axis=0)
-    for f in np.nonzero(~observed_any)[0]:
-        first = visits[0]
-        values = first.values.copy()
-        values[0, f] = truths[0][0, f]
-        visits[0] = first = Visit(first.visit_id, first.times, values)
+    for f in np.nonzero(np.isnan(stacked).all(axis=0))[0]:
+        stacked[0, f] = truths[0][0, f]
 
-    return Dataset(features, visits), truths
+    starts = np.cumsum([0] + [len(t) for t in times])
+    times = np.concatenate([np.empty(0, dtype=np.int64), *times])
+    ids = [f"v{i}" for i in range(config.n_visits)]
+    return Dataset.from_stacked(features, ids, times, stacked, starts), truths

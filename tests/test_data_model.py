@@ -121,6 +121,26 @@ def test_dataset_starts_and_rows_bijective(two_visit_dataset):
         ds.rows([CellIndex(1, 2, 0)])
 
 
+@pytest.mark.parametrize(
+    "cell",
+    [CellIndex(1, -1, 0), CellIndex(-1, 0, 0), CellIndex(0, 0, -1), CellIndex(2, 0, 0),
+     CellIndex(0, 0, 2)],
+)
+def test_rows_rejects_cells_outside_the_dataset(two_visit_dataset, cell):
+    ds = two_visit_dataset
+    message = rf"cell \({cell.visit}, {cell.event}, {cell.feature}\) outside the dataset"
+    with pytest.raises(IndexError, match=message):
+        ds.rows([CellIndex(0, 0, 0), cell, CellIndex(9, 9, 9)])
+    mask = MaskSet([(cell, 3.0)])
+    with pytest.raises(IndexError, match=message):
+        apply_mask(ds, mask)
+    with pytest.raises(IndexError, match=message):
+        restore_mask(ds, mask)
+    # an event past its visit's end keeps its own message
+    with pytest.raises(IndexError, match="beyond the end of its visit"):
+        ds.rows(np.array([[1, 2, 0]]))
+
+
 def test_dataset_layout_shapes_and_widths():
     ds = make_dataset([("a", [0], [[1.0, 2.0]])])
     empty = ds.__class__(ds.features, [])

@@ -1,9 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tadualcv.config import Config
-from tadualcv.data_model import CellIndex, DataError, MaskSet, apply_mask
+from tadualcv.data_model import (
+    CellIndex,
+    DataError,
+    Dataset,
+    FeatureSpec,
+    MaskSet,
+    Visit,
+    apply_mask,
+)
 from tadualcv.evaluation import (
+    _MAX_MASK_REDRAWS,
     _per_patient_ranges,
     denormalize,
     denormalize_value,
@@ -234,3 +245,93 @@ def test_run_experiment_two_seeds_differ_and_replay():
     )
     again = run_experiment(ds, ["mean_fill"], [("random_rate", 0.5)], [0, 1], config)
     assert [r.per_feature_nrmse for r in again] == [r.per_feature_nrmse for r in reports]
+
+
+# ---------------------------------------------------------------------------
+# The masking protocols against the per-visit loops they replaced, kept as
+# references: for every generated dataset, rate and seed the masks must hold
+# the same cells and bit-identical truths.
+
+
+def oracle_mask_random(dataset, rate, seed):
+    hidden = np.zeros(dataset.values.shape, dtype=bool)
+    for i, visit in enumerate(dataset.visits):
+        observed = visit.observed()
+        hidden_rows = hidden[dataset.starts[i] : dataset.starts[i + 1]]
+        for e in range(visit.n_events):
+            row_obs = observed[e]
+            n_obs = int(row_obs.sum())
+            if n_obs == 0:
+                continue
+            chosen = None
+            for attempt in range(_MAX_MASK_REDRAWS):
+                rng = np.random.default_rng((int(seed), i, e, attempt))
+                cand = row_obs & (rng.random(row_obs.size) < rate)
+                if cand.sum() < n_obs or rate >= 1.0:
+                    chosen = cand
+                    break
+            if chosen is None:
+                chosen = row_obs.copy()
+            if chosen.sum() == n_obs:
+                chosen[np.nonzero(row_obs)[0][0]] = False
+            hidden_rows[e] = chosen
+    rows, features = np.nonzero(hidden)
+    visits = np.searchsorted(dataset.starts, rows, side="right") - 1
+    return visits, rows - dataset.starts[visits], features, dataset.values[rows, features]
+
+
+def oracle_mask_one_per_feature_visit(dataset, seed):
+    cells = []
+    for i, visit in enumerate(dataset.visits):
+        rng = np.random.default_rng((int(seed), i))
+        observed = visit.observed()
+        remaining = observed.copy()
+        for f in range(dataset.n_features):
+            rows = np.nonzero(observed[:, f])[0]
+            if rows.size < 2:
+                continue
+            eligible = rows[remaining[rows].sum(axis=1) >= 2]
+            if eligible.size == 0:
+                continue
+            e = int(eligible[rng.integers(eligible.size)])
+            remaining[e, f] = False
+            cells.append((i, e, f))
+    visits, events, features = np.array(cells, dtype=np.int64).reshape(-1, 3).T
+    return visits, events, features, dataset.values[dataset.starts[visits] + events, features]
+
+
+@st.composite
+def maskable_datasets(draw):
+    """Ragged datasets with single-event visits, events holding one observed
+    cell (or none) and, often, a feature observed once."""
+    d = draw(st.integers(1, 4))
+    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    n = sum(lengths)
+    values = np.reshape(draw(st.lists(st.floats(-1e6, 1e6), min_size=n * d, max_size=n * d)),
+                        (n, d))
+    holes = np.reshape(draw(st.lists(st.booleans(), min_size=n * d, max_size=n * d)), (n, d))
+    if d > 1 and draw(st.booleans()):
+        holes[:, -1] = True
+        holes[draw(st.integers(0, n - 1)), -1] = False
+    values[holes] = np.nan
+    bounds = np.cumsum([0] + lengths)
+    visits = [Visit(f"v{i}", np.arange(t) * 10, values[a : a + t])
+              for i, (a, t) in enumerate(zip(bounds, lengths))]
+    return Dataset([FeatureSpec(f, f"f{f}") for f in range(d)], visits)
+
+
+def assert_same_mask(mask, want):
+    for got, expected in zip((mask.visit, mask.event, mask.feature), want[:3]):
+        assert got.tolist() == expected.tolist()
+    np.testing.assert_array_equal(mask.truth.view(np.uint64), want[3].view(np.uint64))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(maskable_datasets(), st.integers(0, 2**16))
+def test_masks_match_per_visit_oracles(dataset, seed):
+    for s in (seed, seed + 1, seed + 2):
+        for rate in (0.0, 0.3, 0.9, 1.0):
+            assert_same_mask(mask_random(dataset, rate, s), oracle_mask_random(dataset, rate, s))
+        assert_same_mask(
+            mask_one_per_feature_visit(dataset, s), oracle_mask_one_per_feature_visit(dataset, s)
+        )

@@ -16,9 +16,17 @@ from tadualcv.data_model import (
     FeatureSpec,
     MaskSet,
     Visit,
+    apply_mask,
+    restore_mask,
     validate,
 )
-from tadualcv.evaluation import EvalReport
+from tadualcv.evaluation import (
+    EvalReport,
+    mask_one_per_feature_visit,
+    mask_random,
+    nrmse,
+)
+from tadualcv.methods import VARIANTS, impute
 from tadualcv.synthetic import SynthConfig, generate
 
 from conftest import NAN, make_dataset
@@ -683,6 +691,10 @@ def test_read_wide_matches_row_oracle(tmp_path_factory, text, named, fields):
         ("a,0,q,abc\n", ("x",), ":1: non-numeric value 'abc'"),
         ("a,0,q,inf\n", ("x",), ":1: non-finite value 'inf'"),
         ("a,0,x,1\na,0,q,1\na,0,x,2\n", ("x",), ":2: unknown feature 'q'"),
+        # a time beyond int64 fails where a non-integer time would
+        ("a,0,x,1\na,99999999999999999999,x,2\n", None, ":2: time out of range '99999999999999999999'"),
+        ("a,-99999999999999999999,x,abc\n", None, ":1: time out of range '-99999999999999999999'"),
+        ("a,99999999999999999999,x\n", None, ":1: expected 4 fields, got 3"),
     ],
 )
 def test_ingest_error_messages(tmp_path, text, manifest, message):
@@ -708,6 +720,8 @@ def test_ingest_error_messages(tmp_path, text, manifest, message):
         ("a,x,q,abc\n", ":1: unknown feature 'q'"),
         ("a,31,x,abc\n", ":1: malformed row"),
         ("a,31,x,1\n", ":1: no event at time 31 in 'a'"),
+        ("a,0,x,1\na,99999999999999999999,x,1\n", ":2: malformed row"),
+        ("a,99999999999999999999,q,1\n", ":1: unknown feature 'q'"),
     ],
 )
 def test_mask_error_messages(tmp_path, text, message):
@@ -727,6 +741,7 @@ def test_mask_error_messages(tmp_path, text, message):
         ("visit_id,time_min,f_0,f_1\na,0,1,2\na,0,1,x\n", ":3: malformed row"),
         ("visit_id,time_min,f_0,f_1\n\n", ": no records"),
         ("visit_id,time_min,f_0,f_1\na,x,abc\n", ":2: expected 4 fields"),
+        ("visit_id,time_min,f_0,f_1\na,0,1,2\na,99999999999999999999,1,2\n", ":3: malformed row"),
     ],
 )
 def test_wide_error_messages(tmp_path, text, message):
@@ -736,3 +751,89 @@ def test_wide_error_messages(tmp_path, text, message):
     with pytest.raises(DataError) as err:
         io_formats.read_wide_csv(path, features)
     assert str(err.value) == f"{path}{message}"
+
+
+BIG_TIME = "9" * 20
+
+
+@pytest.mark.parametrize("fields", [4, 8, 1 << 14])
+def test_time_overflow_first_bad_record_wins_across_blocks(tmp_path, fields):
+    path = tmp_path / "long.csv"
+    lines = ["a,0,x,1", "a,1,x,1", "a,2,x,1", f"a,{BIG_TIME},x,1", "a,4,x,1", "a,5.5,x,1"]
+    path.write_text("\n".join(lines) + "\n")
+    with block_fields(fields), pytest.raises(DataError) as err:
+        io_formats.ingest_long_csv(path)
+    assert str(err.value) == f"{path}:4: time out of range '{BIG_TIME}'"
+    lines[3], lines[5] = "a,3.5,x,1", f"a,{BIG_TIME},x,1"
+    path.write_text("\n".join(lines) + "\n")
+    with block_fields(fields), pytest.raises(DataError) as err:
+        io_formats.ingest_long_csv(path)
+    assert str(err.value) == f"{path}:4: non-integer time '3.5'"
+
+
+def test_cli_time_overflow_is_data_error(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text(f"a,0,x,1\na,{BIG_TIME},x,2\n")
+    assert main(["impute", "--data", str(data), "--method", "meanfill",
+                 "--out", str(tmp_path / "out.csv")]) == 2
+    assert f"data error: {data}:2: time out of range '{BIG_TIME}'" in capsys.readouterr().err
+
+    data = _write_synth(tmp_path)
+    masked, mask_csv, imputed = tmp_path / "masked.csv", tmp_path / "mask.csv", tmp_path / "i.csv"
+    assert main(["mask", "--data", str(data), "--rate", "0.4", "--seed", "7",
+                 "--out", str(masked), "--mask-out", str(mask_csv)]) == 0
+    assert main(["impute", "--data", str(masked), "--method", "meanfill",
+                 "--out", str(imputed)]) == 0
+    evaluate = ["evaluate", "--truth-mask", str(mask_csv), "--imputed", str(imputed),
+                "--masked", str(masked)]
+    header, first, *rest = mask_csv.read_text().splitlines()
+    vid, _, *cells = first.split(",")
+    mask_csv.write_text("\n".join([header, ",".join([vid, BIG_TIME, *cells]), *rest]) + "\n")
+    capsys.readouterr()
+    assert main(evaluate) == 2
+    assert f"data error: {mask_csv}:2: malformed row" in capsys.readouterr().err
+
+    main(["mask", "--data", str(data), "--rate", "0.4", "--seed", "7",
+          "--out", str(masked), "--mask-out", str(mask_csv)])
+    header, first, *rest = imputed.read_text().splitlines()
+    vid, _, *cells = first.split(",")
+    imputed.write_text("\n".join([header, ",".join([vid, BIG_TIME, *cells]), *rest]) + "\n")
+    assert main(evaluate) == 2
+    assert f"data error: {imputed}:2: malformed row" in capsys.readouterr().err
+
+
+def test_library_paths_do_not_read_visits(tmp_path, monkeypatch):
+    # the stacked layout (visit_ids, lengths, visit_of_row) serves every
+    # library path; only callers that ask for Visit views build them
+    def no_visits(self):
+        raise AssertionError("a library path read dataset.visits")
+
+    flawed = make_dataset(
+        [("a", [5, 3, 3], [[1.0, NAN], [NAN, NAN], [1.0, 2.0]]), ("e", [], np.empty((0, 2)))]
+    )
+    dataset, _ = generate(SynthConfig(n_visits=5, n_features=3, events_per_visit=(3, 6),
+                                      noise_scale=0.05, native_missing_rate=0.2, seed=1))
+    monkeypatch.setattr(Dataset, "visits", property(no_visits), raising=False)
+    with pytest.raises(AssertionError, match="read dataset.visits"):
+        dataset.visits
+
+    assert validate(flawed)
+    mask_one_per_feature_visit(dataset, seed=0)
+    mask = mask_random(dataset, 0.4, seed=0)
+    masked = apply_mask(dataset, mask)
+    restore_mask(masked, mask)
+    config = Config(chains=2, iterations=2, seed=0)
+    for variant in VARIANTS:
+        nrmse(mask, impute(masked, variant, config).dataset, dataset, variant=variant)
+
+    data, masked_csv, mask_csv = tmp_path / "d.csv", tmp_path / "m.csv", tmp_path / "k.csv"
+    imputed, report = tmp_path / "i.csv", tmp_path / "r.txt"
+    assert main(["synth", "--out", str(data), "--visits", "6", "--features", "3"]) == 0
+    assert main(["mask", "--data", str(data), "--rate", "0.4",
+                 "--out", str(masked_csv), "--mask-out", str(mask_csv)]) == 0
+    assert main(["impute", "--data", str(masked_csv), "--method", "tadualcv",
+                 "--chains", "2", "--iterations", "2", "--out", str(imputed)]) == 0
+    assert main(["evaluate", "--truth-mask", str(mask_csv), "--imputed", str(imputed),
+                 "--masked", str(masked_csv), "--out", str(report)]) == 0
+    assert main(["bench", "--data", str(data), "--rates", "30", "--methods", "tadualcv,ecf",
+                 "--chains", "2", "--iterations", "2", "--out-dir", str(tmp_path / "b")]) == 0

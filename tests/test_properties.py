@@ -8,7 +8,7 @@ once, so every variant applies.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tadualcv.config import Config
@@ -71,23 +71,61 @@ def bits(array):
     return np.ascontiguousarray(array, dtype=float).view(np.uint64)
 
 
+EMPTY_VISIT = Dataset(
+    [FeatureSpec(0, "f0"), FeatureSpec(1, "f1")],
+    [Visit("a", [0, 5], [[1.0, np.nan], [2.0, 3.0]]), Visit("e", [], np.empty((0, 2))),
+     Visit("b", [1], [[4.0, 5.0]]), Visit("z", [], np.empty((0, 2)))],
+)
+NO_VISITS = Dataset([FeatureSpec(0, "f0")], [])
+
+
+def read_only(*arrays):
+    return not any(a.flags.writeable for a in arrays)
+
+
 @examples(60)
 @given(ragged_datasets())
+@example(EMPTY_VISIT)
+@example(NO_VISITS)
 def test_layout_is_the_stacked_visits(dataset):
+    n, n_rows = dataset.n_visits, dataset.values.shape[0]
+    visits = dataset.visits
+    assert dataset.visits is visits
+    # the layout attributes agree with starts and with the Visit views
+    assert dataset.visit_ids == tuple(v.visit_id for v in visits)
+    assert all(type(vid) is str for vid in dataset.visit_ids)
+    assert dataset.lengths.dtype == dataset.visit_of_row.dtype == np.int64
+    assert dataset.lengths.shape == (n,) and dataset.visit_of_row.shape == (n_rows,)
+    assert dataset.lengths.tolist() == np.diff(dataset.starts).tolist()
+    assert dataset.lengths.tolist() == [v.n_events for v in visits]
+    assert dataset.visit_of_row.tolist() == [i for i, v in enumerate(visits)
+                                             for _ in range(v.n_events)]
     np.testing.assert_array_equal(bits(dataset.values),
-                                  bits(np.vstack([v.values for v in dataset.visits])))
+                                  bits(np.vstack([np.empty((0, dataset.values.shape[1])),
+                                                  *[v.values for v in visits]])))
     np.testing.assert_array_equal(dataset.times,
-                                  np.concatenate([v.times for v in dataset.visits]))
-    assert not dataset.values.flags.writeable
-    for i, visit in enumerate(dataset.visits):
-        assert not visit.values.flags.writeable and not visit.times.flags.writeable
-        assert np.shares_memory(visit.values, dataset.values)
-        assert np.shares_memory(visit.times, dataset.times)
+                                  np.concatenate([np.empty(0, np.int64),
+                                                  *[v.times for v in visits]]))
+    assert read_only(dataset.values, dataset.times, dataset.starts, dataset.lengths,
+                     dataset.visit_of_row)
+    for i, visit in enumerate(visits):
+        assert read_only(visit.values, visit.times)
+        assert np.shares_memory(visit.values, dataset.values) or visit.n_events == 0
+        assert np.shares_memory(visit.times, dataset.times) or visit.n_events == 0
         cells = [CellIndex(i, e, f) for e in range(visit.n_events)
                  for f in range(dataset.n_features)]
         rows, cols = dataset.rows(cells)
         assert rows.tolist() == [dataset.starts[i] + c.event for c in cells]
         assert cols.tolist() == [c.feature for c in cells]
+
+    # with_values shares the layout, builds its own views, and compares by identity
+    other = dataset.with_values(dataset.values * 2.0)
+    for name in ("visit_ids", "times", "starts", "lengths", "visit_of_row"):
+        assert getattr(other, name) is getattr(dataset, name)
+    assert other != dataset and dataset == dataset
+    for visit, doubled in zip(visits, other.visits):
+        assert visit.visit_id == doubled.visit_id
+        np.testing.assert_array_equal(bits(doubled.values), bits(visit.values * 2.0))
 
 
 @examples(60)
