@@ -21,19 +21,18 @@ patterns but share the matrix shape. The kernel only combines values of the
 same member, so a chain gives the same bits alone or in any batch;
 ``run_chains``, ``sweep``, ``pmm_draw`` and ``fit_conditional`` are batches
 of one view. ``chain_ensemble`` splits its members into contiguous groups,
-one per usable CPU, and runs every group but the first in a forked child;
-the output does not depend on the number of groups.
+one per usable CPU, and runs every group but the first in a forked child
+(``forking``); the output does not depend on the number of groups.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
-import signal
-import threading
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import forking
 
 RIDGE = 1e-5
 PMM_DONORS = 5
@@ -335,86 +334,35 @@ def _sweep(aug, holes, inert, rngs):
 def _group_count(n_members: int) -> int:
     """Number of member groups: one per usable CPU, at most one per member.
 
-    One (the ensemble runs in this process) where ``os.fork`` is missing or
-    other threads run here, since forking a threaded process can deadlock.
+    One (the ensemble runs in this process) where ``forking.can_fork`` says no.
     """
-    forkable = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    if not forkable or threading.active_count() > 1:
+    if not forking.can_fork():
         return 1
     return max(1, min(n_members, len(os.sched_getaffinity(0))))
-
-
-def _child(out, lo, hi, work, fd):
-    """Body of a forked group: run ``work``, send its rows or its error, exit.
-
-    The message is ``b"\\0"`` and the raw bytes of ``out[lo:hi]``, or
-    ``b"\\1"`` and the pickled exception. Never returns to the caller.
-    """
-    try:
-        try:
-            work(lo, hi)
-            message = (b"\0", memoryview(out[lo:hi]).cast("B"))
-        except BaseException as exc:  # noqa: BLE001 - the parent re-raises it
-            try:
-                error = pickle.dumps(exc)
-                pickle.loads(error)
-            except Exception:  # noqa: BLE001 - not every exception round-trips
-                error = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-            message = (b"\1", error)
-        with open(fd, "wb") as fh:
-            for part in message:
-                fh.write(part)
-    finally:
-        os._exit(0)
-
-
-def _receive(fd, dest, group):
-    """Read a child's message into ``dest``; re-raise the child's exception."""
-    with open(fd, "rb", closefd=False) as fh:
-        tag = fh.read(1)
-        if tag == b"\1":
-            raise pickle.loads(fh.read())
-        if tag != b"\0" or fh.readinto(memoryview(dest).cast("B")) != dest.nbytes:
-            raise ChildProcessError(f"member group {group} ended without a result")
 
 
 def _in_groups(out, n_groups, work):
     """Run ``work(lo, hi)`` over ``n_groups`` contiguous slices of ``out``.
 
-    ``work`` writes its results into ``out[lo:hi]`` (C-contiguous) and
-    changes nothing else the caller reads. The first slice runs here; each
-    other slice runs in a forked child, which sends its rows back through a
-    pipe. The first failing group's exception is raised here, with its type
-    and message. Every child is killed if need be and reaped before this
-    returns or raises.
+    ``work`` writes its results into ``out[lo:hi]`` and changes nothing else
+    the caller reads. The first slice runs here; each other slice runs in a
+    forked child, which sends its rows back. The first failing group's
+    exception is raised here, with its type and message. Every child is
+    killed if need be and reaped before this returns or raises.
     """
     size, extra = divmod(len(out), n_groups)
     bounds = [g * size + min(g, extra) for g in range(n_groups + 1)]
-    parent, pids, fds, reaped = os.getpid(), [], [], 0
-    try:
-        for g in range(1, n_groups):
-            read_fd, write_fd = os.pipe()
-            fds.append(read_fd)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _child(out, bounds[g], bounds[g + 1], work, write_fd)
-            finally:
-                os.close(write_fd)
-            pids.append(pid)
-        work(bounds[0], bounds[1])
-        for g, (pid, fd) in enumerate(zip(pids, fds), start=1):
-            _receive(fd, out[bounds[g] : bounds[g + 1]], g)
-            os.waitpid(pid, 0)
-            reaped += 1
-    finally:
-        if os.getpid() != parent:  # a child that raised before reaching ``_child``
-            os._exit(1)
-        for pid in pids[reaped:]:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for fd in fds:
-            os.close(fd)
+    slices = list(zip(bounds[:-1], bounds[1:]))
+
+    def run(lo, hi):
+        work(lo, hi)
+        return out[lo:hi]
+
+    with forking.children() as spawn:
+        groups = [spawn(run, lo, hi) for lo, hi in slices[1:]]
+        work(*slices[0])
+        for child, (lo, hi) in zip(groups, slices[1:]):
+            out[lo:hi] = child.join()
 
 
 def chain_ensemble(

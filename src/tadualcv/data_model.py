@@ -119,10 +119,21 @@ class Dataset:
         """A dataset over already stacked arrays, which it takes over and flags read-only.
 
         ``times`` and ``values`` hold every event in visit order, and visit
-        ``i`` owns rows ``starts[i]:starts[i + 1]``.
+        ``i`` owns rows ``starts[i]:starts[i + 1]``. ``DataError`` if the
+        arrays disagree on that layout or ``values`` is not ``len(features)``
+        wide.
         """
+        features, visit_ids = tuple(features), tuple(map(str, visit_ids))
+        if values.ndim != 2 or values.shape[1] != len(features):
+            raise DataError(f"values of shape {values.shape}, expected {len(features)} columns")
+        if times.shape != values.shape[:1]:
+            raise DataError(f"{len(times)} event times for {len(values)} value rows")
+        if starts.shape != (len(visit_ids) + 1,):
+            raise DataError(f"{len(starts)} visit starts for {len(visit_ids)} visits")
+        if starts[0] != 0 or starts[-1] != len(values) or np.any(np.diff(starts) < 0):
+            raise DataError(f"visit starts do not split {len(values)} rows in order")
         out = object.__new__(cls)
-        out._assign(tuple(features), tuple(map(str, visit_ids)), times, values, starts)
+        out._assign(features, visit_ids, times, values, starts)
         return out
 
     def _assign(self, features, visit_ids, times, values, starts, lengths=None, visit_of_row=None):

@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data_model import Dataset, FeatureSpec
+
 # The nugget starts at n * NUGGET_BASE and doubles up to NUGGET_MAX until the
 # correlation matrix factors; log10(alpha) is searched within the bounds.
 # Functions read them at call time, not as default arguments, so tests can
@@ -313,20 +315,18 @@ class GPStackedResult:
     diagnostics: list[str]
 
 
-def gp_impute_stacked(times, values, starts) -> GPStackedResult:
-    """GP-impute every (visit, feature) of a stacked ``(E, D)`` value matrix.
+def gp_impute_stacked(dataset: Dataset) -> GPStackedResult:
+    """GP-impute every (visit, feature) of a dataset's stacked ``(E, D)`` values.
 
-    ``times`` holds the ``(E,)`` event times and visit ``i`` owns rows
-    ``starts[i]:starts[i + 1]``. A (visit, feature) with a hole and at least
-    two observations is one fit; fits are bucketed by observed count and each
-    bucket is fitted and predicted as one batch. A (visit, feature) with a
-    hole and fewer than two observations is skipped, and so is one whose
-    correlation matrix does not factor at ``NUGGET_MAX``, with a diagnostic.
+    A (visit, feature) with a hole and at least two observations is one fit;
+    fits are bucketed by observed count and each bucket is fitted and
+    predicted as one batch. A (visit, feature) with a hole and fewer than two
+    observations is skipped, and so is one whose correlation matrix does not
+    factor at ``NUGGET_MAX``, with a diagnostic.
     """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    n_visits = len(starts) - 1
-    visit = np.repeat(np.arange(n_visits), np.diff(starts))
+    times = np.asarray(dataset.times, dtype=float)
+    values = dataset.values
+    n_visits, visit = dataset.n_visits, dataset.visit_of_row
     # problem id feature * n_visits + visit; the feature-major cell lists hold
     # each problem's observations (and holes) as one run in event order
     obs_f, obs_e = np.nonzero(~np.isnan(values.T))
@@ -379,8 +379,13 @@ def gp_impute_visit(times, values: np.ndarray) -> GPVisitResult:
     ``skipped_features``; per-feature numerical failures downgrade to a skip
     with a diagnostic instead of failing the visit.
     """
-    values = np.asarray(values, dtype=float)
-    result = gp_impute_stacked(times, values, [0, len(values)])
+    # copies: the dataset takes its arrays over and flags them read-only
+    values = np.array(values, dtype=float)
+    specs = [FeatureSpec(k, f"f_{k}") for k in range(values.shape[1])]
+    visit = Dataset.from_stacked(
+        specs, ["0"], np.array(times, dtype=float), values, np.array([0, len(values)])
+    )
+    result = gp_impute_stacked(visit)
     feats, events = np.nonzero(~np.isnan(result.fills.T))
     cells = list(zip(events.tolist(), feats.tolist()))
     return GPVisitResult(

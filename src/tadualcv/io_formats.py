@@ -38,9 +38,13 @@ from .data_model import (
 from .evaluation import EvalReport
 
 
+# every decimal these files hold is written with this one spec
+DECIMAL = "%.9g"
+
+
 def fmt(value: float) -> str:
     """Render a decimal with 9 significant digits."""
-    return f"{float(value):.9g}"
+    return DECIMAL % float(value)
 
 
 def read_feature_manifest(path) -> list[FeatureSpec]:
@@ -266,23 +270,29 @@ def emit_long_csv(dataset: Dataset, path) -> None:
     _emit_cells(path, dataset, rows, cols, dataset.values[rows, cols], "value")
 
 
-def _emit_wide(path, dataset: Dataset, rows) -> None:
-    """One line per event: visit id, time, then that event's cell strings.
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it inside a row, quoted where it must be."""
+    out = io.StringIO()
+    csv.writer(out).writerow([text, ""])
+    return out.getvalue()[: -len("," + csv.excel.lineterminator)]
 
-    ``rows`` yields one sequence of ``D`` strings per event, in stacked order.
+
+def _emit_wide(path, dataset: Dataset, cells: np.ndarray, spec: str) -> None:
+    """One line per event: visit id, time, then that event's row of ``cells``.
+
+    ``cells`` is ``(E, D)``. Each line is one ``%`` template with ``spec`` for
+    every cell, filled row by row; each visit id is quoted once, by
+    ``csv.writer``'s rules.
     """
     d = dataset.n_features
-    ids = map(dataset.visit_ids.__getitem__, dataset.visit_of_row.tolist())
+    line = ",".join(["%s", "%d"] + [spec] * d) + csv.excel.lineterminator
+    ids = [_csv_field(vid) for vid in dataset.visit_ids]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["visit_id", "time_min"] + [f"f_{k}" for k in range(d)])
-        writer.writerows(
-            [vid, t, *row] for vid, t, row in zip(ids, dataset.times.tolist(), rows)
+        csv.writer(fh).writerow(["visit_id", "time_min"] + [f"f_{k}" for k in range(d)])
+        fh.writelines(
+            line % (ids[v], t, *row.tolist())
+            for v, t, row in zip(dataset.visit_of_row.tolist(), dataset.times.tolist(), cells)
         )
-
-
-def _fmt_rows(values: np.ndarray):
-    return ([fmt(v) for v in row.tolist()] for row in values)
 
 
 def emit_wide_csv(dataset: Dataset, path) -> None:
@@ -291,17 +301,17 @@ def emit_wide_csv(dataset: Dataset, path) -> None:
     if incomplete.any():
         vid = dataset.visit_ids[dataset.visit_of_row[np.argmax(incomplete)]]
         raise DataError(f"visit {vid!r} still has missing cells")
-    _emit_wide(path, dataset, _fmt_rows(dataset.values))
+    _emit_wide(path, dataset, dataset.values, DECIMAL)
 
 
 def emit_std_csv(dataset: Dataset, stds: np.ndarray, path) -> None:
     """Per-cell imputation dispersion from an ``(E, D)`` array, zero at observed cells."""
-    _emit_wide(path, dataset, _fmt_rows(np.asarray(stds, dtype=float)))
+    _emit_wide(path, dataset, np.asarray(stds, dtype=float), DECIMAL)
 
 
 def emit_mi_csv(dataset: Dataset, path) -> None:
     """Missing indicators of the (pre-imputation) dataset: 1 where missing."""
-    _emit_wide(path, dataset, np.where(np.isnan(dataset.values), "1", "0").tolist())
+    _emit_wide(path, dataset, np.isnan(dataset.values), "%d")
 
 
 def _wide_block(scan: _Scan, rows, d: int, visit_index):

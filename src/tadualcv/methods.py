@@ -3,7 +3,8 @@
 Each model variant is one cell of a grid: a cross-visit part (none, the
 feature-perspective view alone, or the dual view) and the within-visit GP,
 on or off (``MODEL_VARIANTS``). All of them run one path: the cross-visit
-part, then the GP, fused visit by visit through a convex combination whose
+part, then the GP (in a forked child meanwhile, where ``forking.can_fork``
+allows), fused visit by visit through a convex combination whose
 weights favor whichever side showed the smaller dispersion for that visit.
 A hole the cross-visit part left open takes the GP fill; a hole neither
 filled takes its feature's mean. The feature-mean and expert-carry-forward
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import forking
 from .config import DEFAULT_ECF_WINDOWS, Config, ConfigError, check_ecf_windows
 from .data_model import DataError, Dataset
 from .dualcv import cfp_impute, dualcv_impute, per_visit_mean_std
@@ -127,12 +129,6 @@ def ecf_fill(dataset: Dataset, windows: dict[str, int] | None = None) -> Dataset
     return dataset.with_values(np.where(holes, fills, values))
 
 
-def _gp_per_visit(dataset: Dataset):
-    """GP fills/stds as ``(E, D)`` arrays plus per-visit mean GP std (NaN if no fills)."""
-    result = gp_impute_stacked(dataset.times, dataset.values, dataset.starts)
-    return result.fills, result.stds, per_visit_mean_std(dataset, result.stds)
-
-
 def _cross_visit(dataset: Dataset, cross: str | None, config: Config):
     """Cross-visit fills/stds as ``(E, D)`` arrays plus per-visit sigma (NaN if no fills)."""
     if cross == "dualcv":
@@ -169,15 +165,23 @@ def impute(dataset: Dataset, variant: str, config: Config | None = None) -> Impu
 
     cross, gp = MODEL_VARIANTS[variant]
     normalized, nmap = normalize(dataset)
-    fills, stds, sigma_m = _cross_visit(normalized, cross, config)
+    with forking.children() as spawn:
+        # the GP reads nothing the cross-visit part writes, so where forking is
+        # allowed it runs in a child while the cross-visit part runs here
+        forked = gp and cross is not None and forking.can_fork()
+        child = spawn(gp_impute_stacked, normalized) if forked else None
+        fills, stds, sigma_m = _cross_visit(normalized, cross, config)
+        if gp:
+            gp_out = child.join() if forked else gp_impute_stacked(normalized)
     if gp:
-        gp_fills, gp_stds, sigma_g = _gp_per_visit(normalized)
+        sigma_g = per_visit_mean_std(normalized, gp_out.stds)
         # theta stays NaN for visits the cross-visit part filled nothing
         theta1, theta2 = (
             np.where(np.isnan(sigma_m), np.nan, w) for w in fusion_weights(sigma_m, sigma_g)
         )
         t1, t2 = (w[normalized.visit_of_row][:, None] for w in (theta1, theta2))
-        fills, stds = fuse(fills, gp_fills, t1, t2), fuse(stds, gp_stds, t1, t2)
+        fills = fuse(fills, gp_out.fills, t1, t2)
+        stds = fuse(stds, gp_out.stds, t1, t2)
     else:
         sigma_g, theta1, theta2 = (np.full(n, np.nan) for _ in range(3))
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,12 @@ def make_dataset(visit_rows, kinds=None, names=None):
     features = [FeatureSpec(i, names[i], kinds[i]) for i in range(d)]
     visits = [Visit(vid, times, values) for vid, times, values in visit_rows]
     return Dataset(features, visits)
+
+
+def assert_no_child_left():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

@@ -19,6 +19,8 @@ from tadualcv.chained_equations import (
     sweep,
 )
 
+from conftest import assert_no_child_left
+
 NAN = float("nan")
 
 
@@ -299,11 +301,6 @@ def assert_same_bits(a, b):
     np.testing.assert_array_equal(
         np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64)
     )
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("groups", [1, 2, 3])

@@ -154,6 +154,45 @@ def test_dataset_layout_shapes_and_widths():
     assert ds.values.tolist() == [[1.0, 2.0]]
 
 
+def stacked_parts():
+    """Features, ids, times, values and starts of a consistent two-visit layout."""
+    return (
+        [FeatureSpec(0, "x"), FeatureSpec(1, "y")],
+        ["a", "b"],
+        np.array([0, 5, 3]),
+        np.ones((3, 2)),
+        np.array([0, 2, 3]),
+    )
+
+
+def test_from_stacked_accepts_a_consistent_layout():
+    ds = Dataset.from_stacked(*stacked_parts())
+    assert ds.lengths.tolist() == [2, 1] and ds.visit_of_row.tolist() == [0, 0, 1]
+    assert validate(ds) == []
+
+
+@pytest.mark.parametrize(
+    ("part", "bad", "message"),
+    [
+        ("visit_ids", ["a"], "3 visit starts for 1 visits"),
+        ("visit_ids", ["a", "b", "c"], "3 visit starts for 3 visits"),
+        ("times", np.array([0, 5]), "2 event times for 3 value rows"),
+        ("values", np.ones((4, 2)), "3 event times for 4 value rows"),
+        ("starts", np.array([0, 2]), "2 visit starts for 2 visits"),
+        ("starts", np.array([0, 2, 4]), "do not split 3 rows"),
+        ("starts", np.array([1, 2, 3]), "do not split 3 rows"),
+        ("starts", np.array([0, 3, 2]), "do not split 3 rows"),
+        ("values", np.ones((3, 3)), r"values of shape \(3, 3\), expected 2 columns"),
+        ("values", np.ones(3), r"values of shape \(3,\), expected 2 columns"),
+    ],
+)
+def test_from_stacked_rejects_a_layout_its_arrays_disagree_on(part, bad, message):
+    parts = dict(zip(["features", "visit_ids", "times", "values", "starts"], stacked_parts()))
+    parts[part] = bad
+    with pytest.raises(DataError, match=message):
+        Dataset.from_stacked(**parts)
+
+
 def test_mask_arrays_and_pairs_agree(two_visit_dataset):
     pairs = [(CellIndex(1, 1, 1), 50.0), (CellIndex(0, 0, 0), 1.0)]
     mask = MaskSet(pairs, strategy="random_rate", rate=0.5, seed=2)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tadualcv import gp_within_visit
+from tadualcv.data_model import Dataset, FeatureSpec
 from tadualcv.gp_within_visit import (
     corr,
     corr_matrix,
@@ -254,6 +255,13 @@ def near_duplicate_layout():
     return times, values[:, None], np.array([0, 5, 10, 15])
 
 
+def stacked(times, values, starts):
+    """A dataset over a stacked layout, one feature per column of ``values``."""
+    specs = [FeatureSpec(k, f"f_{k}") for k in range(values.shape[1])]
+    ids = [f"v{i}" for i in range(len(starts) - 1)]
+    return Dataset.from_stacked(specs, ids, times, values, np.asarray(starts))
+
+
 def singleton_fills(times, values, starts, visit, feature):
     """Fills and stds of one (visit, feature) fitted alone through the public API."""
     rows = slice(starts[visit], starts[visit + 1])
@@ -265,7 +273,7 @@ def singleton_fills(times, values, starts, visit, feature):
 
 def test_stacked_fits_are_bit_identical_to_singletons(bucket_fits):
     times, values, starts = ragged_layout()
-    result = gp_impute_stacked(times, values, starts)
+    result = gp_impute_stacked(stacked(times, values, starts))
     buckets = list(bucket_fits)
     sizes = [y.shape[1] for _, y, *_ in buckets]
     assert min(sizes) == 2 and max(sizes) >= 30 and len(set(sizes)) == len(sizes)
@@ -292,7 +300,7 @@ def test_nugget_escalates_only_for_the_ill_conditioned_member(monkeypatch, bucke
     # at the default nugget no Gaussian correlation matrix fails to factor
     monkeypatch.setattr(gp_within_visit, "NUGGET_BASE", 1e-20)
     times, values, starts = near_duplicate_layout()
-    result = gp_impute_stacked(times, values, starts)
+    result = gp_impute_stacked(stacked(times, values, starts))
     [(_, _, fits, ok, _)] = bucket_fits
     assert ok.all() and result.skipped == []
     assert fits.profile.nugget[0] > 3 * gp_within_visit.NUGGET_BASE
@@ -308,13 +316,14 @@ def test_member_failing_at_max_nugget_is_skipped_alone(monkeypatch):
     monkeypatch.setattr(gp_within_visit, "NUGGET_BASE", 1e-20)
     monkeypatch.setattr(gp_within_visit, "NUGGET_MAX", 1e-18)
     times, values, starts = near_duplicate_layout()
-    result = gp_impute_stacked(times, values, starts)
+    result = gp_impute_stacked(stacked(times, values, starts))
     assert result.skipped == [(0, 0)]
     assert len(result.diagnostics) == 1
     assert result.diagnostics[0].startswith("visit 0, feature 0: ill-conditioned correlation")
     assert np.isnan(result.fills[: starts[1]]).all()
     # the other two members keep the fills they get without the failing one
-    mates = gp_impute_stacked(times[starts[1]:], values[starts[1]:], starts[1:] - starts[1])
+    rest = slice(starts[1], None)
+    mates = gp_impute_stacked(stacked(times[rest], values[rest], starts[1:] - starts[1]))
     np.testing.assert_array_equal(result.fills[starts[1]:], mates.fills)
     np.testing.assert_array_equal(result.stds[starts[1]:], mates.stds)
     assert np.isfinite(mates.fills[np.isnan(values[starts[1]:])]).all()

@@ -131,6 +131,42 @@ def test_std_csv_zero_without_dispersion(tmp_path):
     assert rows == [["0", "0"], ["0", "0"]]
 
 
+def row_by_row_wide(path, dataset, cells):
+    """The wide writer as a csv.writer row per event and one fmt call per cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["visit_id", "time_min"] + [f"f_{k}" for k in range(dataset.n_features)])
+        for row, values in enumerate(cells):
+            vid = dataset.visit_ids[dataset.visit_of_row[row]]
+            writer.writerow([vid, int(dataset.times[row])] + [io_formats.fmt(v) for v in values])
+
+
+def test_wide_writers_match_the_row_by_row_writer(tmp_path):
+    ids = ["a,b", 'q"x', "new\nline", "cr\rx", " pad ", "", "plain"]
+    rng = np.random.default_rng(3)
+    n = 40
+    starts = np.concatenate(([0], np.sort(rng.choice(np.arange(1, n), len(ids) - 1, False)), [n]))
+    values = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-15, 15, size=(n, 3))
+    values[:4, 0] = [-0.0, 0.0, 1e300, 5e-324]
+    values[4, 1:] = [np.inf, -np.inf]
+    features = [FeatureSpec(k, f"n{k}") for k in range(3)]
+    ds = Dataset.from_stacked(features, ids, np.arange(n) * 7, values, starts)
+    stds = np.abs(values)
+    stds[5, 2] = NAN
+
+    io_formats.emit_wide_csv(ds, tmp_path / "wide.csv")
+    row_by_row_wide(tmp_path / "wide_oracle.csv", ds, values)
+    io_formats.emit_std_csv(ds, stds, tmp_path / "std.csv")
+    row_by_row_wide(tmp_path / "std_oracle.csv", ds, stds)
+    for name in ("std", "wide"):
+        written = (tmp_path / f"{name}.csv").read_bytes()
+        assert written == (tmp_path / f"{name}_oracle.csv").read_bytes()
+    # the cases the test is about reached the wide file
+    assert b'\r\n"a,b",0,-0,' in written and b'\n"q""x",' in written
+    back = io_formats.read_wide_csv(tmp_path / "wide.csv", features)
+    assert back.visit_ids == ds.visit_ids
+
+
 def test_mask_csv_round_trip(tmp_path):
     ds = make_dataset([("a", [0, 30], [[1.5, 2.5], [3.5, 4.5]])], names=["HR", "Temp"])
     mask = MaskSet([(CellIndex(0, 1, 0), 3.5)], strategy="random_rate", rate=0.5, seed=1)

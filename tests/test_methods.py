@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 import tadualcv.chained_equations as ce
+from tadualcv import forking, gp_within_visit
 from tadualcv.config import Config, ConfigError
 from tadualcv.data_model import DataError
 from tadualcv.dualcv import cfp_impute, dualcv_impute, per_visit_mean_std
 from tadualcv.evaluation import denormalize_value, normalize
-from tadualcv.gp_within_visit import gp_impute_visit
+from tadualcv.gp_within_visit import GPStackedResult, gp_impute_visit
 from tadualcv.methods import (
+    MODEL_VARIANTS,
     VARIANTS,
     ecf_fill,
     feature_means,
@@ -20,7 +22,7 @@ from tadualcv.methods import (
 )
 from tadualcv.synthetic import SynthConfig, generate
 
-from conftest import NAN, make_dataset
+from conftest import NAN, assert_no_child_left, make_dataset
 
 
 def test_fusion_weights_zero_gp_dispersion():
@@ -291,6 +293,82 @@ def test_impute_leaves_no_child_process(monkeypatch):
         impute(ds, "ta_dualcv", config)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def small_cohort():
+    ds, _ = generate(
+        SynthConfig(n_visits=6, n_features=3, events_per_visit=(4, 7),
+                    noise_scale=0.02, native_missing_rate=0.25, seed=5)
+    )
+    return ds
+
+
+def force_forking(monkeypatch, on):
+    """Forking on (the GP child, and two member groups per ensemble) or off, whatever the CPUs."""
+    monkeypatch.setattr(forking, "can_fork", lambda: on)
+    monkeypatch.setattr(ce, "_group_count", lambda n_members: min(n_members, 2 if on else 1))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_impute_same_bits_forked_or_in_process(monkeypatch, variant):
+    ds, config = small_cohort(), Config(chains=2, iterations=3, seed=0)
+    joined, join = [], forking.Child.join
+
+    def recording_join(child):
+        joined.append(join(child))
+        return joined[-1]
+
+    monkeypatch.setattr(forking.Child, "join", recording_join)
+    force_forking(monkeypatch, False)
+    alone = impute(ds, variant, config)
+    assert joined == []
+    force_forking(monkeypatch, True)
+    forked = impute(ds, variant, config)
+    assert_no_child_left()
+    # the GP ran in a child exactly where the variant has both parts
+    cross, gp = MODEL_VARIANTS.get(variant, (None, False))
+    gp_children = [r for r in joined if isinstance(r, GPStackedResult)]
+    assert len(gp_children) == (1 if cross and gp else 0)
+    for name in ("per_visit_sigma_m", "per_visit_sigma_g", "per_visit_theta1",
+                 "per_visit_theta2", "stds"):
+        a, b = getattr(alone, name), getattr(forked, name)
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+    np.testing.assert_array_equal(
+        alone.dataset.values.view(np.uint64), forked.dataset.values.view(np.uint64)
+    )
+
+
+def fail_in_child(monkeypatch, module, name, error):
+    """Make ``module.name`` raise ``error`` in any process but this one."""
+    parent, original = os.getpid(), getattr(module, name)
+
+    def failing(*args):
+        if os.getpid() != parent:
+            raise error
+        return original(*args)
+
+    monkeypatch.setattr(module, name, failing)
+
+
+@pytest.mark.parametrize("variant", ["ta_dualcv", "three_d_mice"])
+def test_gp_failure_in_its_child_is_raised_here(monkeypatch, variant):
+    force_forking(monkeypatch, True)
+    monkeypatch.setattr(ce, "_group_count", lambda n_members: 1)
+    error = gp_within_visit.IllConditionedCorrelationError("failed in the GP child")
+    fail_in_child(monkeypatch, gp_within_visit, "_fit", error)
+    with pytest.raises(gp_within_visit.IllConditionedCorrelationError,
+                       match="^failed in the GP child$"):
+        impute(small_cohort(), variant, Config(chains=2, iterations=2, seed=0))
+    assert_no_child_left()
+
+
+def test_cross_visit_failure_wins_over_a_gp_failure(monkeypatch):
+    force_forking(monkeypatch, True)
+    fail_in_child(monkeypatch, gp_within_visit, "_fit", ValueError("GP failed"))
+    fail_in_child(monkeypatch, ce, "_sweep", ce.DegenerateModelError("chains failed"))
+    with pytest.raises(ce.DegenerateModelError, match="^chains failed$"):
+        impute(small_cohort(), "ta_dualcv", Config(chains=2, iterations=2, seed=0))
+    assert_no_child_left()
 
 
 def _gp_parts(dataset):
