@@ -173,8 +173,8 @@ def _fit(aug, observed, use, col):
     row weight and ``use`` its design columns. Design columns a member leaves
     out get an identity row in its Gram matrix and a zero right-hand side, so
     their coefficients are 0 and every member's system has the same size.
-    Returns the coefficients ``(B, 1 + k)``, the inverse Grams and the
-    residual variances ``(B,)``.
+    Returns the coefficients ``(B, 1 + k)``, the inverses ``L^-1`` of the
+    Grams' lower Cholesky factors and the residual variances ``(B,)``.
     """
     p = aug.shape[1]
     weights = observed.astype(float)
@@ -192,50 +192,35 @@ def _fit(aug, observed, use, col):
     except np.linalg.LinAlgError as exc:
         raise DegenerateModelError(f"degenerate conditional model for column {col}") from exc
     inv_chol = _inv_lower(chol)
-    gram_inv = inv_chol.swapaxes(1, 2) @ inv_chol
-    beta = np.where(use, (gram_inv @ rhs[:, :, None])[:, :, 0], 0.0)
+    # G^-1 rhs = L^-T (L^-1 rhs)
+    beta = inv_chol.swapaxes(1, 2) @ (inv_chol @ rhs[:, :, None])
+    beta = np.where(use, beta[:, :, 0], 0.0)
 
     resid = aug[:, 1 + col] - (beta[:, None, :] @ aug)[:, 0]
     dof = np.maximum(1, observed.sum(axis=1) - use.sum(axis=1))
     sigma2 = (weights * resid * resid).sum(axis=1) / dof
-    return beta, gram_inv, sigma2
+    return beta, inv_chol, sigma2
 
 
-def _cov_factor(cov, sigma2):
-    """Lower Cholesky factors of the ``(B, p, p)`` coefficient covariances.
-
-    A member that does not factor retries with a ``1e-12 * sigma2`` jitter.
-    """
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        eye = np.eye(cov.shape[1])
-        out = np.empty_like(cov)
-        for b, (c, s2) in enumerate(zip(cov, sigma2)):
-            try:
-                out[b] = np.linalg.cholesky(c)
-            except np.linalg.LinAlgError:
-                out[b] = np.linalg.cholesky(c + 1e-12 * s2 * eye)
-        return out
-
-
-def _perturb(beta, gram_inv, sigma2, use, members, rngs):
+def _perturb(beta, inv_chol, sigma2, use, members, rngs):
     """Draw every member's coefficients from their approximate posterior.
 
-    Members whose residual variance is 0 keep their ridge fit and draw
-    nothing; the others draw ``standard_normal(p)`` over their own ``p``
-    design columns.
+    The draw is ``beta + sigma * L^-T z`` with ``z`` standard normal, so its
+    covariance is ``sigma2 * G^-1`` through the fit's own factor, with
+    ``sigma2`` at its point estimate. Members whose residual variance is 0
+    keep their ridge fit and draw nothing; the others draw
+    ``standard_normal(p)`` over their own ``p`` design columns. A left-out
+    column's row and column of ``L^-1`` are those of the identity, so its
+    coefficient stays 0.
     """
     draws = members[sigma2[members] > 0.0]
     if draws.size == 0:
         return beta
-    cov = sigma2[draws, None, None] * gram_inv[draws]
-    scale = _cov_factor(0.5 * (cov + cov.swapaxes(1, 2)), sigma2[draws])
-    z = np.zeros((draws.size, beta.shape[1]))
+    z = np.zeros((draws.size, beta.shape[1], 1))
     sizes = use[draws].sum(axis=1)
-    z[use[draws]] = np.concatenate([rngs[b].standard_normal(n) for b, n in zip(draws, sizes)])
+    z[use[draws], 0] = np.concatenate([rngs[b].standard_normal(n) for b, n in zip(draws, sizes)])
     beta = beta.copy()
-    beta[draws] += (scale @ z[:, :, None])[:, :, 0]
+    beta[draws] += np.sqrt(sigma2[draws])[:, None] * (inv_chol[draws].swapaxes(1, 2) @ z)[:, :, 0]
     return beta
 
 
@@ -314,8 +299,8 @@ def _pmm_step(aug, holes, inert, rngs, col):
         return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)
     observed = ~mis & active[:, None]
     use = _design_columns(inert, col)
-    beta, gram_inv, sigma2 = _fit(aug, observed, use, col)
-    beta = _perturb(beta, gram_inv, sigma2, use, np.flatnonzero(active), rngs)
+    beta, inv_chol, sigma2 = _fit(aug, observed, use, col)
+    beta = _perturb(beta, inv_chol, sigma2, use, np.flatnonzero(active), rngs)
 
     # One stacked product per member so identical predictor rows get
     # bitwise-identical predictions on either side of the split.

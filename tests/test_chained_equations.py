@@ -205,6 +205,59 @@ def test_per_cell_std_nonnegative_and_zero_on_agreement():
     assert result.per_cell_std[0] == 0.0  # every chain picks the exact donor
 
 
+def test_perturbed_coefficients_follow_their_posterior():
+    # Two groups of N members over one 30 x 4 design, each member with its own
+    # generator. Group 0 regresses column 1 on the intercept and columns 0, 2
+    # and 3; group 1 has column 3 inert. The last member's observed target is
+    # all 0, so its residual variance is 0.
+    rng = np.random.default_rng(40)
+    n, k, target, N = 30, 4, 1, 4000
+    matrix = rng.normal(size=(n, 1)) + 0.4 * rng.normal(size=(n, k))
+    matrix[:, target] = 1.0 + 2.0 * matrix[:, 0] - matrix[:, 2] + 0.3 * rng.normal(size=n)
+    observed = np.arange(n) >= 6
+    groups = [np.arange(N), np.arange(N, 2 * N)]
+    B = 2 * N + 1
+    inert = np.zeros((B, k), dtype=bool)
+    inert[groups[1], 3] = True
+    aug = np.empty((B, 1 + k, n))
+    aug[:, 0] = 1.0
+    aug[:, 1:] = matrix.T
+    aug[:, 1:][inert] = INERT_FILL
+    aug[-1, 1 + target] = np.where(observed, 0.0, 0.7)
+    use = ce._design_columns(inert, target)
+    beta, inv_chol, sigma2 = ce._fit(aug, np.broadcast_to(observed, (B, n)), use, target)
+    rngs = [np.random.default_rng((41, b)) for b in range(B)]
+    idle_state = rngs[-1].bit_generator.state
+    draws = ce._perturb(beta, inv_chol, sigma2, use, np.arange(B), rngs)
+
+    for members, predictors in zip(groups, ([0, 2, 3], [0, 2])):
+        design = np.column_stack([np.ones(n), matrix[:, predictors]])[observed]
+        y = matrix[observed, target]
+        p = design.shape[1]
+        mean = ridge_oracle(design, y)
+        resid = y - design @ mean
+        s2 = resid @ resid / (observed.sum() - p)
+        cov = s2 * np.linalg.inv(design.T @ design + RIDGE * np.eye(p))
+        np.testing.assert_allclose(sigma2[members], s2, rtol=1e-9)
+        # the target and any inert column keep a coefficient of exactly 0
+        cols = np.flatnonzero(use[members[0]])
+        np.testing.assert_array_equal(cols, [0, *(1 + np.array(predictors))])
+        assert np.all(draws[members][:, ~use[members[0]]] == 0.0)
+        sample = draws[members][:, cols]
+        # 5 standard errors from the sample size: the mean of N Gaussian draws
+        # has standard error sqrt(C_jj / N); a sample covariance entry has
+        # sqrt((C_ij^2 + C_ii C_jj) / N)
+        var = np.diag(cov)
+        assert np.all(np.abs(sample.mean(axis=0) - mean) <= 5 * np.sqrt(var / N))
+        cov_se = np.sqrt((cov**2 + np.outer(var, var)) / N)
+        assert np.all(np.abs(np.cov(sample, rowvar=False) - cov) <= 5 * cov_se)
+
+    # the zero-variance member keeps its ridge fit and draws no normals
+    assert sigma2[-1] == 0.0
+    assert_same_bits(draws[-1], beta[-1])
+    assert rngs[-1].bit_generator.state == idle_state
+
+
 def gibbs_oracle(matrix, m, t, seed, stream):
     """Plain per-chain Gibbs loop, written independently of the kernel.
 
@@ -239,9 +292,8 @@ def gibbs_oracle(matrix, m, t, seed, stream):
                 sigma2 = resid @ resid / max(1, obs.size - p)
                 if sigma2 > 0:
                     gram = design[obs].T @ design[obs] + RIDGE * np.eye(p)
-                    cov = sigma2 * np.linalg.inv(gram)
-                    scale = np.linalg.cholesky(0.5 * (cov + cov.T))
-                    beta = beta + scale @ rng.standard_normal(p)
+                    z = rng.standard_normal(p)
+                    beta = beta + np.sqrt(sigma2) * np.linalg.solve(np.linalg.cholesky(gram).T, z)
                 pred = design @ beta
                 u = rng.random(mis.size)
                 donors = obs[np.argsort(pred[obs], kind="stable")]
