@@ -10,8 +10,12 @@ both a point imputation and a dispersion estimate per hole.
 Donor matching: rows whose prediction ties the missing row's prediction
 exactly (identical predictor rows) are preferred and the draw is made among
 them; otherwise the draw is uniform over the ``PMM_DONORS`` nearest
-predictions. Either way the imputed value is always a member of the column's
-observed-value set.
+predictions, ranked by distance and then by position in the window of
+``PMM_DONORS`` sorted donors on either side of the hole. When more than
+``PMM_DONORS`` donors lie equally far below a hole, the draw is among the
+ones nearest to it in sorted order: with donor predictions ``[0] * 7 + [5]``
+and a hole at 1, the 3rd to 7th zeros. Either way the imputed value is
+always a member of the column's observed-value set.
 
 Every chain runs through one batched kernel. A member is one chain of one
 view (matrix) with its own generator; all members step through each column
@@ -227,60 +231,90 @@ def _perturb(beta, inv_chol, sigma2, use, members, rngs):
 def _match(pred, y, observed, holes, rngs):
     """PMM donors for every member's holes of one column.
 
-    ``pred``, ``y``, ``observed`` and ``holes`` are ``(B, n)``. Each member's
-    observed predictions, in row order and padded with ``+inf``, take one
-    stable sort; each hole then finds its insertion point with that member's
-    own ``searchsorted``. Preference order per hole: exact prediction ties
-    first (capped at ``PMM_DONORS``), otherwise the ``PMM_DONORS`` nearest
-    predictions. Returns the flat ``(member, row)`` hole indices,
-    member-major, and their donor values.
+    ``pred``, ``y``, ``observed`` and ``holes`` are ``(B, n)``. A hole draws
+    uniformly among the first ``PMM_DONORS`` donors, in row order, whose
+    prediction ties its own exactly, else among its ``PMM_DONORS`` nearest
+    donors. Those are ranked by distance, then by position in the window of
+    ``PMM_DONORS`` sorted donors on either side of the hole's insertion
+    point: on equal distance a donor below comes before one above, and of
+    donors equally far below, the lowest in the window comes first. Each
+    member with holes draws ``random(n_mis)``, in member order. Returns the
+    flat ``(member, row)`` hole indices, member-major, and their donor
+    values.
     """
-    n_obs = observed.sum(axis=1)
-    obs_member, obs_row = np.nonzero(observed)
-    obs_pos = np.arange(obs_member.size) - (np.cumsum(n_obs) - n_obs)[obs_member]
-    key = np.full((pred.shape[0], max(int(n_obs.max()), 1)), np.inf)
-    key[obs_member, obs_pos] = pred[obs_member, obs_row]
-    donor_y = np.zeros_like(key)
-    donor_y[obs_member, obs_pos] = y[obs_member, obs_row]
-    order = np.argsort(key, axis=1, kind="stable")
-    # PMM_DONORS slots of +inf on either side keep every donor window in range
-    width = key.shape[1] + 2 * PMM_DONORS
-    sorted_pred = np.full((pred.shape[0], width), np.inf)
-    sorted_pred[:, PMM_DONORS:-PMM_DONORS] = np.take_along_axis(key, order, axis=1)
-    sorted_y = np.take_along_axis(donor_y, order, axis=1)
+    k, n = PMM_DONORS, pred.shape[1]
+    member, row = divmod(np.flatnonzero(holes), n)
+    todo = np.flatnonzero(holes.any(axis=1))
+    counts = holes[todo].sum(axis=1)
+    u = np.concatenate([rngs[b].random(c) for b, c in zip(todo.tolist(), counts.tolist())])
 
-    member, row = np.nonzero(holes)
+    # One sort of all of a member's rows, holes and donors together, with
+    # exact ties put back in row order, as a stable sort of the donors has
+    # them. ``order`` then indexes the members' rows, flattened.
+    order = np.argsort(pred[todo], axis=1)
+    ranked = np.take_along_axis(pred[todo], order, axis=1)
+    run_start = np.ones(ranked.shape, dtype=bool)
+    run_start[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    ties = not run_start.all()
+    if ties:
+        by_row = np.argsort(np.cumsum(run_start, axis=1) * n + order, axis=1, kind="stable")
+        order, ranked = (np.take_along_axis(a, by_row, axis=1) for a in (order, ranked))
+    order = (order + n * np.arange(todo.size)[:, None]).ravel()
+    is_donor = observed[todo].ravel()[order]
+
+    # All members' donors in one flat array with k slots of +inf before,
+    # between and after them: a walk k slots out stays within its member.
+    ranks = np.flatnonzero(is_donor)
+    slot = np.arange(ranks.size) + k * (ranks // n + 1)
+    donor_pred = np.full(ranks.size + k * (todo.size + 1), np.inf)
+    donor_pred[slot] = ranked.ravel()[ranks]
+    donor_y = np.zeros_like(donor_pred)
+    donor_y[slot] = y[todo].ravel()[order[ranks]]
+
+    # a hole's insertion point: the donors before its run of equal predictions
+    below = np.cumsum(is_donor) - is_donor
+    if ties:
+        below = np.maximum.accumulate(np.where(run_start.ravel(), below, 0))
+    below_by_row = np.empty_like(below)
+    below_by_row[order] = below
+    which = np.repeat(np.arange(todo.size), counts)
+    lo = below_by_row[which * n + row] + k * (which + 1)
     q = pred[member, row]
-    counts = holes.sum(axis=1).tolist()
-    ends = np.cumsum(counts).tolist()
-    todo = [b for b, count in enumerate(counts) if count]
-    lo = np.concatenate(
-        [
-            np.searchsorted(sorted_pred[b, PMM_DONORS:], q[ends[b] - counts[b] : ends[b]])
-            for b in todo
-        ]
-    )
-    u = np.concatenate([rngs[b].random(counts[b]) for b in todo])
+    n_near = np.minimum(k, observed[todo].sum(axis=1)[which])
+    pick = np.minimum((u * n_near).astype(np.int64), n_near - 1)
 
-    # The k nearest neighbours in a sorted array lie within k slots of the
-    # insertion point, so ranking the 2k window around it is exact; padding
-    # slots are infinitely far. Windows run down axis 0.
-    dist = sorted_pred.ravel()[np.arange(2 * PMM_DONORS)[:, None] + (member * width + lo)]
-    dist -= q
-    np.abs(dist, out=dist)
+    # The pick-th nearest donor: pick steps outward from the insertion point,
+    # each to the nearer side (below on equal distance), then the nearer of
+    # the next two. Padding slots are infinitely far.
+    left, right = lo - 1, lo.copy()
+    for step in range(k - 1):
+        go_left = np.abs(donor_pred[left] - q) <= np.abs(donor_pred[right] - q)
+        left -= (step < pick) & go_left
+        right += (step < pick) & ~go_left
+    dist = np.abs(donor_pred[left] - q)
+    go_left = dist <= np.abs(donor_pred[right] - q)
+    pos = np.where(go_left, left, right)
 
-    # exact ties sit at the insertion point and after it: a uniform draw
-    # among the first PMM_DONORS of them
-    pool = (dist[PMM_DONORS:] == 0.0).sum(axis=0)
-    tie_pos = lo + np.minimum((u * pool).astype(np.int64), pool - 1)
+    # The walk meets a run of equally far donors below the hole top down and
+    # the window ranks it bottom up: mirror the pick within the run, clipped
+    # to the window's k slots below the insertion point.
+    def extends(end, side, sel):
+        inside = end + side < lo[sel] if side > 0 else end + side >= lo[sel] - k
+        return inside & (np.abs(donor_pred[end + side] - q[sel]) == dist[sel])
 
-    nearest = np.argsort(dist, axis=0, kind="stable")
-    k = np.minimum(PMM_DONORS, n_obs[member])
-    pick = np.minimum((u * k).astype(np.int64), k - 1)
-    free_pos = lo + np.take_along_axis(nearest, pick[None], axis=0)[0] - PMM_DONORS
+    odd = np.flatnonzero(go_left & (extends(left, 1, ...) | extends(left, -1, ...)))
+    top, bottom = left[odd], left[odd]
+    for _ in range(k - 1):
+        top += extends(top, 1, odd)
+        bottom -= extends(bottom, -1, odd)
+    pos[odd] = top + bottom - left[odd]
 
-    pos = np.where(pool > 0, tie_pos, free_pos)
-    return member, row, sorted_y[member, pos]
+    # exact ties start at the insertion point: a uniform draw among the
+    # first k of them
+    tied = np.flatnonzero(donor_pred[lo] == q)
+    pool = sum(donor_pred[lo[tied] + i] == q[tied] for i in range(k))
+    pos[tied] = lo[tied] + np.minimum((u[tied] * pool).astype(np.int64), pool - 1)
+    return member, row, donor_y[pos]
 
 
 def _pmm_step(aug, holes, inert, rngs, col):

@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tadualcv.chained_equations as ce
 from tadualcv.chained_equations import (
@@ -264,6 +266,13 @@ def gibbs_oracle(matrix, m, t, seed, stream):
     Bootstrap, then per sweep and column: ridge fit on the observed rows,
     coefficient perturbation, PMM; with the kernel's draw order and skip
     rules. Returns the ``(m, n, k)`` completed matrices.
+
+    Its PMM ranks all donors by distance, so when more than ``PMM_DONORS``
+    donors lie equally far below a hole it draws among the lowest in sorted
+    order, where the kernel draws among those nearest the hole
+    (``test_match_draws_from_the_window_when_many_donors_tie_below``). It
+    runs only on continuous inputs, whose predictions do not tie, so the
+    two rules never meet.
     """
     holes = np.isnan(matrix)
     n, k = matrix.shape
@@ -342,6 +351,164 @@ def test_chain_members_isolated_and_match_oracle():
     np.testing.assert_array_equal(batch[1][:, :, 2], INERT_FILL)
     np.testing.assert_array_equal(batch[1][:, :, 3], stack[1, 7, 3])
     np.testing.assert_array_equal(batch[2], np.broadcast_to(stack[2], batch[2].shape))
+
+
+# Reference for ``_match``, which must give its bits: a window-argsort donor
+# match with one stable sort of each member's donors, a searchsorted per
+# member and a stable argsort of each hole's 2k-slot window.
+def window_match_oracle(pred, y, observed, holes, rngs):
+    """PMM donors for every member's holes of one column.
+
+    ``pred``, ``y``, ``observed`` and ``holes`` are ``(B, n)``. Each member's
+    observed predictions, in row order and padded with ``+inf``, take one
+    stable sort; each hole then finds its insertion point with that member's
+    own ``searchsorted``. Preference order per hole: exact prediction ties
+    first (capped at ``PMM_DONORS``), otherwise the ``PMM_DONORS`` nearest
+    predictions. Returns the flat ``(member, row)`` hole indices,
+    member-major, and their donor values.
+    """
+    n_obs = observed.sum(axis=1)
+    obs_member, obs_row = np.nonzero(observed)
+    obs_pos = np.arange(obs_member.size) - (np.cumsum(n_obs) - n_obs)[obs_member]
+    key = np.full((pred.shape[0], max(int(n_obs.max()), 1)), np.inf)
+    key[obs_member, obs_pos] = pred[obs_member, obs_row]
+    donor_y = np.zeros_like(key)
+    donor_y[obs_member, obs_pos] = y[obs_member, obs_row]
+    order = np.argsort(key, axis=1, kind="stable")
+    # PMM_DONORS slots of +inf on either side keep every donor window in range
+    width = key.shape[1] + 2 * PMM_DONORS
+    sorted_pred = np.full((pred.shape[0], width), np.inf)
+    sorted_pred[:, PMM_DONORS:-PMM_DONORS] = np.take_along_axis(key, order, axis=1)
+    sorted_y = np.take_along_axis(donor_y, order, axis=1)
+
+    member, row = np.nonzero(holes)
+    q = pred[member, row]
+    counts = holes.sum(axis=1).tolist()
+    ends = np.cumsum(counts).tolist()
+    todo = [b for b, count in enumerate(counts) if count]
+    lo = np.concatenate(
+        [
+            np.searchsorted(sorted_pred[b, PMM_DONORS:], q[ends[b] - counts[b] : ends[b]])
+            for b in todo
+        ]
+    )
+    u = np.concatenate([rngs[b].random(counts[b]) for b in todo])
+
+    # The k nearest neighbours in a sorted array lie within k slots of the
+    # insertion point, so ranking the 2k window around it is exact; padding
+    # slots are infinitely far. Windows run down axis 0.
+    dist = sorted_pred.ravel()[np.arange(2 * PMM_DONORS)[:, None] + (member * width + lo)]
+    dist -= q
+    np.abs(dist, out=dist)
+
+    # exact ties sit at the insertion point and after it: a uniform draw
+    # among the first PMM_DONORS of them
+    pool = (dist[PMM_DONORS:] == 0.0).sum(axis=0)
+    tie_pos = lo + np.minimum((u * pool).astype(np.int64), pool - 1)
+
+    nearest = np.argsort(dist, axis=0, kind="stable")
+    k = np.minimum(PMM_DONORS, n_obs[member])
+    pick = np.minimum((u * k).astype(np.int64), k - 1)
+    free_pos = lo + np.take_along_axis(nearest, pick[None], axis=0)[0] - PMM_DONORS
+
+    pos = np.where(pool > 0, tie_pos, free_pos)
+    return member, row, sorted_y[member, pos]
+
+
+# Prediction levels for the match fuzz: exact ties, midpoints equally far
+# from two levels, signed zeros, and levels far enough apart that distances
+# from one to values a few ulp apart near another round equal.
+LEVELS = (-2.0, -0.0, 0.0, 0.5, 1.0, 2.0, 3.0, 8.0, 1e6)
+
+
+@st.composite
+def match_inputs(draw):
+    """``_match`` arguments as ``_pmm_step`` passes them, dense in ties.
+
+    Member 0 has holes; any other member has holes, no holes, or no rows at
+    all (inactive). A member with holes has at least two donors. Donors
+    predict a cluster of values a few ulp apart or one of up to three
+    levels; holes predict up to three levels, which donors may or may not
+    share.
+    """
+    n = draw(st.integers(3, 30))
+    value = draw(st.sampled_from(LEVELS))
+    cluster = []
+    for step in draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)):
+        cluster.append(value)
+        for _ in range(step):
+            value = np.nextafter(value, np.inf)
+    donor_levels = st.sampled_from(cluster + draw(st.lists(st.sampled_from(LEVELS), max_size=3)))
+    hole_levels = st.sampled_from(draw(st.lists(st.sampled_from(LEVELS), min_size=1, max_size=3)))
+    kinds = ["holes"] + draw(st.lists(st.sampled_from(["holes", "full", "inactive"]), max_size=4))
+    B = len(kinds)
+    observed = np.zeros((B, n), dtype=bool)
+    holes = np.zeros((B, n), dtype=bool)
+    for b, kind in enumerate(kinds):
+        if kind == "full":
+            observed[b] = True
+        elif kind == "holes":
+            n_obs = draw(st.integers(2, n - 1))
+            rows = np.array(draw(st.permutations(range(n))))
+            observed[b, rows[:n_obs]] = True
+            holes[b, rows[n_obs:]] = True
+    pred = np.array([draw(hole_levels if hole else donor_levels) for hole in holes.ravel()])
+    y = np.random.default_rng(draw(st.integers(0, 2**32))).normal(size=(B, n))
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=B, max_size=B))
+    return pred.reshape(B, n), y, observed, holes, seeds
+
+
+def assert_match_equals_oracle(pred, y, observed, holes, seeds):
+    """Same holes, same donor bits and same generator states as the oracle."""
+    results = []
+    for match in (ce._match, window_match_oracle):
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        member, row, fills = match(pred, y, observed, holes, rngs)
+        results.append((member, row, fills, [r.bit_generator.state for r in rngs]))
+    (member, row, fills, states), (o_member, o_row, o_fills, o_states) = results
+    np.testing.assert_array_equal(member, o_member)
+    np.testing.assert_array_equal(row, o_row)
+    assert_same_bits(fills, o_fills)
+    assert states == o_states
+
+
+def equal_distance_runs():
+    """Runs of equally far donors longer than ``PMM_DONORS`` on both sides.
+
+    Two members with nine donors at 0 and nine at 1, six holes at 0.5 and
+    one each at 0, 1 and 0.25.
+    """
+    row = np.array([0.0] * 9 + [1.0] * 9 + [0.5] * 6 + [0.0, 1.0, 0.25])
+    pred = np.stack([row, row[::-1]])
+    holes = np.zeros(pred.shape, dtype=bool)
+    holes[0, 18:] = True
+    holes[1, :9] = True
+    y = np.arange(pred.size, dtype=float).reshape(pred.shape)
+    return pred, y, ~holes, holes, [3, 103]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(match_inputs())
+@example(equal_distance_runs())
+def test_match_same_bits_as_window_oracle(inputs):
+    assert_match_equals_oracle(*inputs)
+
+
+def test_match_draws_from_the_window_when_many_donors_tie_below():
+    # Seven donors predict 0 and one predicts 5; the hole predicts 1. The
+    # five nearest donors all predict 0, and the ranked window holds the
+    # five just below the insertion point, lowest first: rows 2..6, not the
+    # rows 0..4 that a sort over all donors (gibbs_oracle's rule) gives.
+    pred = np.array([[0.0] * 7 + [5.0, 1.0]])
+    y = np.arange(9.0)[None]
+    holes = np.arange(9)[None] == 8
+    drawn = set()
+    for seed in range(40):
+        u = np.random.default_rng(seed).random()
+        _, _, fills = ce._match(pred, y, ~holes, holes, [np.random.default_rng(seed)])
+        assert fills.tolist() == [2.0 + int(5 * u)]
+        drawn.add(fills[0])
+    assert drawn == {2.0, 3.0, 4.0, 5.0, 6.0}
 
 
 def force_groups(monkeypatch, groups):
