@@ -248,18 +248,21 @@ def _match(pred, y, observed, holes, rngs):
     counts = holes[todo].sum(axis=1)
     u = np.concatenate([rngs[b].random(c) for b, c in zip(todo.tolist(), counts.tolist())])
 
-    # One sort of all of a member's rows, holes and donors together, with
-    # exact ties put back in row order, as a stable sort of the donors has
-    # them. ``order`` then indexes the members' rows, flattened.
+    # One sort of all of a member's rows, holes and donors together.
+    # ``order`` indexes the members' rows, flattened. ``start`` marks where
+    # a run of equal predictions starts, a new member included; only the
+    # positions in runs of two or more (``in_run``) are then sorted by (run,
+    # row), which puts exact ties back in row order, as a stable sort of the
+    # donors has them.
     order = np.argsort(pred[todo], axis=1)
-    ranked = np.take_along_axis(pred[todo], order, axis=1)
-    run_start = np.ones(ranked.shape, dtype=bool)
-    run_start[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-    ties = not run_start.all()
-    if ties:
-        by_row = np.argsort(np.cumsum(run_start, axis=1) * n + order, axis=1, kind="stable")
-        order, ranked = (np.take_along_axis(a, by_row, axis=1) for a in (order, ranked))
+    ranked = np.take_along_axis(pred[todo], order, axis=1).ravel()
     order = (order + n * np.arange(todo.size)[:, None]).ravel()
+    start = np.ones(ranked.size + 1, dtype=bool)
+    start[1:-1] = ranked[1:] != ranked[:-1]
+    start[n::n] = True
+    in_run = np.flatnonzero(~(start[:-1] & start[1:]))
+    by_row = in_run[np.argsort(np.cumsum(start[in_run]) * ranked.size + order[in_run])]
+    order[in_run], ranked[in_run] = order[by_row], ranked[by_row]
     is_donor = observed[todo].ravel()[order]
 
     # All members' donors in one flat array with k slots of +inf before,
@@ -267,14 +270,13 @@ def _match(pred, y, observed, holes, rngs):
     ranks = np.flatnonzero(is_donor)
     slot = np.arange(ranks.size) + k * (ranks // n + 1)
     donor_pred = np.full(ranks.size + k * (todo.size + 1), np.inf)
-    donor_pred[slot] = ranked.ravel()[ranks]
+    donor_pred[slot] = ranked[ranks]
     donor_y = np.zeros_like(donor_pred)
     donor_y[slot] = y[todo].ravel()[order[ranks]]
 
     # a hole's insertion point: the donors before its run of equal predictions
     below = np.cumsum(is_donor) - is_donor
-    if ties:
-        below = np.maximum.accumulate(np.where(run_start.ravel(), below, 0))
+    below[in_run] = np.maximum.accumulate(np.where(start[in_run], below[in_run], 0))
     below_by_row = np.empty_like(below)
     below_by_row[order] = below
     which = np.repeat(np.arange(todo.size), counts)
@@ -297,16 +299,17 @@ def _match(pred, y, observed, holes, rngs):
 
     # The walk meets a run of equally far donors below the hole top down and
     # the window ranks it bottom up: mirror the pick within the run, clipped
-    # to the window's k slots below the insertion point.
-    def extends(end, side, sel):
-        inside = end + side < lo[sel] if side > 0 else end + side >= lo[sel] - k
-        return inside & (np.abs(donor_pred[end + side] - q[sel]) == dist[sel])
-
-    odd = np.flatnonzero(go_left & (extends(left, 1, ...) | extends(left, -1, ...)))
+    # to the window's k slots below the insertion point, lo - k to lo - 1.
+    # A neighbour outside those bounds is read but never counted.
+    odd = np.flatnonzero(go_left & (
+        (left < lo - 1) & (np.abs(donor_pred[left + 1] - q) == dist)
+        | (left > lo - k) & (np.abs(donor_pred[left - 1] - q) == dist)))
+    q_odd, dist_odd, lo_odd = q[odd], dist[odd], lo[odd]
     top, bottom = left[odd], left[odd]
     for _ in range(k - 1):
-        top += extends(top, 1, odd)
-        bottom -= extends(bottom, -1, odd)
+        top += (top < lo_odd - 1) & (np.abs(donor_pred[top + 1] - q_odd) == dist_odd)
+    for _ in range(k - 1):
+        bottom -= (bottom > lo_odd - k) & (np.abs(donor_pred[bottom - 1] - q_odd) == dist_odd)
     pos[odd] = top + bottom - left[odd]
 
     # exact ties start at the insertion point: a uniform draw among the
