@@ -173,18 +173,24 @@ def _inv_lower(chol):
 def _fit(aug, observed, use, col):
     """Ridge fits of column ``col`` for every member, over its observed rows.
 
-    ``aug`` is ``(B, 1 + k, n)``, ``observed`` ``(B, n)`` each member's 0/1
-    row weight and ``use`` its design columns. Design columns a member leaves
-    out get an identity row in its Gram matrix and a zero right-hand side, so
-    their coefficients are 0 and every member's system has the same size.
-    Returns the coefficients ``(B, 1 + k)``, the inverses ``L^-1`` of the
-    Grams' lower Cholesky factors and the residual variances ``(B,)``.
+    ``aug`` is ``(B, 1 + k, n)``, ``observed`` ``(B, n)`` each member's
+    observed rows and ``use`` its design columns. Adjacent members with the
+    same observed rows (the chains of one view) form a run, and each run's
+    observed columns of ``aug`` are taken once. The Gram matrix and the
+    residual variance are then sums over a member's observed rows alone, so
+    every product's shape, and so its bits, depend on that member only.
+    Design columns a member leaves out get an identity row in its Gram
+    matrix and a zero right-hand side, so their coefficients are 0 and every
+    member's system has the same size. Returns the coefficients
+    ``(B, 1 + k)``, the inverses ``L^-1`` of the Grams' lower Cholesky
+    factors and the residual variances ``(B,)``.
     """
-    p = aug.shape[1]
-    weights = observed.astype(float)
-    weighted = aug * weights[:, None, :]
-    # column 1 + col of A'WA is A'Wy, the right-hand side
-    gram = aug @ weighted.swapaxes(1, 2)
+    n_members, p, _ = aug.shape
+    cuts = np.flatnonzero((observed[1:] != observed[:-1]).any(axis=1)) + 1
+    runs = list(zip([0, *cuts], [*cuts, n_members]))
+    rows = [np.compress(observed[lo], aug[lo:hi], axis=2) for lo, hi in runs]
+    # column 1 + col of A'A is A'y, the right-hand side
+    gram = np.concatenate([x @ x.swapaxes(1, 2) for x in rows])
     rhs = np.where(use, gram[:, :, 1 + col], 0.0)
     gram = np.where(use[:, :, None] & use[:, None, :], gram, 0.0)
     gram[:, range(p), range(p)] += np.where(use, RIDGE, 1.0)
@@ -200,9 +206,9 @@ def _fit(aug, observed, use, col):
     beta = inv_chol.swapaxes(1, 2) @ (inv_chol @ rhs[:, :, None])
     beta = np.where(use, beta[:, :, 0], 0.0)
 
-    resid = aug[:, 1 + col] - (beta[:, None, :] @ aug)[:, 0]
+    resid = [x[:, 1 + col] - (beta[lo:hi, None, :] @ x)[:, 0] for x, (lo, hi) in zip(rows, runs)]
     dof = np.maximum(1, observed.sum(axis=1) - use.sum(axis=1))
-    sigma2 = (weights * resid * resid).sum(axis=1) / dof
+    sigma2 = np.concatenate([(r * r).sum(axis=1) for r in resid]) / dof
     return beta, inv_chol, sigma2
 
 
@@ -342,6 +348,9 @@ def _pmm_step(aug, holes, inert, rngs, col):
     # One stacked product per member so identical predictor rows get
     # bitwise-identical predictions on either side of the split.
     pred = (beta[:, None, :] @ aug)[:, 0]
+    # the fit never reads a hole's predictors: a non-finite one shows here
+    if not np.isfinite(pred[active]).all():
+        raise DegenerateModelError(f"degenerate conditional model for column {col}")
     member, row, fills = _match(pred, aug[:, 1 + col], observed, mis & active[:, None], rngs)
     aug[member, 1 + col, row] = fills
     return member, row, fills

@@ -119,6 +119,15 @@ def test_failed_gram_factorization_raises():
         pmm_draw(state, 1)
 
 
+def test_nonfinite_predictor_at_a_hole_raises():
+    # the fit reads only the target's observed rows, so an infinite predictor
+    # where the target is missing never reaches the Gram matrix
+    matrix = np.array([[1.0, 1.0], [np.inf, NAN], [3.0, 2.0], [4.0, 3.0], [5.0, NAN]])
+    state = initialize_fills(matrix, np.random.default_rng(0))
+    with pytest.raises(DegenerateModelError, match="^degenerate conditional model for column 1$"):
+        pmm_draw(state, 1)
+
+
 def test_sweep_no_missing_leaves_matrix_unchanged():
     matrix = np.array([[1.0, 2.0], [3.0, 4.0]])
     state = initialize_fills(matrix, np.random.default_rng(0))
@@ -258,6 +267,43 @@ def test_perturbed_coefficients_follow_their_posterior():
     assert sigma2[-1] == 0.0
     assert_same_bits(draws[-1], beta[-1])
     assert rngs[-1].bit_generator.state == idle_state
+
+
+def test_fit_same_bits_alone_as_in_a_ragged_batch():
+    # Members 0-2 are chains of one view and share their observed rows;
+    # member 3 has none, as an inactive member has; members 4 and 5 are
+    # adjacent members of different views with equal observed rows; member 6
+    # has column 3 inert and differs from member 5 in its last row only.
+    rng = np.random.default_rng(50)
+    n, k, target, B = 20, 4, 1, 7
+    matrix = rng.normal(size=(B, n, 1)) + 0.5 * rng.normal(size=(B, n, k))
+    matrix[:, :, target] = 1.0 + 2.0 * matrix[:, :, 0] - matrix[:, :, 2] + 0.3 * rng.normal(size=(B, n))
+    shared, equal = rng.random(n) < 0.6, rng.random(n) < 0.5
+    last = equal.copy()
+    last[-1] = not last[-1]
+    observed = np.stack([shared] * 3 + [np.zeros(n, bool), equal, equal, last])
+    inert = np.zeros((B, k), dtype=bool)
+    inert[6, 3] = True
+    aug = np.empty((B, 1 + k, n))
+    aug[:, 0] = 1.0
+    aug[:, 1:] = matrix.swapaxes(1, 2)
+    aug[:, 1:][inert] = INERT_FILL
+    use = ce._design_columns(inert, target)
+    batch = ce._fit(aug, observed, use, target)
+
+    for b in range(B):
+        alone = ce._fit(aug[b:b + 1], observed[b:b + 1], use[b:b + 1], target)
+        for got, want in zip(batch, alone):
+            assert_same_bits(got[b], want[0])
+        design = aug[b][use[b]].T[observed[b]]
+        y = aug[b, 1 + target, observed[b]]
+        mean = ridge_oracle(design, y)
+        resid = y - design @ mean
+        s2 = resid @ resid / max(1, observed[b].sum() - design.shape[1])
+        np.testing.assert_allclose(batch[0][b, use[b]], mean, rtol=1e-9)
+        assert np.all(batch[0][b, ~use[b]] == 0.0)
+        np.testing.assert_allclose(batch[2][b], s2, rtol=1e-9)
+    assert np.all(batch[0][3] == 0.0) and batch[2][3] == 0.0
 
 
 def gibbs_oracle(matrix, m, t, seed, stream):
