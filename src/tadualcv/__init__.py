@@ -24,7 +24,6 @@ from .chained_equations import (
     initialize_fills,
     pmm_draw,
     run_chains,
-    sweep,
 )
 from .dualcv import (
     cfp_impute,

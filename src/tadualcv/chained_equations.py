@@ -22,11 +22,13 @@ view (matrix) with its own generator; all members step through each column
 in lockstep, with one ridge fit, one coefficient perturbation and one donor
 match per column step for the whole batch. Members may have different hole
 patterns but share the matrix shape. The kernel only combines values of the
-same member, so a chain gives the same bits alone or in any batch;
-``run_chains``, ``sweep``, ``pmm_draw`` and ``fit_conditional`` are batches
-of one view. ``chain_ensemble`` splits its members into contiguous groups,
-one per usable CPU, and runs every group but the first in a forked child
-(``forking``); the output does not depend on the number of groups.
+same member, so a chain gives the same bits alone or in any batch. Both
+cross-visit views call ``chain_ensemble`` with their stack of views, and
+``run_chains`` and ``pmm_draw`` are batches of one view; ``pool_chains`` turns
+every caller's chains into per-cell means and stds. ``chain_ensemble`` splits
+its members into contiguous groups, one per usable CPU, and runs every group
+but the first in a forked child (``forking``); the output does not depend on
+the number of groups.
 """
 
 from __future__ import annotations
@@ -50,16 +52,6 @@ class DegenerateModelError(RuntimeError):
     """Conditional model could not be fit (singular design despite ridge)."""
 
 
-@dataclass
-class ConditionalModel:
-    """Ridge regression of one column on the others, intercept first."""
-
-    target_column: int
-    predictor_columns: list[int]
-    coefficients: np.ndarray
-    residual_scale: float
-
-
 class ChainState:
     """Mutable working state of one chain: completed matrix plus bookkeeping.
 
@@ -78,10 +70,6 @@ class ChainState:
     @property
     def matrix(self) -> np.ndarray:
         return self.aug[1:].T
-
-    @property
-    def observed(self) -> list[np.ndarray]:
-        return [np.nonzero(~h)[0] for h in self.holes]
 
     def batch(self):
         """The chain as a batch of one: ``(aug, holes, inert, rngs)``."""
@@ -428,40 +416,26 @@ def chain_ensemble(
     return aug[:, 1:].reshape(n_views, m, k, n).swapaxes(2, 3)
 
 
-def fit_conditional(state: ChainState, target_column: int) -> ConditionalModel:
-    """Ridge least squares of the target on all other non-inert columns.
-
-    Fit over the target's observed rows using the current completed values of
-    the predictors. Falls back to an intercept-only model when every other
-    column is inert.
-    """
-    col = target_column
-    aug, holes, inert, _ = state.batch()
-    use = _design_columns(inert, col)
-    beta, _, sigma2 = _fit(aug, ~holes[:, col], use, col)
-    predictors = np.flatnonzero(use[0, 1:]).tolist()
-    return ConditionalModel(col, predictors, beta[0, use[0]], float(np.sqrt(sigma2[0])))
-
-
 def pmm_draw(state: ChainState, target_column: int) -> np.ndarray:
     """Refresh one column's fills via predictive mean matching.
 
     Fits the conditional model, perturbs its coefficients, predicts both
     observed and missing rows, and writes donor values into the holes.
-    Returns the new fills in missing-row order; a column ``sweep`` would
-    skip is left as it is.
+    Returns the new fills in missing-row order; a column a sweep would skip
+    is left as it is.
     """
     return _pmm_step(*state.batch(), target_column)[2]
 
 
-def sweep(state: ChainState) -> ChainState:
-    """One Gibbs pass: update every eligible column in ascending index order.
+def pool_chains(per_chain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell mean and std over the chains of an ``(m, cells)`` block.
 
-    Columns are skipped when inert, complete, or too thin to regress
-    (fewer than two observed entries keep their bootstrap fill frozen).
+    The std is the sample standard deviation (ddof=1), zero for one chain.
     """
-    _sweep(*state.batch())
-    return state
+    mean = per_chain.mean(axis=0)
+    if len(per_chain) == 1:
+        return mean, np.zeros_like(mean)
+    return mean, per_chain.std(axis=0, ddof=1)
 
 
 def run_chains(
@@ -485,14 +459,5 @@ def run_chains(
     holes = np.isnan(matrix)
     rows, cols = np.nonzero(holes)
     cells = list(zip(rows.tolist(), cols.tolist()))
-    if not cells:
-        empty = np.zeros(0)
-        return ChainEnsembleResult(cells, np.zeros((m, 0)), empty, empty.copy())
-
     per_chain = chain_ensemble(matrix[None], m, t, master_seed, [stream])[0][:, holes]
-    pooled = per_chain.mean(axis=0)
-    if m > 1:
-        std = per_chain.std(axis=0, ddof=1)
-    else:
-        std = np.zeros(len(cells))
-    return ChainEnsembleResult(cells, per_chain, pooled, std)
+    return ChainEnsembleResult(cells, per_chain, *pool_chains(per_chain))

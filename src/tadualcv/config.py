@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+from .data_model import FEATURE_KINDS
 
 
 class ConfigError(ValueError):
@@ -15,8 +18,13 @@ CTP_TRUNCATE_MODES = ("keep_last", "keep_first")
 
 
 def check_ecf_windows(windows: dict[str, int]) -> None:
-    """Raise ``ConfigError`` unless every carry-forward window is positive."""
+    """Raise ``ConfigError`` unless every carry-forward window is positive.
+
+    Each window is keyed by a feature kind of ``data_model.FEATURE_KINDS``.
+    """
     for kind, minutes in windows.items():
+        if kind not in FEATURE_KINDS:
+            raise ConfigError(f"unknown ECF window kind {kind!r}, expected one of {FEATURE_KINDS}")
         if minutes <= 0:
             raise ConfigError(f"ECF window for {kind!r} must be positive")
 
@@ -42,6 +50,8 @@ class Config:
     seed: int = 0
 
     def __post_init__(self):
+        if not (math.isfinite(self.w1) and math.isfinite(self.w2)):
+            raise ConfigError(f"view weights must be finite, got {self.w1} and {self.w2}")
         if abs(self.w1 + self.w2 - 1.0) > 1e-12:
             raise ConfigError(f"w1 + w2 must equal 1, got {self.w1} + {self.w2}")
         if self.w1 < 0 or self.w2 < 0:

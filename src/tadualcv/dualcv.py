@@ -11,39 +11,25 @@ feature-perspective fill alone: cells of visits longer than the median, and
 cells of a time-step column with no observations in the temporal view, whose
 chains would only carry a placeholder.
 
-Fills and stds come back as arrays over the stacked layout, NaN where a
-stage gave no value, so the compromise is one elementwise expression.
+Both views reach the chain kernel the same way: each passes its stack of
+matrices to ``chain_ensemble`` and pools the chains with ``pool_chains``. Fills
+and stds come back as arrays over the stacked layout, NaN where a stage gave
+no value, so the compromise is one elementwise expression.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .chained_equations import chain_ensemble, run_chains
+from .chained_equations import chain_ensemble, pool_chains
+# run_chains stays importable here because perfbench/tracing.py wraps dualcv.run_chains
+from .chained_equations import run_chains  # noqa: F401
 from .config import Config
 from .data_model import CellIndex, Dataset, median_event_count
 
 # Seed-stream tags keeping the two views' randomness disjoint.
 _CFP_STREAM = 1
 _CTP_STREAM = 2
-
-
-@dataclass
-class CtpView:
-    """One feature's (visits x median-length) matrix.
-
-    ``event_of[i, m]`` is the event index behind column m of visit i, or -1
-    for padding placeholders. Placeholder cells are holes during the run but
-    their fills are discarded on the way out.
-    """
-
-    feature: int
-    matrix: np.ndarray
-    event_of: np.ndarray
-    n_padded: np.ndarray
-    n_truncated: np.ndarray
 
 
 def _ctp_stack(dataset: Dataset, t_med: int, truncate: str):
@@ -64,24 +50,18 @@ def _ctp_stack(dataset: Dataset, t_med: int, truncate: str):
     return values.transpose(2, 0, 1), event_of, np.maximum(t_med - lengths, 0), n_truncated
 
 
-def build_ctp_view(dataset: Dataset, feature: int, t_med: int, truncate: str) -> CtpView:
-    stack, event_of, n_padded, n_truncated = _ctp_stack(dataset, t_med, truncate)
-    return CtpView(feature, stack[feature], event_of, n_padded, n_truncated)
-
-
 def cfp_impute(dataset: Dataset, config: Config) -> tuple[np.ndarray, np.ndarray]:
     """Chained-equation fills for every hole, run on the stacked layout.
 
     Returns (fills, chain stds) as ``(E, D)`` arrays that are NaN at
     observed cells. Expects range-normalized data.
     """
-    result = run_chains(
-        dataset.values, config.chains, config.iterations, config.seed, stream=(_CFP_STREAM,)
+    completed = chain_ensemble(
+        dataset.values[None], config.chains, config.iterations, config.seed, [(_CFP_STREAM,)]
     )
     holes = np.isnan(dataset.values)
     fills, stds = np.full(holes.shape, np.nan), np.full(holes.shape, np.nan)
-    fills[holes] = result.pooled_fill
-    stds[holes] = result.per_cell_std
+    fills[holes], stds[holes] = pool_chains(completed[0][:, holes])
     return fills, stds
 
 
@@ -98,15 +78,12 @@ def ctp_impute(
     if t_med < 1:
         raise ValueError("t_med must be >= 1")
     stack, event_of, _, _ = _ctp_stack(dataset, t_med, config.ctp_truncate)
-    m = config.chains
     streams = [(_CTP_STREAM, feature) for feature in range(dataset.n_features)]
-    completed = chain_ensemble(stack, m, config.iterations, config.seed, streams)
+    completed = chain_ensemble(stack, config.chains, config.iterations, config.seed, streams)
 
     holes = np.isnan(stack)
     kept = holes & (event_of >= 0) & ~holes.all(axis=1, keepdims=True)
-    per_chain = completed.swapaxes(0, 1)[:, kept]
-    pooled = per_chain.mean(axis=0)
-    std = per_chain.std(axis=0, ddof=1) if m > 1 else np.zeros_like(pooled)
+    pooled, std = pool_chains(completed.swapaxes(0, 1)[:, kept])
     feature, row, col = np.nonzero(kept)
     cells = [
         CellIndex(r, e, f)
@@ -125,26 +102,12 @@ def compromise(cfp, ctp, t_i, t_med: int, w1: float, w2: float):
     return np.where((t_i > t_med) | np.isnan(ctp), cfp, w1 * cfp + w2 * ctp)
 
 
-@dataclass
-class DualcvOutput:
-    """Combined fills and stds plus their per-visit dispersion.
-
-    ``fills``/``stds`` are ``(E, D)`` arrays on the caller's (normalized)
-    scale, NaN at observed cells. ``per_visit_sigma`` is NaN for visits that
-    had nothing to impute.
-    """
-
-    per_visit_sigma: np.ndarray
-    fills: np.ndarray
-    stds: np.ndarray
-
-
-def dualcv_impute(dataset: Dataset, config: Config) -> DualcvOutput:
+def dualcv_impute(dataset: Dataset, config: Config) -> tuple[np.ndarray, np.ndarray]:
     """Run both views and blend them cell by cell.
 
-    Per-cell dispersion combines the two views' chain stds with the same
-    weights used for the fills; a visit's sigma is the mean over its imputed
-    cells.
+    Returns (fills, stds) as ``(E, D)`` arrays that are NaN at observed
+    cells, like ``cfp_impute``. Per-cell dispersion combines the two views'
+    chain stds with the same weights used for the fills.
     """
     t_med = median_event_count(dataset)
     cfp_fills, cfp_stds = cfp_impute(dataset, config)
@@ -158,7 +121,7 @@ def dualcv_impute(dataset: Dataset, config: Config) -> DualcvOutput:
     t_i = dataset.lengths[dataset.visit_of_row][:, None]
     fills = compromise(cfp_fills, ctp_fills, t_i, t_med, config.w1, config.w2)
     stds = compromise(cfp_stds, ctp_stds, t_i, t_med, config.w1, config.w2)
-    return DualcvOutput(per_visit_mean_std(dataset, stds), fills, stds)
+    return fills, stds
 
 
 def per_visit_mean_std(dataset: Dataset, stds: np.ndarray) -> np.ndarray:

@@ -29,6 +29,7 @@ import numpy as np
 
 from .config import Config, ConfigError
 from .data_model import (
+    FEATURE_KINDS,
     DataError,
     Dataset,
     FeatureSpec,
@@ -451,8 +452,8 @@ def parse_config_text(text: str, base: Config | None = None) -> Config:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, value = (s.strip() for s in line.partition("="))
-        if key.startswith("ecf_window_"):
-            kind = key[len("ecf_window_") :]
+        kind = key.removeprefix("ecf_window_")
+        if kind != key and kind in FEATURE_KINDS:
             values["ecf_windows"][kind] = int(value)
             continue
         if key not in known:

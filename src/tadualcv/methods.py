@@ -132,13 +132,12 @@ def ecf_fill(dataset: Dataset, windows: dict[str, int] | None = None) -> Dataset
 def _cross_visit(dataset: Dataset, cross: str | None, config: Config):
     """Cross-visit fills/stds as ``(E, D)`` arrays plus per-visit sigma (NaN if no fills)."""
     if cross == "dualcv":
-        out = dualcv_impute(dataset, config)
-        return out.fills, out.stds, out.per_visit_sigma
-    if cross == "cfp":
+        fills, stds = dualcv_impute(dataset, config)
+    elif cross == "cfp":
         fills, stds = cfp_impute(dataset, config)
-        return fills, stds, per_visit_mean_std(dataset, stds)
-    empty = np.full(dataset.values.shape, np.nan)
-    return empty, empty, np.full(dataset.n_visits, np.nan)
+    else:
+        fills = stds = np.full(dataset.values.shape, np.nan)
+    return fills, stds, per_visit_mean_std(dataset, stds)
 
 
 def impute(dataset: Dataset, variant: str, config: Config | None = None) -> ImputationOutput:

@@ -173,9 +173,9 @@ def test_criterion_06_fusion_identities():
     rows[3][1] = NAN
     ds = make_dataset([("v0", [0, 10, 20, 30, 40, 50], rows)])
     config = Config(w1=1.0, w2=0.0, seed=2)
-    out = dualcv_impute(ds, config)
+    fills, _ = dualcv_impute(ds, config)
     cfp_fills, _ = cfp_impute(ds, config)
-    checks.append(np.array_equal(out.fills, cfp_fills, equal_nan=True))
+    checks.append(np.array_equal(fills, cfp_fills, equal_nan=True))
 
     # (b) T_i > T_med: the long visit's cells equal the feature view exactly
     rng = np.random.default_rng(1)
@@ -186,13 +186,13 @@ def test_criterion_06_fusion_identities():
         long_rows.append((f"v{i}", (np.arange(t_i) * 10).tolist(), values))
     ds_long = make_dataset(long_rows)
     config = Config(seed=3)
-    out = dualcv_impute(ds_long, config)
+    fills, _ = dualcv_impute(ds_long, config)
     cfp_fills, _ = cfp_impute(ds_long, config)
     long_rows = slice(ds_long.starts[2], ds_long.starts[3])
-    long_cells = ~np.isnan(out.fills[long_rows])
+    long_cells = ~np.isnan(fills[long_rows])
     checks.append(bool(long_cells.any()))
     checks.append(
-        np.array_equal(out.fills[long_rows][long_cells], cfp_fills[long_rows][long_cells])
+        np.array_equal(fills[long_rows][long_cells], cfp_fills[long_rows][long_cells])
     )
 
     # (c) sigma_G = 0: fused output equals the GP value exactly

@@ -14,11 +14,9 @@ from tadualcv.chained_equations import (
     RIDGE,
     DegenerateModelError,
     chain_ensemble,
-    fit_conditional,
     initialize_fills,
     pmm_draw,
     run_chains,
-    sweep,
 )
 
 from conftest import assert_no_child_left
@@ -76,13 +74,15 @@ def test_conditional_matches_ridge_oracle():
     x = np.arange(1.0, 7.0)
     matrix = np.column_stack([x, 2.0 * x])
     matrix[2, 1] = NAN
-    state = initialize_fills(matrix, np.random.default_rng(1))
-    model = fit_conditional(state, 1)
-    obs = state.observed[1]
+    aug, holes, inert, _ = initialize_fills(matrix, np.random.default_rng(1)).batch()
+    use = ce._design_columns(inert, 1)
+    beta, _, _ = ce._fit(aug, ~holes[:, 1], use, 1)
+    coefficients = beta[0, use[0]]
+    obs = np.flatnonzero(~holes[0, 1])
     design = np.column_stack([np.ones(obs.size), x[obs]])
-    np.testing.assert_allclose(model.coefficients, ridge_oracle(design, 2.0 * x[obs]), atol=1e-12)
+    np.testing.assert_allclose(coefficients, ridge_oracle(design, 2.0 * x[obs]), atol=1e-12)
     # the regression itself recovers the relation at the missing row
-    pred = model.coefficients[0] + model.coefficients[1] * 3.0
+    pred = coefficients[0] + coefficients[1] * 3.0
     assert abs(pred - 6.0) < 1e-3
 
 
@@ -130,10 +130,8 @@ def test_nonfinite_predictor_at_a_hole_raises():
 
 def test_sweep_no_missing_leaves_matrix_unchanged():
     matrix = np.array([[1.0, 2.0], [3.0, 4.0]])
-    state = initialize_fills(matrix, np.random.default_rng(0))
-    before = state.matrix.copy()
-    sweep(state)
-    np.testing.assert_array_equal(state.matrix, before)
+    completed = chain_ensemble(matrix[None], m=1, t=1, master_seed=0, streams=[()])[0, 0]
+    np.testing.assert_array_equal(completed, matrix)
 
 
 def test_sweep_single_missing_cell_draws_once(monkeypatch):
@@ -147,8 +145,7 @@ def test_sweep_single_missing_cell_draws_once(monkeypatch):
 
     monkeypatch.setattr(ce, "_pmm_step", counting)
     matrix = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, NAN]])
-    state = initialize_fills(matrix, np.random.default_rng(0))
-    ce.sweep(state)
+    run_chains(matrix, m=1, t=1, master_seed=0)
     assert calls == [(1, 2)]
 
 
@@ -156,9 +153,7 @@ def test_sweep_deterministic_replay():
     matrix = duplicate_x_instance()
     results = []
     for _ in range(2):
-        state = initialize_fills(matrix, np.random.default_rng(42))
-        sweep(state)
-        results.append(state.matrix.copy())
+        results.append(run_chains(matrix, m=1, t=1, master_seed=42).completed(matrix))
     np.testing.assert_array_equal(results[0], results[1])
 
 

@@ -6,11 +6,12 @@ from tadualcv.config import Config
 from tadualcv.data_model import CellIndex
 from tadualcv.dualcv import (
     _CFP_STREAM,
-    build_ctp_view,
+    _ctp_stack,
     cfp_impute,
     compromise,
     ctp_impute,
     dualcv_impute,
+    per_visit_mean_std,
 )
 from tadualcv.methods import impute
 
@@ -57,15 +58,15 @@ def test_ctp_view_pads_and_truncates():
             ("long", [0, 10, 20, 30, 40, 50], [[1.0], [2.0], [3.0], [4.0], [5.0], [6.0]]),
         ]
     )
-    view = build_ctp_view(ds, 0, 4, "keep_last")
-    assert view.n_padded.tolist() == [2, 0, 0]
-    assert view.n_truncated.tolist() == [0, 0, 2]
-    assert view.event_of[0].tolist() == [0, 1, -1, -1]
-    assert view.event_of[2].tolist() == [2, 3, 4, 5]
-    np.testing.assert_array_equal(view.matrix[2], [3.0, 4.0, 5.0, 6.0])
+    stack, event_of, n_padded, n_truncated = _ctp_stack(ds, 4, "keep_last")
+    assert n_padded.tolist() == [2, 0, 0]
+    assert n_truncated.tolist() == [0, 0, 2]
+    assert event_of[0].tolist() == [0, 1, -1, -1]
+    assert event_of[2].tolist() == [2, 3, 4, 5]
+    np.testing.assert_array_equal(stack[0, 2], [3.0, 4.0, 5.0, 6.0])
 
-    first = build_ctp_view(ds, 0, 4, "keep_first")
-    assert first.event_of[2].tolist() == [0, 1, 2, 3]
+    _, first, _, _ = _ctp_stack(ds, 4, "keep_first")
+    assert first[2].tolist() == [0, 1, 2, 3]
 
 
 def test_ctp_placeholder_fills_discarded():
@@ -153,22 +154,23 @@ def test_compromise_midpoint_machine_precision():
 
 def test_dualcv_no_missing():
     ds = make_dataset([("a", [0, 10], [[1.0, 2.0], [3.0, 4.0]])])
-    out = dualcv_impute(ds, Config())
-    assert np.isnan(out.fills).all()
-    assert np.all(np.isnan(out.per_visit_sigma))
+    fills, stds = dualcv_impute(ds, Config())
+    assert np.isnan(fills).all()
+    assert np.all(np.isnan(per_visit_mean_std(ds, stds)))
 
 
 def test_dualcv_single_chain_sigma_zero():
-    out = dualcv_impute(duplicate_x_dataset(), Config(chains=1))
-    assert out.per_visit_sigma[0] == 0.0
+    ds = duplicate_x_dataset()
+    _, stds = dualcv_impute(ds, Config(chains=1))
+    assert per_visit_mean_std(ds, stds)[0] == 0.0
 
 
 def test_dualcv_w1_only_equals_cfp():
     ds = duplicate_x_dataset()
     config = Config(w1=1.0, w2=0.0, seed=2)
-    out = dualcv_impute(ds, config)
+    fills, _ = dualcv_impute(ds, config)
     cfp_fills, _ = cfp_impute(ds, config)
-    np.testing.assert_array_equal(out.fills, cfp_fills)
+    np.testing.assert_array_equal(fills, cfp_fills)
 
 
 def test_dualcv_long_visits_take_cfp_exactly():
@@ -180,13 +182,13 @@ def test_dualcv_long_visits_take_cfp_exactly():
         rows.append((f"v{i}", (np.arange(t_i) * 10).tolist(), values))
     ds = make_dataset(rows)
     config = Config(seed=4)
-    out = dualcv_impute(ds, config)
+    fills, _ = dualcv_impute(ds, config)
     cfp_fills, _ = cfp_impute(ds, config)
     long_rows = slice(ds.starts[2], ds.starts[3])
-    long_cells = ~np.isnan(out.fills[long_rows])
+    long_cells = ~np.isnan(fills[long_rows])
     assert long_cells.any()
     np.testing.assert_array_equal(
-        out.fills[long_rows][long_cells], cfp_fills[long_rows][long_cells]
+        fills[long_rows][long_cells], cfp_fills[long_rows][long_cells]
     )
 
 
@@ -204,9 +206,9 @@ def check_ctp_fills(ds, t_med, truncate):
     for cell, fill in fills.items():
         assert np.isfinite(fill) and stds[cell] == 0.0
         assert np.isnan(ds.visits[cell.visit].values[cell.event, cell.feature])
-        view = build_ctp_view(ds, cell.feature, t_med, truncate)
-        (col,) = np.flatnonzero(view.event_of[cell.visit] == cell.event)
-        column = view.matrix[:, col]
+        stack, event_of, _, _ = _ctp_stack(ds, t_med, truncate)
+        (col,) = np.flatnonzero(event_of[cell.visit] == cell.event)
+        column = stack[cell.feature, :, col]
         assert fill in set(column[~np.isnan(column)].tolist())
     # five chains: same keys, finite pooled fills, still reproducible
     config = Config(ctp_truncate=truncate, seed=3)
@@ -260,11 +262,11 @@ def test_ctp_column_emptied_by_truncation(truncate, long_values):
         ("long", [0, 10, 20, 30], long_values),
     ]
     ds = make_dataset(rows)
-    view = build_ctp_view(ds, 1, 2, truncate)
-    assert np.isnan(view.matrix[:, 1]).all()
+    stack, event_of, _, _ = _ctp_stack(ds, 2, truncate)
+    assert np.isnan(stack[1, :, 1]).all()
     fills = check_ctp_fills(ds, 2, truncate)
     # the emptied column's holes get no fill; the rest of the view does
-    emptied = {CellIndex(i, int(e), 1) for i, e in enumerate(view.event_of[:, 1])}
+    emptied = {CellIndex(i, int(e), 1) for i, e in enumerate(event_of[:, 1])}
     assert len(emptied) == 4 and not emptied & fills.keys()
     assert CellIndex(2, 1, 0) in fills
 

@@ -216,9 +216,12 @@ def test_config_file_rejects_unknown_key(tmp_path):
     # the GP and normalization keys are no longer settings
     removed = ["gp_nugget", "gp_nugget_max", "gp_log10_alpha_lo", "gp_log10_alpha_hi",
                "normalize"]
-    for key in ["bogus", *removed]:
+    # a window for a kind no feature has would change nothing
+    for key in ["bogus", "ecf_window_vitl", *removed]:
         with pytest.raises(ConfigError, match="unknown config key"):
             io_formats.parse_config_text(f"{key} = 1\n")
+    with pytest.raises(ConfigError, match="unknown ECF window kind"):
+        Config(ecf_windows={"vitl": 60})
     path = tmp_path / "run.cfg"
     path.write_text("normalize = 1\n")
     code = main(["impute", "--data", str(_write_synth(tmp_path)), "--method", "meanfill",
@@ -227,8 +230,11 @@ def test_config_file_rejects_unknown_key(tmp_path):
 
 
 def test_config_file_rejects_bad_weights():
-    with pytest.raises(ConfigError):
-        io_formats.parse_config_text("w1 = 0.9\n")
+    for text in ["w1 = 0.9\n", "w1 = nan\nw2 = nan\n"]:
+        with pytest.raises(ConfigError):
+            io_formats.parse_config_text(text)
+    with pytest.raises(ConfigError, match="finite"):
+        Config(w1=float("nan"), w2=float("nan"))
 
 
 def test_report_render_parse_round_trip():

@@ -395,7 +395,7 @@ def test_variant_table_cell_meaning(variant):
     theta1 = np.full(n, np.nan)
     want_stds = np.full(ds.values.shape, NAN)
     if variant == "ta_dualcv_noI":
-        want = dualcv_impute(normalized, config).fills
+        want, _ = dualcv_impute(normalized, config)
     elif variant == "three_d_mice":
         cfp_fills, cfp_stds = cfp_impute(normalized, config)
         gp_fills, _, sigma_g = _gp_parts(normalized)
