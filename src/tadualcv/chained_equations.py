@@ -23,25 +23,46 @@ in lockstep, with one ridge fit, one coefficient perturbation and one donor
 match per column step for the whole batch. Members may have different hole
 patterns but share the matrix shape. The kernel only combines values of the
 same member, so a chain gives the same bits alone or in any batch. Both
-cross-visit views call ``chain_ensemble`` with their stack of views, and
-``run_chains`` and ``pmm_draw`` are batches of one view; ``pool_chains`` turns
-every caller's chains into per-cell means and stds. ``chain_ensemble`` splits
-its members into contiguous groups, one per usable CPU, and runs every group
-but the first in a forked child (``forking``); the output does not depend on
-the number of groups.
+cross-visit views are one ``Ensemble`` each, and ``run_chains`` and
+``pmm_draw`` are batches of one view; ``pool_chains`` turns every caller's
+chains into per-cell means and stds. ``chain_ensemble`` runs any contiguous
+block of an ensemble's members in this process, with the same bits as in the
+whole ensemble, and ``block_cost`` estimates a block's one-CPU time from its
+shape; ``methods.plan`` decides which blocks run in which process.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import forking
-
 RIDGE = 1e-5
 PMM_DONORS = 5
+
+# One-CPU seconds of a block of chain members (``block_cost``): t * k column
+# steps, each costing BLOCK_STEP_S once per block plus, per member,
+# MEMBER_ROW_S per row and MEMBER_COLUMN2_S per squared design column
+# (p = k + 1). Least-squares fit, in relative error, to these timings of
+# ``Config()`` ensembles (t = 10) pinned to one CPU, BLAS at one thread, on
+# the inputs of the benchmark's cohort_m (M), long_visits (L) and
+# cli_wide_mice (W), median of 3-5 runs:
+#
+#   block                      n   k  members    seconds  estimate
+#   M CTP, whole             200  25       40       0.82      0.89
+#   M CTP, features 0-3      200  25       20       0.51      0.54
+#   M CTP, features 4-7      200  25       20       0.54      0.54
+#   M CTP, 1 feature         200  25        5       0.29      0.28
+#   M CFP                   5071   8        5       0.39      0.44
+#   L CTP, whole              60  70       20  3.76-4.06      4.01
+#   L CTP, members 0-9        60  70       10       2.41      2.28
+#   L CTP, members 10-19      60  70       10       2.43      2.28
+#   L CTP, 1 feature          60  70        5  1.42-1.49      1.42
+#   L CFP                   4291   4        5       0.21      0.19
+#   W CFP                  11921  16        5       2.32      1.92
+BLOCK_STEP_S = 7.9e-4
+MEMBER_ROW_S = 1.87e-7
+MEMBER_COLUMN2_S = 4.68e-8
 
 # Fill used for columns with no observations at all; data is expected to be
 # range-normalized to [0, 1] before chained equations run.
@@ -350,70 +371,88 @@ def _sweep(aug, holes, inert, rngs):
         _pmm_step(aug, holes, inert, rngs, col)
 
 
-def _group_count(n_members: int) -> int:
-    """Number of member groups: one per usable CPU, at most one per member.
-
-    One (the ensemble runs in this process) where ``forking.can_fork`` says no.
-    """
-    if not forking.can_fork():
-        return 1
-    return max(1, min(n_members, len(os.sched_getaffinity(0))))
-
-
-def _in_groups(out, n_groups, work):
-    """Run ``work(lo, hi)`` over ``n_groups`` contiguous slices of ``out``.
-
-    ``work`` writes its results into ``out[lo:hi]`` and changes nothing else
-    the caller reads. The first slice runs here; each other slice runs in a
-    forked child, which sends its rows back. The first failing group's
-    exception is raised here, with its type and message. Every child is
-    killed if need be and reaped before this returns or raises.
-    """
-    size, extra = divmod(len(out), n_groups)
-    bounds = [g * size + min(g, extra) for g in range(n_groups + 1)]
-    slices = list(zip(bounds[:-1], bounds[1:]))
-
-    def run(lo, hi):
-        work(lo, hi)
-        return out[lo:hi]
-
-    with forking.children() as spawn:
-        groups = [spawn(run, lo, hi) for lo, hi in slices[1:]]
-        work(*slices[0])
-        for child, (lo, hi) in zip(groups, slices[1:]):
-            out[lo:hi] = child.join()
-
-
 def chain_ensemble(
     views: np.ndarray,
     m: int,
     t: int,
     master_seed: int,
     streams: list[tuple[int, ...]],
+    members: range | None = None,
 ) -> np.ndarray:
     """Run ``m`` chains per view for ``t`` sweeps, every member in lockstep.
 
-    ``views`` is a ``(V, n, k)`` stack, NaN at holes. Chain ``i`` of view
-    ``v`` draws from a generator keyed by ``(*streams[v], master_seed, i)``.
-    Returns the completed matrices as a ``(V, m, n, k)`` array.
+    ``views`` is a ``(V, n, k)`` stack, NaN at holes. Member ``v * m + i`` is
+    chain ``i`` of view ``v`` and draws from a generator keyed by
+    ``(*streams[v], master_seed, i)``. ``members`` picks a contiguous block
+    of the ``V * m`` members, all of them by default; the block is
+    bootstrapped and run in this process. Returns its completed matrices as a
+    ``(len(members), n, k)`` array, the same bits in any block.
     """
     n_views, n, k = views.shape
-    aug = np.empty((n_views * m, k + 1, n))
+    members = range(n_views * m) if members is None else members
+    aug = np.empty((len(members), k + 1, n))
     aug[:, 0] = 1.0
-    aug[:, 1:].reshape(n_views, m, k, n)[:] = views.swapaxes(1, 2)[:, None]
+    np.take(views.swapaxes(1, 2), [b // m for b in members], axis=0, out=aug[:, 1:], mode="clip")
     rngs = [
-        np.random.default_rng(tuple(stream) + (int(master_seed), chain))
-        for stream in streams
-        for chain in range(m)
+        np.random.default_rng(tuple(streams[b // m]) + (int(master_seed), b % m)) for b in members
     ]
     holes, inert = _bootstrap(aug, rngs)
+    for _ in range(t):
+        _sweep(aug, holes, inert, rngs)
+    return aug[:, 1:].swapaxes(1, 2)
 
-    def work(lo, hi):
-        for _ in range(t):
-            _sweep(aug[lo:hi], holes[lo:hi], inert[lo:hi], rngs[lo:hi])
 
-    _in_groups(aug, _group_count(len(aug)), work)
-    return aug[:, 1:].reshape(n_views, m, k, n).swapaxes(2, 3)
+def block_cost(n: int, k: int, members: int, t: int) -> float:
+    """Estimated one-CPU seconds of a block of ``members`` chains of ``(n, k)`` matrices."""
+    return t * k * (BLOCK_STEP_S + members * (MEMBER_ROW_S * n + MEMBER_COLUMN2_S * (k + 1) ** 2))
+
+
+@dataclass(frozen=True)
+class Ensemble:
+    """One chain ensemble: ``m`` chains per view of a ``(V, n, k)`` stack.
+
+    ``keep`` is a ``(V, n, k)`` mask of the cells whose chain values the
+    caller pools, so only those leave a block: ``run`` returns them for a
+    block of members and ``per_chain`` sets the blocks' values side by side.
+    """
+
+    views: np.ndarray
+    m: int
+    t: int
+    master_seed: int
+    streams: list[tuple[int, ...]]
+    keep: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int, int, int]:
+        """``(n, k, members, t)``, all that ``block_cost`` reads."""
+        n_views, n, k = self.views.shape
+        return n, k, n_views * self.m, self.t
+
+    def run(self, members: range) -> np.ndarray:
+        """The kept cells of a block of members' completed chains, member by member."""
+        done = chain_ensemble(self.views, self.m, self.t, self.master_seed, self.streams, members)
+        return np.concatenate([chain[self.keep[b // self.m]] for chain, b in zip(done, members)])
+
+    def per_chain(self, blocks=None) -> np.ndarray:
+        """``(m, cells)`` chain values at the kept cells, view by view in row-major order.
+
+        ``blocks`` holds ``(members, run(members))`` pairs covering every
+        member, in any order; by default the whole ensemble runs here.
+        """
+        if blocks is None:
+            members = range(len(self.views) * self.m)
+            blocks = [(members, self.run(members))]
+        counts = self.keep.reshape(len(self.keep), -1).sum(axis=1)
+        starts = np.cumsum(counts) - counts
+        out = np.empty((self.m, counts.sum()))
+        for members, values in blocks:
+            at = 0
+            for b in members:
+                view, chain = divmod(b, self.m)
+                out[chain, starts[view] : starts[view] + counts[view]] = values[at : at + counts[view]]
+                at += counts[view]
+        return out
 
 
 def pmm_draw(state: ChainState, target_column: int) -> np.ndarray:
@@ -459,5 +498,5 @@ def run_chains(
     holes = np.isnan(matrix)
     rows, cols = np.nonzero(holes)
     cells = list(zip(rows.tolist(), cols.tolist()))
-    per_chain = chain_ensemble(matrix[None], m, t, master_seed, [stream])[0][:, holes]
+    per_chain = chain_ensemble(matrix[None], m, t, master_seed, [stream])[:, holes]
     return ChainEnsembleResult(cells, per_chain, *pool_chains(per_chain))

@@ -11,17 +11,20 @@ feature-perspective fill alone: cells of visits longer than the median, and
 cells of a time-step column with no observations in the temporal view, whose
 chains would only carry a placeholder.
 
-Both views reach the chain kernel the same way: each passes its stack of
-matrices to ``chain_ensemble`` and pools the chains with ``pool_chains``. Fills
-and stds come back as arrays over the stacked layout, NaN where a stage gave
-no value, so the compromise is one elementwise expression.
+Each view is one chain ensemble over its stack of matrices
+(``cross_visit_chains``), which the caller runs whole or in member blocks;
+only the chains' values at the cells a view hands on leave a block.
+``cross_visit_fills`` pools them with ``pool_chains`` and scatters them onto
+the stacked layout. Fills and stds are arrays over that
+layout, NaN where a stage gave no value, so the compromise is one
+elementwise expression.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .chained_equations import chain_ensemble, pool_chains
+from .chained_equations import Ensemble, pool_chains
 # run_chains stays importable here because perfbench/tracing.py wraps dualcv.run_chains
 from .chained_equations import run_chains  # noqa: F401
 from .config import Config
@@ -50,19 +53,88 @@ def _ctp_stack(dataset: Dataset, t_med: int, truncate: str):
     return values.transpose(2, 0, 1), event_of, np.maximum(t_med - lengths, 0), n_truncated
 
 
+def _ctp_kept(dataset: Dataset, t_med: int, truncate: str):
+    """``_ctp_stack``'s views and ``event_of``, and the cells whose fills leave them.
+
+    A kept cell is a real hole (not padding) of a time-step column with at
+    least one observation; a column with none only carries a placeholder.
+    """
+    stack, event_of, _, _ = _ctp_stack(dataset, t_med, truncate)
+    holes = np.isnan(stack)
+    return stack, event_of, holes & (event_of >= 0) & ~holes.all(axis=1, keepdims=True)
+
+
+def _cfp_chains(dataset: Dataset, config: Config) -> Ensemble:
+    views = dataset.values[None]
+    streams = [(_CFP_STREAM,)]
+    return Ensemble(views, config.chains, config.iterations, config.seed, streams, np.isnan(views))
+
+
+def _ctp_chains(dataset: Dataset, t_med: int, config: Config) -> Ensemble:
+    stack, _, kept = _ctp_kept(dataset, t_med, config.ctp_truncate)
+    streams = [(_CTP_STREAM, feature) for feature in range(dataset.n_features)]
+    return Ensemble(stack, config.chains, config.iterations, config.seed, streams, kept)
+
+
+def _cfp_fills(dataset: Dataset, per_chain: np.ndarray):
+    """Pooled fills and stds of the CFP chains' ``(m, holes)`` values."""
+    holes = np.isnan(dataset.values)
+    fills, stds = np.full(holes.shape, np.nan), np.full(holes.shape, np.nan)
+    fills[holes], stds[holes] = pool_chains(per_chain)
+    return fills, stds
+
+
+def _ctp_fills(dataset: Dataset, t_med: int, config: Config, per_chain: np.ndarray):
+    """Pooled fills and stds of the CTP chains' ``(m, kept cells)`` values.
+
+    Each kept cell goes straight to its stacked cell ``(starts[visit] +
+    event, feature)``; every other cell is NaN.
+    """
+    _, event_of, kept = _ctp_kept(dataset, t_med, config.ctp_truncate)
+    feature, visit, col = np.nonzero(kept)
+    at = dataset.starts[visit] + event_of[visit, col], feature
+    fills, stds = np.full(dataset.values.shape, np.nan), np.full(dataset.values.shape, np.nan)
+    fills[at], stds[at] = pool_chains(per_chain)
+    return fills, stds
+
+
+def cross_visit_chains(dataset: Dataset, cross: str, config: Config) -> dict[str, Ensemble]:
+    """The chain ensembles of a cross-visit part, by stage name, in stage order.
+
+    ``"cfp"`` is the feature-perspective view alone; ``"dualcv"`` adds the
+    temporal-perspective view as ``"ctp"``. Expects range-normalized data.
+    """
+    chains = {"cfp": _cfp_chains(dataset, config)}
+    if cross == "dualcv":
+        chains["ctp"] = _ctp_chains(dataset, median_event_count(dataset), config)
+    return chains
+
+
+def cross_visit_fills(dataset: Dataset, config: Config, per_chain: dict[str, np.ndarray]):
+    """(fills, stds) of a cross-visit part from each stage's ``Ensemble.per_chain``.
+
+    Returns ``(E, D)`` arrays that are NaN at observed cells. With both
+    views, each cell blends them by ``compromise``, its dispersion included.
+    """
+    fills, stds = _cfp_fills(dataset, per_chain["cfp"])
+    if "ctp" not in per_chain:
+        return fills, stds
+    t_med = median_event_count(dataset)
+    ctp_fills, ctp_stds = _ctp_fills(dataset, t_med, config, per_chain["ctp"])
+    t_i = dataset.lengths[dataset.visit_of_row][:, None]
+    return (
+        compromise(fills, ctp_fills, t_i, t_med, config.w1, config.w2),
+        compromise(stds, ctp_stds, t_i, t_med, config.w1, config.w2),
+    )
+
+
 def cfp_impute(dataset: Dataset, config: Config) -> tuple[np.ndarray, np.ndarray]:
     """Chained-equation fills for every hole, run on the stacked layout.
 
     Returns (fills, chain stds) as ``(E, D)`` arrays that are NaN at
     observed cells. Expects range-normalized data.
     """
-    completed = chain_ensemble(
-        dataset.values[None], config.chains, config.iterations, config.seed, [(_CFP_STREAM,)]
-    )
-    holes = np.isnan(dataset.values)
-    fills, stds = np.full(holes.shape, np.nan), np.full(holes.shape, np.nan)
-    fills[holes], stds[holes] = pool_chains(completed[0][:, holes])
-    return fills, stds
+    return _cfp_fills(dataset, _cfp_chains(dataset, config).per_chain())
 
 
 def ctp_impute(
@@ -77,19 +149,20 @@ def ctp_impute(
     """
     if t_med < 1:
         raise ValueError("t_med must be >= 1")
-    stack, event_of, _, _ = _ctp_stack(dataset, t_med, config.ctp_truncate)
-    streams = [(_CTP_STREAM, feature) for feature in range(dataset.n_features)]
-    completed = chain_ensemble(stack, config.chains, config.iterations, config.seed, streams)
-
-    holes = np.isnan(stack)
-    kept = holes & (event_of >= 0) & ~holes.all(axis=1, keepdims=True)
-    pooled, std = pool_chains(completed.swapaxes(0, 1)[:, kept])
-    feature, row, col = np.nonzero(kept)
+    # the dict return stays because perfbench/tracing.py's ctp_info iterates
+    # it; impute() takes the arrays of _ctp_fills
+    per_chain = _ctp_chains(dataset, t_med, config).per_chain()
+    fills, stds = _ctp_fills(dataset, t_med, config, per_chain)
+    row, feature = np.nonzero(~np.isnan(fills.T))[::-1]
+    visit = dataset.visit_of_row[row]
     cells = [
-        CellIndex(r, e, f)
-        for f, r, e in zip(feature.tolist(), row.tolist(), event_of[row, col].tolist())
+        CellIndex(v, e, f)
+        for v, e, f in zip(visit.tolist(), (row - dataset.starts[visit]).tolist(), feature.tolist())
     ]
-    return dict(zip(cells, pooled.tolist())), dict(zip(cells, std.tolist()))
+    return (
+        dict(zip(cells, fills[row, feature].tolist())),
+        dict(zip(cells, stds[row, feature].tolist())),
+    )
 
 
 def compromise(cfp, ctp, t_i, t_med: int, w1: float, w2: float):
@@ -109,19 +182,8 @@ def dualcv_impute(dataset: Dataset, config: Config) -> tuple[np.ndarray, np.ndar
     cells, like ``cfp_impute``. Per-cell dispersion combines the two views'
     chain stds with the same weights used for the fills.
     """
-    t_med = median_event_count(dataset)
-    cfp_fills, cfp_stds = cfp_impute(dataset, config)
-    ctp_cell_fills, ctp_cell_stds = ctp_impute(dataset, t_med, config)
-
-    at = dataset.rows(ctp_cell_fills)
-    ctp_fills, ctp_stds = np.full_like(cfp_fills, np.nan), np.full_like(cfp_stds, np.nan)
-    ctp_fills[at] = np.fromiter(ctp_cell_fills.values(), float, len(ctp_cell_fills))
-    ctp_stds[at] = np.fromiter(ctp_cell_stds.values(), float, len(ctp_cell_stds))
-
-    t_i = dataset.lengths[dataset.visit_of_row][:, None]
-    fills = compromise(cfp_fills, ctp_fills, t_i, t_med, config.w1, config.w2)
-    stds = compromise(cfp_stds, ctp_stds, t_i, t_med, config.w1, config.w2)
-    return fills, stds
+    chains = cross_visit_chains(dataset, "dualcv", config)
+    return cross_visit_fills(dataset, config, {s: c.per_chain() for s, c in chains.items()})
 
 
 def per_visit_mean_std(dataset: Dataset, stds: np.ndarray) -> np.ndarray:

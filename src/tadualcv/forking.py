@@ -1,6 +1,9 @@
 """Calls run in forked children: the one owner of fork, pipe and reap.
 
-``can_fork`` decides whether any work may leave this process. Inside a
+``can_fork`` decides whether any work may leave this process, and
+``workers`` how many processes a plan of work may use. ``methods.run_plan``
+is the one caller: it forks once per ``impute()`` call, one child per share
+of the plan past the first, and nothing forks inside a child. Inside a
 ``children()`` block, ``spawn(fn, *args)`` forks a child that runs
 ``fn(*args)`` and sends back, through a pipe, its pickled return value or
 the exception it raised; the child then leaves with ``os._exit`` and never
@@ -33,6 +36,11 @@ def can_fork() -> bool:
         and threading.active_count() == 1
         and len(os.sched_getaffinity(0)) > 1
     )
+
+
+def workers() -> int:
+    """Processes work may be spread over: the usable CPUs where ``can_fork``, else 1."""
+    return len(os.sched_getaffinity(0)) if can_fork() else 1
 
 
 def _pickled_error(exc: BaseException) -> bytes:

@@ -19,6 +19,9 @@ factorization, and each member stops on its own bracket width and escalates
 its own nugget. The kernel only combines values of the same member, so a fit
 gives the same bits alone or in any batch; ``fit_gp``,
 ``profile_neg_log_likelihood`` and ``gp_predict`` are batches of one.
+``gp_fit_buckets`` fits any set of buckets and ``gp_collect`` writes their
+results into the layout, so buckets may be fitted in separate processes;
+``bucket_cost`` estimates a bucket's one-CPU time.
 """
 
 from __future__ import annotations
@@ -41,6 +44,20 @@ ALPHA_SEARCH_TOL = 1e-3
 # Keeps the concentrated log-likelihood finite when residuals vanish
 # (constant training values).
 RESIDUAL_FLOOR = 1e-24
+
+# One-CPU seconds of a bucket of fits (``bucket_cost``): BUCKET_S, plus
+# BUCKET_OBS_S per observation of one fit, plus BUCKET_FIT_OBS2_S per fit and
+# squared observation. Least-squares fit, in relative error, to the one-CPU
+# times (BLAS at one thread, median of 5 runs) of the 24 buckets of the
+# benchmark's cohort_m input (M) and the 42 of long_visits' (L); a bucket's
+# estimate is within 30% of its time. Summed over the buckets:
+#
+#   input   buckets   fits   seconds (whole GP)  estimate
+#   M            24   1597          0.37           0.38
+#   L            42    240          0.71           0.69
+BUCKET_S = 5.7e-3
+BUCKET_OBS_S = 1.23e-4
+BUCKET_FIT_OBS2_S = 8.2e-7
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -315,51 +332,99 @@ class GPStackedResult:
     diagnostics: list[str]
 
 
-def gp_impute_stacked(dataset: Dataset) -> GPStackedResult:
-    """GP-impute every (visit, feature) of a dataset's stacked ``(E, D)`` values.
+def _problems(dataset: Dataset):
+    """Every (visit, feature) problem's observed and hole cells.
 
-    A (visit, feature) with a hole and at least two observations is one fit;
-    fits are bucketed by observed count and each bucket is fitted and
-    predicted as one batch. A (visit, feature) with a hole and fewer than two
-    observations is skipped, and so is one whose correlation matrix does not
-    factor at ``NUGGET_MAX``, with a diagnostic.
+    A problem's id is ``feature * n_visits + visit``. Returns the per-problem
+    observed and hole counts, then the feature-major event lists of observed
+    cells and of holes, each problem's cells one run in event order, with
+    each run's start.
     """
-    times = np.asarray(dataset.times, dtype=float)
-    values = dataset.values
-    n_visits, visit = dataset.n_visits, dataset.visit_of_row
-    # problem id feature * n_visits + visit; the feature-major cell lists hold
-    # each problem's observations (and holes) as one run in event order
+    values, n_visits, visit = dataset.values, dataset.n_visits, dataset.visit_of_row
     obs_f, obs_e = np.nonzero(~np.isnan(values.T))
     hole_f, hole_e = np.nonzero(np.isnan(values.T))
     n_problems = values.shape[1] * n_visits
     n_obs = np.bincount(obs_f * n_visits + visit[obs_e], minlength=n_problems)
     n_holes = np.bincount(hole_f * n_visits + visit[hole_e], minlength=n_problems)
-    obs_at, hole_at = np.cumsum(n_obs) - n_obs, np.cumsum(n_holes) - n_holes
+    return n_obs, n_holes, obs_e, np.cumsum(n_obs) - n_obs, hole_e, np.cumsum(n_holes) - n_holes
 
-    fills = np.full(values.shape, np.nan)
+
+def gp_buckets(dataset: Dataset) -> dict[int, int]:
+    """The fits to make, by bucket: observed count ``n`` -> number of fits.
+
+    A fit is a (visit, feature) with a hole and at least two observations.
+    """
+    n_obs, n_holes = _problems(dataset)[:2]
+    counts, fits = np.unique(n_obs[(n_holes > 0) & (n_obs >= 2)], return_counts=True)
+    return dict(zip(counts.tolist(), fits.tolist()))
+
+
+def bucket_cost(n: int, fits: int) -> float:
+    """Estimated one-CPU seconds of a bucket of ``fits`` fits with ``n`` observations each."""
+    return BUCKET_S + BUCKET_OBS_S * n + BUCKET_FIT_OBS2_S * fits * n * n
+
+
+def gp_fit_buckets(dataset: Dataset, counts) -> list[tuple]:
+    """Fit and predict the buckets of the given observed counts, one batch each.
+
+    Each bucket gives ``(rows, cols, mean, std, failed)``: the stacked cells
+    of its holes, their predictive means and stds, and the ``(problem id,
+    alpha)`` pairs whose correlation matrix did not factor at
+    ``NUGGET_MAX``. ``gp_collect`` writes them into the layout.
+    """
+    times = np.asarray(dataset.times, dtype=float)
+    values, n_visits = dataset.values, dataset.n_visits
+    n_obs, n_holes, obs_e, obs_at, hole_e, hole_at = _problems(dataset)
+    out = []
+    for n in counts:
+        ids = np.nonzero((n_holes > 0) & (n_obs == n))[0]
+        rows = obs_e[obs_at[ids, None] + np.arange(n)]
+        fits, ok, failed_alpha = _fit(times[rows], values[rows, ids[:, None] // n_visits])
+        failed = list(zip(ids[~ok].tolist(), failed_alpha[~ok].tolist()))
+        ids = ids[ok]
+        m = n_holes[ids]
+        # every member queries max(m) times: its own holes, then its last hole again
+        holes = hole_e[hole_at[ids, None] + np.minimum(np.arange(m.max(initial=1)), m[:, None] - 1)]
+        mean, std = _predict(fits, times[holes] / fits.scale[:, None])
+        out.append((holes, ids[:, None] // n_visits, mean, std, failed))
+    return out
+
+
+def gp_collect(dataset: Dataset, buckets) -> GPStackedResult:
+    """Write ``gp_fit_buckets``' results into ``(E, D)`` fills and stds.
+
+    Every bucket's cells are its own, so the result does not depend on how
+    the buckets were grouped or ordered. A (visit, feature) with a hole and
+    fewer than two observations is skipped, and so is one whose fit failed,
+    with a diagnostic.
+    """
+    n_visits = dataset.n_visits
+    n_obs, n_holes = _problems(dataset)[:2]
+    fills = np.full(dataset.values.shape, np.nan)
     stds = fills.copy()
     few = np.nonzero((n_holes > 0) & (n_obs < 2))[0]
     skipped = [(int(p % n_visits), int(p // n_visits)) for p in few]
     failed: dict[tuple[int, int], str] = {}
-    for n in np.unique(n_obs[(n_holes > 0) & (n_obs >= 2)]):
-        ids = np.nonzero((n_holes > 0) & (n_obs == n))[0]
-        rows = obs_e[obs_at[ids, None] + np.arange(n)]
-        fits, ok, failed_alpha = _fit(times[rows], values[rows, ids[:, None] // n_visits])
-        for p, alpha in zip(ids[~ok], failed_alpha[~ok]):
-            f, v = divmod(int(p), n_visits)
-            failed[(v, f)] = f"visit {v}, feature {f}: ill-conditioned correlation at alpha={alpha:g}"
-        if not ok.any():
-            continue
-        ids = ids[ok]
-        m = n_holes[ids]
-        # every member queries max(m) times: its own holes, then its last hole again
-        holes = hole_e[hole_at[ids, None] + np.minimum(np.arange(m.max()), m[:, None] - 1)]
-        mean, std = _predict(fits, times[holes] / fits.scale[:, None])
-        cols = ids[:, None] // n_visits
+    for holes, cols, mean, std, bad in buckets:
         fills[holes, cols] = mean
         stds[holes, cols] = std
+        for p, alpha in bad:
+            f, v = divmod(p, n_visits)
+            failed[(v, f)] = f"visit {v}, feature {f}: ill-conditioned correlation at alpha={alpha:g}"
     diagnostics = [failed[key] for key in sorted(failed)]
     return GPStackedResult(fills, stds, sorted(skipped + list(failed)), diagnostics)
+
+
+def gp_impute_stacked(dataset: Dataset) -> GPStackedResult:
+    """GP-impute every (visit, feature) of a dataset's stacked ``(E, D)`` values.
+
+    A (visit, feature) with a hole and at least two observations is one fit;
+    fits are bucketed by observed count and each bucket is fitted and
+    predicted as one batch (``gp_fit_buckets``). A (visit, feature) with a
+    hole and fewer than two observations is skipped, and so is one whose
+    correlation matrix does not factor at ``NUGGET_MAX``, with a diagnostic.
+    """
+    return gp_collect(dataset, gp_fit_buckets(dataset, gp_buckets(dataset)))
 
 
 @dataclass

@@ -456,7 +456,8 @@ def parse_config_text(text: str, base: Config | None = None) -> Config:
         if kind != key and kind in FEATURE_KINDS:
             values["ecf_windows"][kind] = int(value)
             continue
-        if key not in known:
+        # a file spells the windows as ecf_window_<kind> keys, never as one value
+        if key not in known or key == "ecf_windows":
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key == "ctp_truncate":
             values[key] = value

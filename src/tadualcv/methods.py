@@ -2,10 +2,16 @@
 
 Each model variant is one cell of a grid: a cross-visit part (none, the
 feature-perspective view alone, or the dual view) and the within-visit GP,
-on or off (``MODEL_VARIANTS``). All of them run one path: the cross-visit
-part, then the GP (in a forked child meanwhile, where ``forking.can_fork``
-allows), fused visit by visit through a convex combination whose
-weights favor whichever side showed the smaller dispersion for that visit.
+on or off (``MODEL_VARIANTS``). All of them run one path. The CFP chains,
+the CTP chains and the GP fits read only the normalized dataset, so
+``plan`` cuts them into work units (contiguous blocks of a chain stage's
+members, and GP buckets) and packs them longest first onto
+``forking.workers()`` processes from estimated one-CPU costs, and
+``run_plan`` runs the first share here and each other in one forked child.
+No unit combines two chains or two GP fits, so the output has the same bits
+at any worker count. The two parts are then fused visit by visit through a
+convex combination whose weights favor whichever side showed the smaller
+dispersion for that visit.
 A hole the cross-visit part left open takes the GP fill; a hole neither
 filled takes its feature's mean. The feature-mean and expert-carry-forward
 baselines stand apart.
@@ -19,20 +25,25 @@ of any internal rescaling.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import forking
+from .chained_equations import block_cost
 from .config import DEFAULT_ECF_WINDOWS, Config, ConfigError, check_ecf_windows
 from .data_model import DataError, Dataset
-from .dualcv import cfp_impute, dualcv_impute, per_visit_mean_std
+from .dualcv import cross_visit_chains, cross_visit_fills, per_visit_mean_std
+# cfp_impute, dualcv_impute and gp_impute_visit stay importable here because
+# perfbench/tracing.py wraps them as methods attributes
+from .dualcv import cfp_impute, dualcv_impute  # noqa: F401
 from .evaluation import normalize
-# gp_impute_visit stays importable here because perfbench/tracing.py wraps methods.gp_impute_visit
-from .gp_within_visit import gp_impute_stacked, gp_impute_visit  # noqa: F401
+from .gp_within_visit import bucket_cost, gp_buckets, gp_collect, gp_fit_buckets
+from .gp_within_visit import gp_impute_visit  # noqa: F401
 
-# Model variant -> (cross-visit part, within-visit GP on). Parts are tags, not
-# functions, so calls resolve through this module's attributes at run time.
+# Model variant -> (cross-visit part, within-visit GP on).
 MODEL_VARIANTS = {
     "ta_dualcv": ("dualcv", True),
     "ta_dualcv_noC": (None, True),
@@ -129,15 +140,98 @@ def ecf_fill(dataset: Dataset, windows: dict[str, int] | None = None) -> Dataset
     return dataset.with_values(np.where(holes, fills, values))
 
 
-def _cross_visit(dataset: Dataset, cross: str | None, config: Config):
-    """Cross-visit fills/stds as ``(E, D)`` arrays plus per-visit sigma (NaN if no fills)."""
-    if cross == "dualcv":
-        fills, stds = dualcv_impute(dataset, config)
-    elif cross == "cfp":
-        fills, stds = cfp_impute(dataset, config)
-    else:
-        fills = stds = np.full(dataset.values.shape, np.nan)
-    return fills, stds, per_visit_mean_std(dataset, stds)
+def _blocks(members: int, count: int) -> list[range]:
+    """``count`` contiguous blocks of ``members``, the first ``members % count`` one longer."""
+    size, extra = divmod(members, count)
+    bounds = [b * size + min(b, extra) for b in range(count + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _lpt(units, workers: int):
+    """Graham's longest-processing-time-first packing of ``(unit, cost)`` pairs.
+
+    Costliest first, each unit joins the least loaded worker, the
+    lowest-numbered one on a tie. Returns the makespan and each worker's units.
+    """
+    shares = [[] for _ in range(workers)]
+    loads = [(0.0, w) for w in range(workers)]
+    for unit, cost in sorted(units, key=lambda u: -u[1]):
+        load, w = heapq.heappop(loads)
+        shares[w].append(unit)
+        heapq.heappush(loads, (load + cost, w))
+    return max(load for load, _ in loads), shares
+
+
+def plan(chains: dict[str, tuple[int, int, int, int]], buckets: dict[int, int], workers: int):
+    """Work units per worker, packed longest first; worker 0 is the caller.
+
+    ``chains`` maps each chain stage, in stage order, to its ``(n, k,
+    members, t)`` shape and ``buckets`` each GP bucket's observed count to
+    its number of fits. Every chain stage is tried in 1 to ``workers``
+    contiguous member blocks; each candidate is packed by ``_lpt`` on the
+    estimated one-CPU costs (``block_cost``, ``bucket_cost``), and the
+    smallest makespan wins, ties to fewer blocks. A worker's units are its
+    chain blocks, ``(stage, members)`` in stage and member order, then at
+    most one ``("gp", counts)`` unit holding its buckets. Workers left
+    without a unit are dropped, so the plan may have fewer shares than
+    ``workers``.
+    """
+    gp = [(("gp", n), bucket_cost(n, fits)) for n, fits in buckets.items()]
+    order = {stage: i for i, stage in enumerate(chains)}
+    best = None
+    for counts in itertools.product(*(range(1, min(workers, s[2]) + 1) for s in chains.values())):
+        units = list(gp)
+        for (stage, (n, k, members, t)), count in zip(chains.items(), counts):
+            units += [((stage, b), block_cost(n, k, len(b), t)) for b in _blocks(members, count)]
+        makespan, shares = _lpt(units, workers)
+        if best is None or (makespan, sum(counts)) < best[0]:
+            best = (makespan, sum(counts)), shares
+    shares = []
+    for share in best[1]:
+        blocks = sorted((u for u in share if u[0] != "gp"), key=lambda u: (order[u[0]], u[1].start))
+        counts = tuple(sorted(n for stage, n in share if stage == "gp"))
+        shares.append(blocks + ([("gp", counts)] if counts else []))
+    return [share for share in shares if share] or [[]]
+
+
+def _run_share(share, chains, dataset):
+    """One worker's units: its chain blocks, then its GP buckets.
+
+    Returns each block's ``Ensemble.run`` values, the GP buckets' results and the GP
+    error, if any. A chain failure raises here; a GP failure is returned,
+    to be raised only once every worker's chains have run, since a chain
+    failure wins over it.
+    """
+    done = [(stage, part, chains[stage].run(part)) for stage, part in share if stage != "gp"]
+    try:
+        fitted = [gp_fit_buckets(dataset, part) for stage, part in share if stage == "gp"]
+    except Exception as exc:  # noqa: BLE001 - raised by the caller after the chains
+        return done, [], exc
+    return done, fitted, None
+
+
+def run_plan(shares, chains, dataset):
+    """Run ``plan``'s shares: the first here, each other in one forked child.
+
+    Returns each chain stage's ``Ensemble.per_chain`` values, set together
+    from its blocks, and the GP buckets' results. The first chain failure is
+    raised as soon as it is seen; a GP failure only once every share has
+    run. Every child is killed if need be and reaped before this returns or
+    raises.
+    """
+    with forking.children() as spawn:
+        children = [spawn(_run_share, share, chains, dataset) for share in shares[1:]]
+        outcomes = [_run_share(shares[0], chains, dataset), *(c.join() for c in children)]
+    for _, _, error in outcomes:
+        if error is not None:
+            raise error
+    per_chain = {
+        stage: chains[stage].per_chain(
+            [(part, values) for done, _, _ in outcomes for s, part, values in done if s == stage]
+        )
+        for stage in chains
+    }
+    return per_chain, [bucket for _, fitted, _ in outcomes for part in fitted for bucket in part]
 
 
 def impute(dataset: Dataset, variant: str, config: Config | None = None) -> ImputationOutput:
@@ -164,15 +258,19 @@ def impute(dataset: Dataset, variant: str, config: Config | None = None) -> Impu
 
     cross, gp = MODEL_VARIANTS[variant]
     normalized, nmap = normalize(dataset)
-    with forking.children() as spawn:
-        # the GP reads nothing the cross-visit part writes, so where forking is
-        # allowed it runs in a child while the cross-visit part runs here
-        forked = gp and cross is not None and forking.can_fork()
-        child = spawn(gp_impute_stacked, normalized) if forked else None
-        fills, stds, sigma_m = _cross_visit(normalized, cross, config)
-        if gp:
-            gp_out = child.join() if forked else gp_impute_stacked(normalized)
+    # CFP chains, CTP chains and the GP read only ``normalized``: one plan
+    # spreads them over the usable CPUs, forking once
+    chains = cross_visit_chains(normalized, cross, config) if cross else {}
+    buckets = gp_buckets(normalized) if gp else {}
+    shapes = {stage: c.shape for stage, c in chains.items()}
+    per_chain, fitted = run_plan(plan(shapes, buckets, forking.workers()), chains, normalized)
+    if cross:
+        fills, stds = cross_visit_fills(normalized, config, per_chain)
+    else:
+        fills = stds = np.full(normalized.values.shape, np.nan)
+    sigma_m = per_visit_mean_std(normalized, stds)
     if gp:
+        gp_out = gp_collect(normalized, fitted)
         sigma_g = per_visit_mean_std(normalized, gp_out.stds)
         # theta stays NaN for visits the cross-visit part filled nothing
         theta1, theta2 = (

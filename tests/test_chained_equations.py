@@ -8,11 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tadualcv.chained_equations as ce
+from tadualcv import forking, methods
 from tadualcv.chained_equations import (
     INERT_FILL,
     PMM_DONORS,
     RIDGE,
     DegenerateModelError,
+    Ensemble,
     chain_ensemble,
     initialize_fills,
     pmm_draw,
@@ -130,7 +132,7 @@ def test_nonfinite_predictor_at_a_hole_raises():
 
 def test_sweep_no_missing_leaves_matrix_unchanged():
     matrix = np.array([[1.0, 2.0], [3.0, 4.0]])
-    completed = chain_ensemble(matrix[None], m=1, t=1, master_seed=0, streams=[()])[0, 0]
+    completed = chain_ensemble(matrix[None], m=1, t=1, master_seed=0, streams=[()])[0]
     np.testing.assert_array_equal(completed, matrix)
 
 
@@ -381,9 +383,9 @@ def test_chain_members_isolated_and_match_oracle():
     stack = ragged_stack()
     streams = [(9, v) for v in range(len(stack))]
     m, t, seed = 3, 3, 4
-    batch = chain_ensemble(stack, m, t, seed, streams)
+    batch = chain_ensemble(stack, m, t, seed, streams).reshape(len(stack), m, *stack.shape[1:])
     for v, view in enumerate(stack):
-        alone = chain_ensemble(view[None], m, t, seed, [streams[v]])[0]
+        alone = chain_ensemble(view[None], m, t, seed, [streams[v]])
         oracle = gibbs_oracle(view, m, t, seed, streams[v])
         bits = [np.ascontiguousarray(a).view(np.uint64) for a in (batch[v], alone)]
         np.testing.assert_array_equal(*bits)
@@ -552,9 +554,19 @@ def test_match_draws_from_the_window_when_many_donors_tie_below():
     assert drawn == {2.0, 3.0, 4.0, 5.0, 6.0}
 
 
-def force_groups(monkeypatch, groups):
-    """Split every ensemble into ``groups`` member groups, CPUs permitting or not."""
-    monkeypatch.setattr(ce, "_group_count", lambda n_members: min(n_members, groups))
+def in_groups(stack, m, t, seed, streams, groups):
+    """The ensemble as ``groups`` contiguous member blocks, one per worker.
+
+    ``methods.run_plan`` runs the first block here and each other in a
+    forked child, as ``impute()`` runs a plan's chain blocks.
+    """
+    ensemble = Ensemble(stack, m, t, seed, streams, np.ones(stack.shape, dtype=bool))
+    members = ensemble.shape[2]
+    shares = [[("chains", block)] for block in methods._blocks(members, min(members, groups))]
+    per_chain, _ = methods.run_plan(shares, {"chains": ensemble}, None)
+    # every cell is kept, so chain i's values are its views' matrices in order
+    matrices = per_chain["chains"].reshape(m, *stack.shape).swapaxes(0, 1)
+    return matrices.reshape(-1, *stack.shape[1:])
 
 
 def assert_same_bits(a, b):
@@ -564,40 +576,40 @@ def assert_same_bits(a, b):
 
 
 @pytest.mark.parametrize("groups", [1, 2, 3])
-def test_member_groups_match_oracle(monkeypatch, groups):
+def test_member_groups_match_oracle(groups):
     # 12 members, 3 per view: 6/6 splits between views, 4/4/4 through views 1 and 2
-    force_groups(monkeypatch, groups)
     stack = ragged_stack()
     streams = [(9, v) for v in range(len(stack))]
     m, t, seed = 3, 3, 4
-    batch = chain_ensemble(stack, m, t, seed, streams)
+    batch = in_groups(stack, m, t, seed, streams, groups).reshape(len(stack), m, 24, 5)
     for v, view in enumerate(stack):
         assert_same_bits(batch[v], gibbs_oracle(view, m, t, seed, streams[v]))
     assert_no_child_left()
 
 
 @pytest.mark.parametrize(("m", "groups"), [(5, 2), (5, 3), (1, 3)])
-def test_member_groups_same_bits_as_one_group(monkeypatch, m, groups):
+def test_member_groups_same_bits_as_one_group(m, groups):
     # B = 5 splits 3/2 and 2/2/1; B = 1 stays one group
     rng = np.random.default_rng(31)
     view = rng.normal(size=(30, 4))
     view[rng.random(view.shape) < 0.35] = np.nan
-    force_groups(monkeypatch, 1)
     alone = chain_ensemble(view[None], m, 4, 2, [(5,)])
-    force_groups(monkeypatch, groups)
-    assert_same_bits(chain_ensemble(view[None], m, 4, 2, [(5,)]), alone)
+    assert_same_bits(in_groups(view[None], m, 4, 2, [(5,)], groups), alone)
     assert_no_child_left()
 
 
-def test_group_count_follows_cpus_and_threads():
+def test_worker_count_follows_cpus_and_threads():
     cpus = len(os.sched_getaffinity(0))
-    assert ce._group_count(40) == min(40, cpus)
-    assert ce._group_count(1) == 1
+    assert forking.workers() == cpus
+    # a one-member ensemble stays one block, however many workers there are
+    assert methods.plan({"chains": (30, 4, 1, 4)}, {}, forking.workers()) == [
+        [("chains", range(1))]
+    ]
     release = threading.Event()
     worker = threading.Thread(target=release.wait)
     worker.start()
     try:
-        assert ce._group_count(40) == 1
+        assert forking.workers() == 1
     finally:
         release.set()
         worker.join(timeout=10)
@@ -612,25 +624,26 @@ def degenerate_stack():
 
 
 @pytest.mark.parametrize("order", [1, -1])
-def test_degenerate_member_in_any_group_raises(monkeypatch, order):
+def test_degenerate_member_in_any_group_raises(order):
     # order 1 puts the bad view's members in the forked group, -1 in this process
-    force_groups(monkeypatch, 2)
     stack = degenerate_stack()[::order]
     with pytest.raises(DegenerateModelError, match="^degenerate conditional model for column 1$"):
-        chain_ensemble(stack, 2, 2, 0, [(1,), (2,)])
+        in_groups(stack, 2, 2, 0, [(1,), (2,)], 2)
     assert_no_child_left()
 
 
 def test_interrupted_parent_kills_its_children():
-    out = np.zeros((2, 3))
+    class Stalls:
+        """A stage whose first block interrupts this process; any other sleeps."""
 
-    def work(lo, hi):
-        if lo == 0:
-            raise KeyboardInterrupt
-        time.sleep(60)
+        def run(self, members):
+            if members.start == 0:
+                raise KeyboardInterrupt
+            time.sleep(60)
 
+    shares = [[("stalls", range(0, 1))], [("stalls", range(1, 2))]]
     start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
-        ce._in_groups(out, 2, work)
+        methods.run_plan(shares, {"stalls": Stalls()}, None)
     assert time.perf_counter() - start < 30
     assert_no_child_left()

@@ -216,8 +216,9 @@ def test_config_file_rejects_unknown_key(tmp_path):
     # the GP and normalization keys are no longer settings
     removed = ["gp_nugget", "gp_nugget_max", "gp_log10_alpha_lo", "gp_log10_alpha_hi",
                "normalize"]
-    # a window for a kind no feature has would change nothing
-    for key in ["bogus", "ecf_window_vitl", *removed]:
+    # a window for a kind no feature has would change nothing; windows are
+    # spelled ecf_window_<kind>, never ecf_windows
+    for key in ["bogus", "ecf_window_vitl", "ecf_windows", *removed]:
         with pytest.raises(ConfigError, match="unknown config key"):
             io_formats.parse_config_text(f"{key} = 1\n")
     with pytest.raises(ConfigError, match="unknown ECF window kind"):

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 import tadualcv.chained_equations as ce
-from tadualcv import forking, gp_within_visit
+from tadualcv import forking, gp_within_visit, methods
 from tadualcv.config import Config, ConfigError
-from tadualcv.data_model import DataError
-from tadualcv.dualcv import cfp_impute, dualcv_impute, per_visit_mean_std
-from tadualcv.evaluation import denormalize_value, normalize
-from tadualcv.gp_within_visit import GPStackedResult, gp_impute_visit
+from tadualcv.data_model import DataError, apply_mask
+from tadualcv.dualcv import cfp_impute, cross_visit_chains, dualcv_impute, per_visit_mean_std
+from tadualcv.evaluation import denormalize_value, mask_random, normalize
+from tadualcv.gp_within_visit import gp_buckets, gp_impute_visit
 from tadualcv.methods import (
     MODEL_VARIANTS,
     VARIANTS,
@@ -19,6 +19,7 @@ from tadualcv.methods import (
     fusion_weights,
     impute,
     mean_fill,
+    plan,
 )
 from tadualcv.synthetic import SynthConfig, generate
 
@@ -269,9 +270,32 @@ def test_all_variants_preserve_observed_cells():
             assert not np.isnan(after.values).any()
 
 
+def force_workers(monkeypatch, workers):
+    """Plan every ``impute()`` over ``workers`` workers, whatever the CPUs."""
+    monkeypatch.setattr(forking, "workers", lambda: workers)
+
+
+def recorded_plans(monkeypatch):
+    """The shares of every plan ``impute()`` makes from here on."""
+    plans, plan = [], methods.plan
+
+    def recording(*args):
+        plans.append(plan(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(methods, "plan", recording)
+    return plans
+
+
+def in_children(shares, stage):
+    """Whether a share other than the first, run in a forked child, holds ``stage``."""
+    return any(s == stage for share in shares[1:] for s, _ in share)
+
+
 def test_impute_leaves_no_child_process(monkeypatch):
-    # every ensemble splits into two groups; the second run fails in the child
-    monkeypatch.setattr(ce, "_group_count", lambda n_members: min(n_members, 2))
+    # two workers; the second run fails in the child, which runs CFP chains
+    force_workers(monkeypatch, 2)
+    plans = recorded_plans(monkeypatch)
     ds, _ = generate(
         SynthConfig(n_visits=6, n_features=3, events_per_visit=(4, 7),
                     noise_scale=0.02, native_missing_rate=0.25, seed=5)
@@ -280,6 +304,7 @@ def test_impute_leaves_no_child_process(monkeypatch):
     impute(ds, "ta_dualcv", config)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert in_children(plans[-1], "cfp")
 
     parent, sweep = os.getpid(), ce._sweep
 
@@ -295,18 +320,71 @@ def test_impute_leaves_no_child_process(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+# The benchmark's inputs: cohort_m (M), long_visits (L) and cli_wide_mice (W),
+# each masked at rate 0.5, and the variant each runs.
+BENCH_SHAPES = {
+    "M": (dict(n_visits=200, n_features=8, events_per_visit=(10, 40)), "ta_dualcv"),
+    "L": (dict(n_visits=60, n_features=4, events_per_visit=(40, 100)), "ta_dualcv"),
+    "W": (dict(n_visits=1500, n_features=16, events_per_visit=(4, 12)), "mice_only"),
+}
+
+
+def planned(shape, workers):
+    """The plan ``impute()`` makes for a benchmark input, and its GP buckets."""
+    synth, variant = BENCH_SHAPES[shape]
+    premask, _ = generate(
+        SynthConfig(**synth, noise_scale=0.05, native_missing_rate=0.1, seed=0)
+    )
+    normalized, _ = normalize(apply_mask(premask, mask_random(premask, 0.5, seed=0)))
+    cross, gp = MODEL_VARIANTS[variant]
+    chains = cross_visit_chains(normalized, cross, Config())
+    buckets = gp_buckets(normalized) if gp else {}
+    return plan({stage: c.shape for stage, c in chains.items()}, buckets, workers), buckets
+
+
+def test_plan_on_m_runs_ctp_here_and_cfp_then_the_gp_in_one_child():
+    shares, buckets = planned("M", 2)
+    assert shares == [[("ctp", range(40))], [("cfp", range(5)), ("gp", tuple(sorted(buckets)))]]
+
+
+def test_plan_on_l_splits_ctp_and_spreads_the_gp():
+    shares, buckets = planned("L", 2)
+    assert len(shares) == 2
+    units = [unit for share in shares for unit in share]
+    ctp = sorted((part for stage, part in units if stage == "ctp"), key=lambda r: r.start)
+    assert ctp == [range(10), range(10, 20)]
+    gp = [part for stage, part in units if stage == "gp"]
+    assert len(gp) == 2 and sorted(n for part in gp for n in part) == sorted(buckets)
+
+
+def test_plan_on_w_splits_cfp_3_2():
+    shares, _ = planned("W", 2)
+    assert shares == [[("cfp", range(3))], [("cfp", range(3, 5))]]
+
+
+@pytest.mark.parametrize("shape", BENCH_SHAPES)
+def test_plan_on_one_worker_runs_every_stage_here_in_order(shape):
+    shares, buckets = planned(shape, 1)
+    ctp = {"M": [("ctp", range(40))], "L": [("ctp", range(20))], "W": []}[shape]
+    gp = [("gp", tuple(sorted(buckets)))] if buckets else []
+    assert shares == [[("cfp", range(5)), *ctp, *gp]]
+
+
+def test_plan_takes_fewer_blocks_on_a_tie_and_drops_idle_workers():
+    # one member cannot split; four workers then leave three idle
+    assert plan({"cfp": (100, 3, 1, 10)}, {}, 4) == [[("cfp", range(1))]]
+    assert plan({}, {}, 3) == [[]]
+    # the one-member stage sets the makespan however the other is split
+    shares = plan({"cfp": (100, 3, 4, 10), "ctp": (50, 20, 1, 10)}, {}, 2)
+    assert shares == [[("ctp", range(1))], [("cfp", range(4))]]
+
+
 def small_cohort():
     ds, _ = generate(
         SynthConfig(n_visits=6, n_features=3, events_per_visit=(4, 7),
                     noise_scale=0.02, native_missing_rate=0.25, seed=5)
     )
     return ds
-
-
-def force_forking(monkeypatch, on):
-    """Forking on (the GP child, and two member groups per ensemble) or off, whatever the CPUs."""
-    monkeypatch.setattr(forking, "can_fork", lambda: on)
-    monkeypatch.setattr(ce, "_group_count", lambda n_members: min(n_members, 2 if on else 1))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -319,23 +397,31 @@ def test_impute_same_bits_forked_or_in_process(monkeypatch, variant):
         return joined[-1]
 
     monkeypatch.setattr(forking.Child, "join", recording_join)
-    force_forking(monkeypatch, False)
+    plans = recorded_plans(monkeypatch)
+    force_workers(monkeypatch, 1)
     alone = impute(ds, variant, config)
     assert joined == []
-    force_forking(monkeypatch, True)
-    forked = impute(ds, variant, config)
-    assert_no_child_left()
-    # the GP ran in a child exactly where the variant has both parts
     cross, gp = MODEL_VARIANTS.get(variant, (None, False))
-    gp_children = [r for r in joined if isinstance(r, GPStackedResult)]
-    assert len(gp_children) == (1 if cross and gp else 0)
-    for name in ("per_visit_sigma_m", "per_visit_sigma_g", "per_visit_theta1",
-                 "per_visit_theta2", "stds"):
-        a, b = getattr(alone, name), getattr(forked, name)
-        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
-    np.testing.assert_array_equal(
-        alone.dataset.values.view(np.uint64), forked.dataset.values.view(np.uint64)
-    )
+    for workers in (2, 3):
+        force_workers(monkeypatch, workers)
+        joined.clear()
+        forked = impute(ds, variant, config)
+        assert_no_child_left()
+        # one child per share past the first, each sending back the units the
+        # plan gave it; the GP ran in a child wherever the variant has one
+        shares = plans[-1] if variant in MODEL_VARIANTS else [[]]
+        assert len(joined) == len(shares) - 1
+        for share, (done, fitted, error) in zip(shares[1:], joined):
+            assert [(stage, part) for stage, part, _ in done] == [u for u in share if u[0] != "gp"]
+            assert len(fitted) == sum(stage == "gp" for stage, _ in share) and error is None
+        assert in_children(shares, "gp") == gp
+        for name in ("per_visit_sigma_m", "per_visit_sigma_g", "per_visit_theta1",
+                     "per_visit_theta2", "stds"):
+            a, b = getattr(alone, name), getattr(forked, name)
+            np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+        np.testing.assert_array_equal(
+            alone.dataset.values.view(np.uint64), forked.dataset.values.view(np.uint64)
+        )
 
 
 def fail_in_child(monkeypatch, module, name, error):
@@ -352,23 +438,29 @@ def fail_in_child(monkeypatch, module, name, error):
 
 @pytest.mark.parametrize("variant", ["ta_dualcv", "three_d_mice"])
 def test_gp_failure_in_its_child_is_raised_here(monkeypatch, variant):
-    force_forking(monkeypatch, True)
-    monkeypatch.setattr(ce, "_group_count", lambda n_members: 1)
+    force_workers(monkeypatch, 2)
+    plans = recorded_plans(monkeypatch)
     error = gp_within_visit.IllConditionedCorrelationError("failed in the GP child")
     fail_in_child(monkeypatch, gp_within_visit, "_fit", error)
     with pytest.raises(gp_within_visit.IllConditionedCorrelationError,
                        match="^failed in the GP child$"):
         impute(small_cohort(), variant, Config(chains=2, iterations=2, seed=0))
+    assert in_children(plans[-1], "gp")
     assert_no_child_left()
 
 
 def test_cross_visit_failure_wins_over_a_gp_failure(monkeypatch):
-    force_forking(monkeypatch, True)
+    plans = recorded_plans(monkeypatch)
     fail_in_child(monkeypatch, gp_within_visit, "_fit", ValueError("GP failed"))
     fail_in_child(monkeypatch, ce, "_sweep", ce.DegenerateModelError("chains failed"))
-    with pytest.raises(ce.DegenerateModelError, match="^chains failed$"):
-        impute(small_cohort(), "ta_dualcv", Config(chains=2, iterations=2, seed=0))
-    assert_no_child_left()
+    # two workers: one child runs CFP chains, then GP buckets; three: the
+    # GP buckets of the second child fail while the first child's chains fail
+    for workers in (2, 3):
+        force_workers(monkeypatch, workers)
+        with pytest.raises(ce.DegenerateModelError, match="^chains failed$"):
+            impute(small_cohort(), "ta_dualcv", Config(chains=2, iterations=2, seed=0))
+        assert in_children(plans[-1], "cfp") and in_children(plans[-1], "gp")
+        assert_no_child_left()
 
 
 def _gp_parts(dataset):
