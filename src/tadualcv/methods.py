@@ -197,10 +197,10 @@ def plan(chains: dict[str, tuple[int, int, int, int]], buckets: dict[int, int], 
 def _run_share(share, chains, dataset):
     """One worker's units: its chain blocks, then its GP buckets.
 
-    Returns each block's ``Ensemble.run`` values, the GP buckets' results and the GP
-    error, if any. A chain failure raises here; a GP failure is returned,
-    to be raised only once every worker's chains have run, since a chain
-    failure wins over it.
+    Returns each block's ``Ensemble.run`` values, the GP buckets' results
+    and the GP error, if any. A chain failure raises here; a GP failure is
+    returned, to be raised only once every worker's chains have run, since
+    a chain failure wins over it.
     """
     done = [(stage, part, chains[stage].run(part)) for stage, part in share if stage != "gp"]
     try:
