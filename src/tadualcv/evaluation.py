@@ -70,38 +70,134 @@ def denormalize_value(value: float, feature: int, nmap: NormalizationMap) -> flo
     return value * float(nmap.scales[feature]) + float(nmap.offsets[feature])
 
 
+# NumPy's SeedSequence (a pool of 4 uint32 words and its hash constants) and
+# PCG64's 128-bit LCG multiplier, split into 64-bit halves
+_M32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_HI, _PCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+def _hasher(h: int, mult: int):
+    """SeedSequence's ``hashmix``; its running constant ``h`` is a Python int."""
+
+    def hashmix(v: np.ndarray) -> np.ndarray:
+        nonlocal h
+        v = v ^ h
+        h = h * mult & _M32
+        v = v * h
+        return v ^ (v >> 16)
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ (r >> 16)
+
+
+def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of each ``a * b`` (uint64 ``a``, 64-bit int ``b``), by 32-bit halves."""
+    a0, a1, b0, b1 = a & _M32, a >> 32, b & _M32, b >> 32
+    t = a1 * b0 + (a0 * b0 >> 32)
+    return a1 * b1 + (t >> 32) + ((t & _M32) + a0 * b1 >> 32)
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """``state * multiplier + inc`` mod 2**128 on (high, low) uint64 halves."""
+    new_lo = lo * _PCG_LO + inc_lo
+    carry = new_lo < inc_lo
+    return hi * _PCG_LO + lo * _PCG_HI + _mulhi64(lo, _PCG_LO) + inc_hi + carry, new_lo
+
+
+def _keyed_uniforms(seed: int, keys: np.ndarray, n: int):
+    """Yield column ``j < n`` of ``default_rng((seed, *key)).random(n)`` over ``keys`` rows.
+
+    ``keys`` is ``(K, 3)`` with entries in ``[0, 2**32)``. Every row's stream
+    is NumPy's ``SeedSequence`` over the entropy words of ``(seed, *key)``
+    seeding a PCG64 generator, computed as uint32/uint64 array arithmetic
+    for all rows at once; each column is one XSL-RR output per row. NumPy's
+    compatibility policy fixes both streams, and the per-event
+    ``default_rng`` oracle in ``tests/test_evaluation.py`` catches any drift.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    # entropy words: the seed's little-endian uint32 words (0 is one word),
+    # then one word per key column
+    seed_words = [seed & _M32]
+    while seed := seed >> 32:
+        seed_words.append(seed & _M32)
+    k = len(keys)
+    words = [np.full(k, w, np.uint32) for w in seed_words] + list(keys.T.astype(np.uint32))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zero = np.zeros(k, np.uint32)
+    pool = [hashmix(words[i] if i < len(words) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): eight words, paired low word first, give
+    # the seed's and the increment's (high, low) halves
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+    s_hi, s_lo, i_hi, i_lo = (state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
+    # PCG64 seeding: inc = (i << 1) | 1; state 0, one step, add s, one step
+    inc_hi, inc_lo = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
+    lo = inc_lo + s_lo
+    hi, lo = _pcg_step(inc_hi + s_hi + (lo < s_lo), lo, inc_hi, inc_lo)
+    for _ in range(n):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> 58
+        yield ((x >> rot | x << (64 - rot & 63)) >> 11) * 2.0**-53
+
+
 def mask_random(dataset: Dataset, rate: float, seed: int) -> MaskSet:
     """Mask each observed cell independently with probability ``rate``.
 
     Draws are keyed by (seed, visit, event, redraw attempt), so the mask is
-    reproducible and independent of traversal order. An event that would lose
-    all of its observed values is redrawn (every event keeps at least one,
-    which also keeps every visit non-empty and the masked dataset valid); if
-    redraws keep failing (rates at or near 1) the event's first observed cell
-    survives deterministically.
+    reproducible and independent of traversal order; they are computed for
+    all pending events at once, one redraw round at a time, and give the
+    same masks as one ``default_rng((seed, visit, event, attempt))`` per
+    event did. An event that would lose all of its observed values is
+    redrawn (every event keeps at least one, which also keeps every visit
+    non-empty and the masked dataset valid); if redraws keep failing (rates
+    at or near 1) the event's first observed cell survives deterministically.
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError("rate must be in [0, 1]")
     observed = ~np.isnan(dataset.values)
+    n_obs = observed.sum(axis=1)
     hidden = np.zeros(observed.shape, dtype=bool)
-    # one pass over the events (stacked rows) that have an observed cell
-    rows = np.flatnonzero(observed.any(axis=1))
+    # the events (stacked rows) with an observed cell, all pending at first
+    rows = np.flatnonzero(n_obs)
     visits = dataset.visit_of_row[rows]
-    for r, i, e in zip(rows.tolist(), visits.tolist(), (rows - dataset.starts[visits]).tolist()):
-        row_obs = observed[r]
-        n_obs = int(row_obs.sum())
-        for attempt in range(_MAX_MASK_REDRAWS):
-            rng = np.random.default_rng((int(seed), i, e, attempt))
-            chosen = row_obs & (rng.random(row_obs.size) < rate)
-            if chosen.sum() < n_obs or rate >= 1.0:
-                break
-        else:
-            chosen = row_obs.copy()
-        if chosen.sum() == n_obs:
-            chosen[np.argmax(row_obs)] = False
-        hidden[r] = chosen
+    keys = np.stack([visits, rows - dataset.starts[visits], np.zeros_like(rows)], axis=1)
+    for attempt in range(_MAX_MASK_REDRAWS):
+        if not rows.size:
+            break
+        keys[:, 2] = attempt
+        # one feature's draws at a time, so no (events, features) float block
+        below = np.empty((dataset.n_features, rows.size), dtype=bool)
+        for f, draws in enumerate(_keyed_uniforms(seed, keys, dataset.n_features)):
+            np.less(draws, rate, out=below[f])
+        chosen = observed[rows] & below.T
+        # an event that would lose every observed cell is redrawn; at rate 1,
+        # or on its last redraw (which then chose them all), its first
+        # observed cell survives instead
+        full = chosen.sum(axis=1) == n_obs[rows]
+        done = ~full | (rate >= 1.0) | (attempt == _MAX_MASK_REDRAWS - 1)
+        kept = np.flatnonzero(full & done)
+        chosen[kept, np.argmax(chosen[kept], axis=1)] = False
+        hidden[rows[done]] = chosen[done]
+        rows, keys = rows[~done], keys[~done]
     # entries in stacked order: visit, then event, then feature
-    rows, features = np.nonzero(hidden)
+    rows, features = np.divmod(np.flatnonzero(hidden), dataset.n_features)
     visits = dataset.visit_of_row[rows]
     return MaskSet.from_arrays(
         visits, rows - dataset.starts[visits], features, dataset.values[rows, features],

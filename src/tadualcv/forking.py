@@ -10,18 +10,29 @@ the exception it raised; the child then leaves with ``os._exit`` and never
 returns into the caller's code. ``Child.join`` reads that message, reaps the
 child, and returns the value or re-raises the exception with its type and
 message. Leaving the block by any exception, ``KeyboardInterrupt``
-included, kills and reaps every child not yet joined.
+included, kills and reaps every child not yet joined. On Linux a child is
+also SIGKILLed when its parent dies, so a parent ended by a signal, which
+runs no Python cleanup, leaves no worker running.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import pickle
 import signal
+import sys
 import threading
 from contextlib import contextmanager
 
 _VALUE, _ERROR = b"\0", b"\1"
+
+# prctl(PR_SET_PDEATHSIG, sig): the kernel sends ``sig`` to this process
+# when its parent dies; Linux only
+_PR_SET_PDEATHSIG = 1
+_prctl = getattr(ctypes.CDLL(None), "prctl", None) if sys.platform.startswith("linux") else None
+if _prctl is not None:
+    _prctl.argtypes, _prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
 
 
 def can_fork() -> bool:
@@ -53,9 +64,17 @@ def _pickled_error(exc: BaseException) -> bytes:
     return error
 
 
-def _child(fd: int, fn, args) -> None:
-    """Body of a forked child: run ``fn``, send its value or its error, exit."""
+def _child(fd: int, parent: int, fn, args) -> None:
+    """Body of a forked child: run ``fn``, send its value or its error, exit.
+
+    ``parent`` is the forking process's pid: a child whose parent is
+    already gone when its death signal is set leaves at once.
+    """
     try:
+        if _prctl is not None:
+            _prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+        if os.getppid() != parent:
+            return
         try:
             message = (_VALUE, pickle.dumps(fn(*args), protocol=pickle.HIGHEST_PROTOCOL))
         except BaseException as exc:  # noqa: BLE001 - the parent re-raises it
@@ -117,7 +136,7 @@ def children():
         try:
             pid = os.fork()
             if pid == 0:
-                _child(write_fd, fn, args)
+                _child(write_fd, owner, fn, args)
         except BaseException:
             os.close(read_fd)
             raise

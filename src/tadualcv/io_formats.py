@@ -249,18 +249,33 @@ def ingest_long_csv(path, features: list[FeatureSpec] | None = None) -> Dataset:
     return dataset
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it inside a row, quoted where it must be."""
+    out = io.StringIO()
+    csv.writer(out).writerow([text, ""])
+    return out.getvalue()[: -len("," + csv.excel.lineterminator)]
+
+
 def _emit_cells(path, dataset: Dataset, rows, cols, values, value_column: str) -> None:
-    """One line per cell at stacked ``(rows, cols)``: visit id, time, feature, value."""
-    names = [spec.name for spec in dataset.features]
+    """One line per cell at stacked ``(rows, cols)``: visit id, time, feature, value.
+
+    Each line is one ``%`` template, as in ``_emit_wide``; each visit id and
+    feature name is quoted once, by ``csv.writer``'s rules.
+    """
+    ids = [_csv_field(vid) for vid in dataset.visit_ids]
+    names = [_csv_field(spec.name) for spec in dataset.features]
+    line = ",".join(["%s", "%d", "%s", DECIMAL]) + csv.excel.lineterminator
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["visit_id", "time_min", "feature", value_column])
-        writer.writerows(
-            zip(
-                map(dataset.visit_ids.__getitem__, dataset.visit_of_row[rows].tolist()),
-                dataset.times[rows].tolist(),
-                map(names.__getitem__, cols.tolist()),
-                map(fmt, values.tolist()),
+        csv.writer(fh).writerow(["visit_id", "time_min", "feature", value_column])
+        fh.writelines(
+            map(
+                line.__mod__,
+                zip(
+                    map(ids.__getitem__, dataset.visit_of_row[rows].tolist()),
+                    dataset.times[rows].tolist(),
+                    map(names.__getitem__, cols.tolist()),
+                    values.tolist(),
+                ),
             )
         )
 
@@ -269,13 +284,6 @@ def emit_long_csv(dataset: Dataset, path) -> None:
     """One row per observed cell, visit order then time then feature."""
     rows, cols = np.nonzero(~np.isnan(dataset.values))
     _emit_cells(path, dataset, rows, cols, dataset.values[rows, cols], "value")
-
-
-def _csv_field(text: str) -> str:
-    """``text`` as ``csv.writer`` writes it inside a row, quoted where it must be."""
-    out = io.StringIO()
-    csv.writer(out).writerow([text, ""])
-    return out.getvalue()[: -len("," + csv.excel.lineterminator)]
 
 
 def _emit_wide(path, dataset: Dataset, cells: np.ndarray, spec: str) -> None:

@@ -15,6 +15,7 @@ from tadualcv.data_model import (
 )
 from tadualcv.evaluation import (
     _MAX_MASK_REDRAWS,
+    _keyed_uniforms,
     _per_patient_ranges,
     denormalize,
     denormalize_value,
@@ -327,7 +328,7 @@ def assert_same_mask(mask, want):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(maskable_datasets(), st.integers(0, 2**16))
+@given(maskable_datasets(), st.integers(0, 2**70))
 def test_masks_match_per_visit_oracles(dataset, seed):
     for s in (seed, seed + 1, seed + 2):
         for rate in (0.0, 0.3, 0.9, 1.0):
@@ -335,3 +336,36 @@ def test_masks_match_per_visit_oracles(dataset, seed):
         assert_same_mask(
             mask_one_per_feature_visit(dataset, s), oracle_mask_one_per_feature_visit(dataset, s)
         )
+
+
+def test_mask_random_matches_the_oracle_at_benchmark_scale():
+    # thousands of keys in the first round and many redraw rounds at 0.9
+    ds, _ = generate(SynthConfig(n_visits=1500, n_features=16, events_per_visit=(4, 12),
+                                 noise_scale=0.05, native_missing_rate=0.1, seed=0))
+    for rate in (0.5, 0.9, 1.0):
+        assert_same_mask(mask_random(ds, rate, 0), oracle_mask_random(ds, rate, 0))
+
+
+def test_mask_random_matches_the_oracle_when_redraws_run_out():
+    # at rate 0.999 most events with one or two observed cells fail all
+    # their redraws, and then keep their first observed cell
+    ds = make_dataset([("a", [0, 10, 20], [[1.0, NAN], [NAN, 2.0], [3.0, 4.0]]),
+                       ("b", [5, 15], [[NAN, 5.0], [6.0, NAN]])])
+    for seed in range(3):
+        assert_same_mask(mask_random(ds, 0.999, seed), oracle_mask_random(ds, 0.999, seed))
+
+
+def test_mask_random_rejects_a_negative_seed():
+    ds = make_dataset([("a", [0, 10], [[1.0, 2.0], [3.0, 4.0]])])
+    with pytest.raises(ValueError):
+        mask_random(ds, 0.5, -1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**40 + 3, 2**64 + 5, 2**100 + 7])
+def test_keyed_uniforms_are_default_rng_streams(seed):
+    rng = np.random.default_rng(seed % 1000)
+    keys = rng.integers(0, 2**32, size=(50, 3))
+    keys[:3] = [[0, 0, 0], [2**32 - 1, 2**32 - 1, 2**32 - 1], [0, 1, 99]]
+    got = np.stack(list(_keyed_uniforms(seed, keys, 5)), axis=1)
+    want = np.stack([np.random.default_rng((seed, *k.tolist())).random(5) for k in keys])
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))

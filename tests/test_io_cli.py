@@ -141,6 +141,17 @@ def row_by_row_wide(path, dataset, cells):
             writer.writerow([vid, int(dataset.times[row])] + [io_formats.fmt(v) for v in values])
 
 
+def row_by_row_cells(path, dataset, rows, cols, values, value_column):
+    """The long and mask writers as a csv.writer row per cell and one fmt call per value."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["visit_id", "time_min", "feature", value_column])
+        for row, col, value in zip(rows, cols, values):
+            vid = dataset.visit_ids[dataset.visit_of_row[row]]
+            name = dataset.features[col].name
+            writer.writerow([vid, int(dataset.times[row]), name, io_formats.fmt(value)])
+
+
 def test_wide_writers_match_the_row_by_row_writer(tmp_path):
     ids = ["a,b", 'q"x', "new\nline", "cr\rx", " pad ", "", "plain"]
     rng = np.random.default_rng(3)
@@ -149,7 +160,7 @@ def test_wide_writers_match_the_row_by_row_writer(tmp_path):
     values = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-15, 15, size=(n, 3))
     values[:4, 0] = [-0.0, 0.0, 1e300, 5e-324]
     values[4, 1:] = [np.inf, -np.inf]
-    features = [FeatureSpec(k, f"n{k}") for k in range(3)]
+    features = [FeatureSpec(k, name) for k, name in enumerate(["f,1", 'g"2', "n2"])]
     ds = Dataset.from_stacked(features, ids, np.arange(n) * 7, values, starts)
     stds = np.abs(values)
     stds[5, 2] = NAN
@@ -165,6 +176,22 @@ def test_wide_writers_match_the_row_by_row_writer(tmp_path):
     assert b'\r\n"a,b",0,-0,' in written and b'\n"q""x",' in written
     back = io_formats.read_wide_csv(tmp_path / "wide.csv", features)
     assert back.visit_ids == ds.visit_ids
+
+    # the long and mask writers, on the same ids and feature names
+    holes = values.copy()
+    holes[rng.random(holes.shape) < 0.3] = NAN
+    sparse = ds.with_values(holes)
+    mask = mask_random(sparse, 0.5, seed=0)
+    io_formats.emit_long_csv(sparse, tmp_path / "long.csv")
+    rows, cols = np.nonzero(~np.isnan(holes))
+    row_by_row_cells(tmp_path / "long_oracle.csv", sparse, rows, cols, holes[rows, cols], "value")
+    io_formats.emit_mask_csv(sparse, mask, tmp_path / "mask.csv")
+    rows = sparse.starts[mask.visit] + mask.event
+    row_by_row_cells(tmp_path / "mask_oracle.csv", sparse, rows, mask.feature, mask.truth, "truth")
+    for name in ("long", "mask"):
+        written = (tmp_path / f"{name}.csv").read_bytes()
+        assert written == (tmp_path / f"{name}_oracle.csv").read_bytes()
+        assert b',"f,1",' in written and b',"g""2",' in written and b'\n"q""x",' in written
 
 
 def test_mask_csv_round_trip(tmp_path):
