@@ -27,8 +27,10 @@ cross-visit views are one ``Ensemble`` each, and ``run_chains`` and
 ``pmm_draw`` are batches of one view; ``pool_chains`` turns every caller's
 chains into per-cell means and stds. ``chain_ensemble`` runs any contiguous
 block of an ensemble's members in this process, with the same bits as in the
-whole ensemble, and ``block_cost`` estimates a block's one-CPU time from its
-shape; ``methods.plan`` decides which blocks run in which process.
+whole ensemble. An ``Ensemble`` is a stage of ``methods.plan``: it offers its
+members in contiguous blocks costed by ``block_cost``, a block's one-CPU
+time estimated from its shape, and the plan decides which blocks run in
+which process.
 """
 
 from __future__ import annotations
@@ -407,13 +409,21 @@ def block_cost(n: int, k: int, members: int, t: int) -> float:
     return t * k * (BLOCK_STEP_S + members * (MEMBER_ROW_S * n + MEMBER_COLUMN2_S * (k + 1) ** 2))
 
 
+def _blocks(members: int, count: int) -> list[range]:
+    """``count`` contiguous blocks of ``members``, the first ``members % count`` one longer."""
+    size, extra = divmod(members, count)
+    bounds = [b * size + min(b, extra) for b in range(count + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 @dataclass(frozen=True)
 class Ensemble:
-    """One chain ensemble: ``m`` chains per view of a ``(V, n, k)`` stack.
+    """One chain ensemble, ``m`` chains per view of a ``(V, n, k)`` stack: a stage of a plan.
 
     ``keep`` is a ``(V, n, k)`` mask of the cells whose chain values the
-    caller pools, so only those leave a block: ``run`` returns them for a
-    block of members and ``per_chain`` sets the blocks' values side by side.
+    caller pools, so only those leave a block, and ``at`` holds each kept
+    cell's flat index in the caller's ``layout``, view by view in row-major
+    order. The units of a cut are contiguous member blocks.
     """
 
     views: np.ndarray
@@ -422,37 +432,53 @@ class Ensemble:
     master_seed: int
     streams: list[tuple[int, ...]]
     keep: np.ndarray
+    at: np.ndarray
+    layout: tuple[int, int]
 
-    @property
-    def shape(self) -> tuple[int, int, int, int]:
-        """``(n, k, members, t)``, all that ``block_cost`` reads."""
+    def cuts(self, workers: int) -> list[list[tuple[range, float]]]:
+        """Each way to cut the members into blocks, as ``(members, cost)`` units."""
         n_views, n, k = self.views.shape
-        return n, k, n_views * self.m, self.t
+        members = n_views * self.m
+        return [
+            [(b, block_cost(n, k, len(b), self.t)) for b in _blocks(members, count)]
+            for count in range(1, min(workers, members) + 1)
+        ]
 
     def run(self, members: range) -> np.ndarray:
         """The kept cells of a block of members' completed chains, member by member."""
         done = chain_ensemble(self.views, self.m, self.t, self.master_seed, self.streams, members)
         return np.concatenate([chain[self.keep[b // self.m]] for chain, b in zip(done, members)])
 
-    def per_chain(self, blocks=None) -> np.ndarray:
+    def per_chain(self, blocks: list) -> np.ndarray:
         """``(m, cells)`` chain values at the kept cells, view by view in row-major order.
 
-        ``blocks`` holds ``(members, run(members))`` pairs covering every
-        member, in any order; by default the whole ensemble runs here.
+        ``blocks`` is a list of ``(members, run(members))`` pairs covering
+        every member, in any order. It is emptied as each block is set in
+        place, so no block's values outlive their copy.
         """
-        if blocks is None:
-            members = range(len(self.views) * self.m)
-            blocks = [(members, self.run(members))]
         counts = self.keep.reshape(len(self.keep), -1).sum(axis=1)
         starts = np.cumsum(counts) - counts
         out = np.empty((self.m, counts.sum()))
-        for members, values in blocks:
-            at = 0
+        while blocks:
+            members, values = blocks.pop()
+            offset = 0
             for b in members:
                 view, chain = divmod(b, self.m)
-                out[chain, starts[view] : starts[view] + counts[view]] = values[at : at + counts[view]]
-                at += counts[view]
+                n = counts[view]
+                out[chain, starts[view] : starts[view] + n] = values[offset : offset + n]
+                offset += n
         return out
+
+    def collect(self, blocks) -> tuple[np.ndarray, np.ndarray]:
+        """Pooled fills and stds as ``layout`` arrays, NaN off the kept cells.
+
+        Pools before it allocates the layout arrays, which keeps them out of
+        the pooling's peak memory.
+        """
+        mean, std = pool_chains(self.per_chain(blocks))
+        fills, stds = np.full(self.layout, np.nan), np.full(self.layout, np.nan)
+        fills.reshape(-1)[self.at], stds.reshape(-1)[self.at] = mean, std
+        return fills, stds
 
 
 def pmm_draw(state: ChainState, target_column: int) -> np.ndarray:

@@ -147,8 +147,13 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _report_name(method: str, rate: float | None, seed: int) -> str:
+    """A bench report's file name; ``rate`` is None for one-per-feature-visit masks."""
+    tag = "onepfv" if rate is None else f"rate{round(rate * 100):02d}"
+    return f"report_{method}_{tag}_seed{seed}.txt"
+
+
 def cmd_bench(args) -> int:
-    dataset = io_formats.ingest_long_csv(args.data)
     config = _build_config(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
@@ -160,18 +165,19 @@ def cmd_bench(args) -> int:
         strategies = [("one_per_feature_visit", None)]
     else:
         strategies = [("random_rate", r) for r in _parse_rates(args.rates)]
-
     out_dir = Path(args.out_dir)
+    files = [_report_name(m, r, s) for m in methods for _, r in strategies for s in seeds]
+    for i, name in enumerate(files):
+        if name in files[:i]:
+            raise ConfigError(f"two runs would write the same report {out_dir / name}")
+
+    dataset = io_formats.ingest_long_csv(args.data)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = run_experiment(dataset, variants, strategies, seeds, config)
     names = {s.id: s.name for s in dataset.features}
     back = {v: k for k, v in CLI_METHODS.items()}
     for report in reports:
-        if report.strategy == "one_per_feature_visit":
-            tag = "onepfv"
-        else:
-            tag = f"rate{round(report.rate * 100):02d}"
-        name = f"report_{back[report.variant]}_{tag}_seed{report.seed}.txt"
+        name = _report_name(back[report.variant], report.rate, report.seed)
         (out_dir / name).write_text(io_formats.render_report(report, names))
         macro = "NA" if report.macro_nrmse is None else io_formats.fmt(report.macro_nrmse)
         print(f"{name}: macro_nrmse = {macro}")

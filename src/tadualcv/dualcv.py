@@ -12,19 +12,20 @@ cells of a time-step column with no observations in the temporal view, whose
 chains would only carry a placeholder.
 
 Each view is one chain ensemble over its stack of matrices
-(``cross_visit_chains``), which the caller runs whole or in member blocks;
-only the chains' values at the cells a view hands on leave a block.
-``cross_visit_fills`` pools them with ``pool_chains`` and scatters them onto
-the stacked layout. Fills and stds are arrays over that
-layout, NaN where a stage gave no value, so the compromise is one
-elementwise expression.
+(``cross_visit_chains``), built with the stacked cell each kept value lands
+on, so the view's gather is made once. The caller runs an ensemble whole or
+in member blocks, only the chains' values at the cells a view hands on
+leave a block, and the ensemble's ``collect`` pools and scatters them onto
+the stacked layout. ``cross_visit_fills`` takes both views' collected fills
+and stds, arrays over that layout that are NaN where a view gave no value,
+so the compromise is one elementwise expression.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .chained_equations import Ensemble, pool_chains
+from .chained_equations import Ensemble
 # run_chains stays importable here because perfbench/tracing.py wraps dualcv.run_chains
 from .chained_equations import run_chains  # noqa: F401
 from .config import Config
@@ -53,49 +54,31 @@ def _ctp_stack(dataset: Dataset, t_med: int, truncate: str):
     return values.transpose(2, 0, 1), event_of, np.maximum(t_med - lengths, 0), n_truncated
 
 
-def _ctp_kept(dataset: Dataset, t_med: int, truncate: str):
-    """``_ctp_stack``'s views and ``event_of``, and the cells whose fills leave them.
+def _cfp_chains(dataset: Dataset, config: Config) -> Ensemble:
+    holes = np.isnan(dataset.values)
+    return Ensemble(dataset.values[None], config.chains, config.iterations, config.seed,
+                    [(_CFP_STREAM,)], holes[None], np.flatnonzero(holes), holes.shape)
+
+
+def _ctp_chains(dataset: Dataset, t_med: int, config: Config) -> Ensemble:
+    """The temporal view's ensemble, whose kept cells land on ``(starts[visit] + event, feature)``.
 
     A kept cell is a real hole (not padding) of a time-step column with at
     least one observation; a column with none only carries a placeholder.
     """
-    stack, event_of, _, _ = _ctp_stack(dataset, t_med, truncate)
+    stack, event_of, _, _ = _ctp_stack(dataset, t_med, config.ctp_truncate)
     holes = np.isnan(stack)
-    return stack, event_of, holes & (event_of >= 0) & ~holes.all(axis=1, keepdims=True)
-
-
-def _cfp_chains(dataset: Dataset, config: Config) -> Ensemble:
-    views = dataset.values[None]
-    streams = [(_CFP_STREAM,)]
-    return Ensemble(views, config.chains, config.iterations, config.seed, streams, np.isnan(views))
-
-
-def _ctp_chains(dataset: Dataset, t_med: int, config: Config) -> Ensemble:
-    stack, _, kept = _ctp_kept(dataset, t_med, config.ctp_truncate)
-    streams = [(_CTP_STREAM, feature) for feature in range(dataset.n_features)]
-    return Ensemble(stack, config.chains, config.iterations, config.seed, streams, kept)
-
-
-def _cfp_fills(dataset: Dataset, per_chain: np.ndarray):
-    """Pooled fills and stds of the CFP chains' ``(m, holes)`` values."""
-    holes = np.isnan(dataset.values)
-    fills, stds = np.full(holes.shape, np.nan), np.full(holes.shape, np.nan)
-    fills[holes], stds[holes] = pool_chains(per_chain)
-    return fills, stds
-
-
-def _ctp_fills(dataset: Dataset, t_med: int, config: Config, per_chain: np.ndarray):
-    """Pooled fills and stds of the CTP chains' ``(m, kept cells)`` values.
-
-    Each kept cell goes straight to its stacked cell ``(starts[visit] +
-    event, feature)``; every other cell is NaN.
-    """
-    _, event_of, kept = _ctp_kept(dataset, t_med, config.ctp_truncate)
+    kept = holes & (event_of >= 0) & ~holes.all(axis=1, keepdims=True)
     feature, visit, col = np.nonzero(kept)
-    at = dataset.starts[visit] + event_of[visit, col], feature
-    fills, stds = np.full(dataset.values.shape, np.nan), np.full(dataset.values.shape, np.nan)
-    fills[at], stds[at] = pool_chains(per_chain)
-    return fills, stds
+    at = (dataset.starts[visit] + event_of[visit, col]) * dataset.n_features + feature
+    streams = [(_CTP_STREAM, feature) for feature in range(dataset.n_features)]
+    return Ensemble(stack, config.chains, config.iterations, config.seed, streams,
+                    kept, at, dataset.values.shape)
+
+
+def _run_here(stage):
+    """A plan stage's ``collect`` of its one-worker cut, every unit run here."""
+    return stage.collect([(part, stage.run(part)) for part, _ in stage.cuts(1)[0]])
 
 
 def cross_visit_chains(dataset: Dataset, cross: str, config: Config) -> dict[str, Ensemble]:
@@ -110,21 +93,19 @@ def cross_visit_chains(dataset: Dataset, cross: str, config: Config) -> dict[str
     return chains
 
 
-def cross_visit_fills(dataset: Dataset, config: Config, per_chain: dict[str, np.ndarray]):
-    """(fills, stds) of a cross-visit part from each stage's ``Ensemble.per_chain``.
+def cross_visit_fills(dataset: Dataset, config: Config, collected: dict[str, tuple]):
+    """(fills, stds) of a cross-visit part from each chain stage's ``collect``.
 
     Returns ``(E, D)`` arrays that are NaN at observed cells. With both
     views, each cell blends them by ``compromise``, its dispersion included.
     """
-    fills, stds = _cfp_fills(dataset, per_chain["cfp"])
-    if "ctp" not in per_chain:
-        return fills, stds
+    if "ctp" not in collected:
+        return collected["cfp"]
     t_med = median_event_count(dataset)
-    ctp_fills, ctp_stds = _ctp_fills(dataset, t_med, config, per_chain["ctp"])
     t_i = dataset.lengths[dataset.visit_of_row][:, None]
-    return (
-        compromise(fills, ctp_fills, t_i, t_med, config.w1, config.w2),
-        compromise(stds, ctp_stds, t_i, t_med, config.w1, config.w2),
+    return tuple(
+        compromise(cfp, ctp, t_i, t_med, config.w1, config.w2)
+        for cfp, ctp in zip(collected["cfp"], collected["ctp"])
     )
 
 
@@ -134,7 +115,7 @@ def cfp_impute(dataset: Dataset, config: Config) -> tuple[np.ndarray, np.ndarray
     Returns (fills, chain stds) as ``(E, D)`` arrays that are NaN at
     observed cells. Expects range-normalized data.
     """
-    return _cfp_fills(dataset, _cfp_chains(dataset, config).per_chain())
+    return _run_here(_cfp_chains(dataset, config))
 
 
 def ctp_impute(
@@ -150,9 +131,8 @@ def ctp_impute(
     if t_med < 1:
         raise ValueError("t_med must be >= 1")
     # the dict return stays because perfbench/tracing.py's ctp_info iterates
-    # it; impute() takes the arrays of _ctp_fills
-    per_chain = _ctp_chains(dataset, t_med, config).per_chain()
-    fills, stds = _ctp_fills(dataset, t_med, config, per_chain)
+    # it; impute() collects the same ensemble's arrays
+    fills, stds = _run_here(_ctp_chains(dataset, t_med, config))
     row, feature = np.nonzero(~np.isnan(fills.T))[::-1]
     visit = dataset.visit_of_row[row]
     cells = [
@@ -183,7 +163,7 @@ def dualcv_impute(dataset: Dataset, config: Config) -> tuple[np.ndarray, np.ndar
     chain stds with the same weights used for the fills.
     """
     chains = cross_visit_chains(dataset, "dualcv", config)
-    return cross_visit_fills(dataset, config, {s: c.per_chain() for s, c in chains.items()})
+    return cross_visit_fills(dataset, config, {s: _run_here(c) for s, c in chains.items()})
 
 
 def per_visit_mean_std(dataset: Dataset, stds: np.ndarray) -> np.ndarray:

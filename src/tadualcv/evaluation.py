@@ -39,10 +39,6 @@ class NormalizationMap:
     scales: np.ndarray
     constant: np.ndarray
 
-    @property
-    def n_features(self) -> int:
-        return self.offsets.size
-
 
 def fit_normalization(dataset: Dataset) -> NormalizationMap:
     holes = np.isnan(dataset.values)

@@ -54,14 +54,13 @@ def workers() -> int:
     return len(os.sched_getaffinity(0)) if can_fork() else 1
 
 
-def _pickled_error(exc: BaseException) -> bytes:
-    """``exc`` pickled, or a ``RuntimeError`` naming it if it does not round-trip."""
+def portable(exc: BaseException) -> BaseException:
+    """``exc`` if it survives a pickle round trip, else a ``RuntimeError`` naming it."""
     try:
-        error = pickle.dumps(exc)
-        pickle.loads(error)
+        pickle.loads(pickle.dumps(exc))
     except Exception:  # noqa: BLE001 - not every exception round-trips
-        error = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-    return error
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+    return exc
 
 
 def _child(fd: int, parent: int, fn, args) -> None:
@@ -78,7 +77,7 @@ def _child(fd: int, parent: int, fn, args) -> None:
         try:
             message = (_VALUE, pickle.dumps(fn(*args), protocol=pickle.HIGHEST_PROTOCOL))
         except BaseException as exc:  # noqa: BLE001 - the parent re-raises it
-            message = (_ERROR, _pickled_error(exc))
+            message = (_ERROR, pickle.dumps(portable(exc)))
         with open(fd, "wb") as fh:
             for part in message:
                 fh.write(part)

@@ -19,8 +19,9 @@ factorization, and each member stops on its own bracket width and escalates
 its own nugget. The kernel only combines values of the same member, so a fit
 gives the same bits alone or in any batch; ``fit_gp``,
 ``profile_neg_log_likelihood`` and ``gp_predict`` are batches of one.
-``gp_fit_buckets`` fits any set of buckets and ``gp_collect`` writes their
-results into the layout, so buckets may be fitted in separate processes;
+``GPBuckets`` is the GP stage of ``impute()``'s plan: it builds the table of
+problems once, fits one bucket per ``run`` call, which may be in a separate
+process, and ``collect`` writes any mix of bucket results into the layout;
 ``bucket_cost`` estimates a bucket's one-CPU time.
 """
 
@@ -349,34 +350,40 @@ def _problems(dataset: Dataset):
     return n_obs, n_holes, obs_e, np.cumsum(n_obs) - n_obs, hole_e, np.cumsum(n_holes) - n_holes
 
 
-def gp_buckets(dataset: Dataset) -> dict[int, int]:
-    """The fits to make, by bucket: observed count ``n`` -> number of fits.
-
-    A fit is a (visit, feature) with a hole and at least two observations.
-    """
-    n_obs, n_holes = _problems(dataset)[:2]
-    counts, fits = np.unique(n_obs[(n_holes > 0) & (n_obs >= 2)], return_counts=True)
-    return dict(zip(counts.tolist(), fits.tolist()))
-
-
 def bucket_cost(n: int, fits: int) -> float:
     """Estimated one-CPU seconds of a bucket of ``fits`` fits with ``n`` observations each."""
     return BUCKET_S + BUCKET_OBS_S * n + BUCKET_FIT_OBS2_S * fits * n * n
 
 
-def gp_fit_buckets(dataset: Dataset, counts) -> list[tuple]:
-    """Fit and predict the buckets of the given observed counts, one batch each.
+class GPBuckets:
+    """Every GP fit of a dataset, bucketed by observed count: a stage of a plan.
 
-    Each bucket gives ``(rows, cols, mean, std, failed)``: the stacked cells
-    of its holes, their predictive means and stds, and the ``(problem id,
-    alpha)`` pairs whose correlation matrix did not factor at
-    ``NUGGET_MAX``. ``gp_collect`` writes them into the layout.
+    A fit is a (visit, feature) with a hole and at least two observations;
+    ``buckets`` maps each observed count ``n`` to its number of fits. The one
+    cut is one unit per bucket. Every bucket's cells are its own, so
+    ``collect`` does not depend on how the buckets were grouped or ordered.
     """
-    times = np.asarray(dataset.times, dtype=float)
-    values, n_visits = dataset.values, dataset.n_visits
-    n_obs, n_holes, obs_e, obs_at, hole_e, hole_at = _problems(dataset)
-    out = []
-    for n in counts:
+
+    def __init__(self, dataset: Dataset):
+        self.dataset = dataset
+        self.times = np.asarray(dataset.times, dtype=float)
+        self.problems = _problems(dataset)
+        n_obs, n_holes = self.problems[:2]
+        counts, fits = np.unique(n_obs[(n_holes > 0) & (n_obs >= 2)], return_counts=True)
+        self.buckets = dict(zip(counts.tolist(), fits.tolist()))
+
+    def cuts(self, workers: int) -> list[list[tuple[int, float]]]:
+        return [[(n, bucket_cost(n, fits)) for n, fits in self.buckets.items()]]
+
+    def run(self, n: int) -> tuple:
+        """Bucket ``n``'s ``(rows, cols, mean, std, failed)``.
+
+        These are the stacked cells of its holes, their predictive means and
+        stds, and the ``(problem id, alpha)`` pairs whose correlation matrix
+        did not factor at ``NUGGET_MAX``.
+        """
+        times, values, n_visits = self.times, self.dataset.values, self.dataset.n_visits
+        n_obs, n_holes, obs_e, obs_at, hole_e, hole_at = self.problems
         ids = np.nonzero((n_holes > 0) & (n_obs == n))[0]
         rows = obs_e[obs_at[ids, None] + np.arange(n)]
         fits, ok, failed_alpha = _fit(times[rows], values[rows, ids[:, None] // n_visits])
@@ -386,45 +393,38 @@ def gp_fit_buckets(dataset: Dataset, counts) -> list[tuple]:
         # every member queries max(m) times: its own holes, then its last hole again
         holes = hole_e[hole_at[ids, None] + np.minimum(np.arange(m.max(initial=1)), m[:, None] - 1)]
         mean, std = _predict(fits, times[holes] / fits.scale[:, None])
-        out.append((holes, ids[:, None] // n_visits, mean, std, failed))
-    return out
+        return holes, ids[:, None] // n_visits, mean, std, failed
 
-
-def gp_collect(dataset: Dataset, buckets) -> GPStackedResult:
-    """Write ``gp_fit_buckets``' results into ``(E, D)`` fills and stds.
-
-    Every bucket's cells are its own, so the result does not depend on how
-    the buckets were grouped or ordered. A (visit, feature) with a hole and
-    fewer than two observations is skipped, and so is one whose fit failed,
-    with a diagnostic.
-    """
-    n_visits = dataset.n_visits
-    n_obs, n_holes = _problems(dataset)[:2]
-    fills = np.full(dataset.values.shape, np.nan)
-    stds = fills.copy()
-    few = np.nonzero((n_holes > 0) & (n_obs < 2))[0]
-    skipped = [(int(p % n_visits), int(p // n_visits)) for p in few]
-    failed: dict[tuple[int, int], str] = {}
-    for holes, cols, mean, std, bad in buckets:
-        fills[holes, cols] = mean
-        stds[holes, cols] = std
-        for p, alpha in bad:
-            f, v = divmod(p, n_visits)
-            failed[(v, f)] = f"visit {v}, feature {f}: ill-conditioned correlation at alpha={alpha:g}"
-    diagnostics = [failed[key] for key in sorted(failed)]
-    return GPStackedResult(fills, stds, sorted(skipped + list(failed)), diagnostics)
+    def collect(self, results) -> tuple[np.ndarray, np.ndarray]:
+        """Fills and stds from ``(n, run(n))`` pairs, NaN where no bucket filled."""
+        fills = np.full(self.dataset.values.shape, np.nan)
+        stds = fills.copy()
+        for _, (holes, cols, mean, std, _) in results:
+            fills[holes, cols] = mean
+            stds[holes, cols] = std
+        return fills, stds
 
 
 def gp_impute_stacked(dataset: Dataset) -> GPStackedResult:
     """GP-impute every (visit, feature) of a dataset's stacked ``(E, D)`` values.
 
-    A (visit, feature) with a hole and at least two observations is one fit;
-    fits are bucketed by observed count and each bucket is fitted and
-    predicted as one batch (``gp_fit_buckets``). A (visit, feature) with a
-    hole and fewer than two observations is skipped, and so is one whose
-    correlation matrix does not factor at ``NUGGET_MAX``, with a diagnostic.
+    Every bucket of ``GPBuckets`` is fitted and predicted here, one batch
+    each. A (visit, feature) with a hole and fewer than two observations is
+    skipped, and so is one whose correlation matrix does not factor at
+    ``NUGGET_MAX``, with a diagnostic.
     """
-    return gp_collect(dataset, gp_fit_buckets(dataset, gp_buckets(dataset)))
+    stage, n_visits = GPBuckets(dataset), dataset.n_visits
+    results = [(n, stage.run(n)) for n in stage.buckets]
+    n_obs, n_holes = stage.problems[:2]
+    few = np.nonzero((n_holes > 0) & (n_obs < 2))[0]
+    skipped = [(int(p % n_visits), int(p // n_visits)) for p in few]
+    failed: dict[tuple[int, int], str] = {}
+    for _, result in results:
+        for p, alpha in result[-1]:
+            f, v = divmod(p, n_visits)
+            failed[(v, f)] = f"visit {v}, feature {f}: ill-conditioned correlation at alpha={alpha:g}"
+    diagnostics = [failed[key] for key in sorted(failed)]
+    return GPStackedResult(*stage.collect(results), sorted(skipped + list(failed)), diagnostics)
 
 
 @dataclass

@@ -49,17 +49,19 @@ def fmt(value: float) -> str:
 
 
 def read_feature_manifest(path) -> list[FeatureSpec]:
-    """Manifest rows are ``name,kind`` in the desired feature order."""
-    specs = []
+    """Manifest rows are ``name,kind`` in the desired feature order.
+
+    Rows starting with ``#`` are comments, and a first other row reading
+    ``name,kind`` is a header.
+    """
     with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].startswith("#"):
-                continue
-            if row[0] == "name":
-                continue
-            name = row[0].strip()
-            kind = row[1].strip() if len(row) > 1 else "other"
-            specs.append(FeatureSpec(len(specs), name, kind))
+        rows = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
+    if rows and [field.strip() for field in rows[0]] == ["name", "kind"]:
+        del rows[0]
+    specs = [
+        FeatureSpec(k, row[0].strip(), row[1].strip() if len(row) > 1 else "other")
+        for k, row in enumerate(rows)
+    ]
     if not specs:
         raise DataError(f"{path}: empty feature manifest")
     return specs
@@ -497,9 +499,11 @@ def render_report(report: EvalReport, feature_names: dict[int, str] | None = Non
     for key, value in report.config_echo.items():
         out.write(f"{key} = {value}\n")
     out.write("[per_feature]\n")
-    out.write("feature,name,masked_cells,nrmse\n")
+    # quoted as CSV, so a feature name may hold a comma or a quote
+    table = csv.writer(out, lineterminator="\n")
+    table.writerow(["feature", "name", "masked_cells", "nrmse"])
     for f, score in report.per_feature_nrmse.items():
-        out.write(f"{f},{names.get(f, f'f_{f}')},{report.per_feature_masked[f]},{fmt(score)}\n")
+        table.writerow([f, names.get(f, f"f_{f}"), report.per_feature_masked[f], fmt(score)])
     return out.getvalue()
 
 
@@ -522,7 +526,7 @@ def parse_report(text: str) -> dict:
             columns = []
             continue
         if section == "table":
-            parts = line.split(",")
+            (parts,) = csv.reader([line])
             if not columns:
                 columns = parts
             else:

@@ -3,15 +3,16 @@
 Each model variant is one cell of a grid: a cross-visit part (none, the
 feature-perspective view alone, or the dual view) and the within-visit GP,
 on or off (``MODEL_VARIANTS``). All of them run one path. The CFP chains,
-the CTP chains and the GP fits read only the normalized dataset, so
-``plan`` cuts them into work units (contiguous blocks of a chain stage's
-members, and GP buckets) and packs them longest first onto
-``forking.workers()`` processes from estimated one-CPU costs, and
-``run_plan`` runs the first share here and each other in one forked child.
-No unit combines two chains or two GP fits, so the output has the same bits
-at any worker count. The two parts are then fused visit by visit through a
-convex combination whose weights favor whichever side showed the smaller
-dispersion for that visit.
+the CTP chains and the GP fits read only the normalized dataset, and each is
+a stage: ``cuts(workers)`` lists the ways to cut it into ``(part, estimated
+one-CPU cost)`` units, ``run(part)`` returns a picklable result, and
+``collect`` turns ``(part, result)`` pairs into ``(E, D)`` fills and stds.
+``plan`` packs the units longest first onto ``forking.workers()``
+processes, and ``run_plan`` runs the first share here and each other in one
+forked child. No unit combines two chains or two GP fits, so the output has
+the same bits at any worker count. The two parts are then fused visit by
+visit through a convex combination whose weights favor whichever side
+showed the smaller dispersion for that visit.
 A hole the cross-visit part left open takes the GP fill; a hole neither
 filled takes its feature's mean. The feature-mean and expert-carry-forward
 baselines stand apart.
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forking
-from .chained_equations import block_cost
 from .config import DEFAULT_ECF_WINDOWS, Config, ConfigError, check_ecf_windows
 from .data_model import DataError, Dataset
 from .dualcv import cross_visit_chains, cross_visit_fills, per_visit_mean_std
@@ -40,7 +40,7 @@ from .dualcv import cross_visit_chains, cross_visit_fills, per_visit_mean_std
 # perfbench/tracing.py wraps them as methods attributes
 from .dualcv import cfp_impute, dualcv_impute  # noqa: F401
 from .evaluation import normalize
-from .gp_within_visit import bucket_cost, gp_buckets, gp_collect, gp_fit_buckets
+from .gp_within_visit import GPBuckets
 from .gp_within_visit import gp_impute_visit  # noqa: F401
 
 # Model variant -> (cross-visit part, within-visit GP on).
@@ -140,13 +140,6 @@ def ecf_fill(dataset: Dataset, windows: dict[str, int] | None = None) -> Dataset
     return dataset.with_values(np.where(holes, fills, values))
 
 
-def _blocks(members: int, count: int) -> list[range]:
-    """``count`` contiguous blocks of ``members``, the first ``members % count`` one longer."""
-    size, extra = divmod(members, count)
-    bounds = [b * size + min(b, extra) for b in range(count + 1)]
-    return [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
 def _lpt(units, workers: int):
     """Graham's longest-processing-time-first packing of ``(unit, cost)`` pairs.
 
@@ -162,76 +155,65 @@ def _lpt(units, workers: int):
     return max(load for load, _ in loads), shares
 
 
-def plan(chains: dict[str, tuple[int, int, int, int]], buckets: dict[int, int], workers: int):
+def plan(stages: dict, workers: int):
     """Work units per worker, packed longest first; worker 0 is the caller.
 
-    ``chains`` maps each chain stage, in stage order, to its ``(n, k,
-    members, t)`` shape and ``buckets`` each GP bucket's observed count to
-    its number of fits. Every chain stage is tried in 1 to ``workers``
-    contiguous member blocks; each candidate is packed by ``_lpt`` on the
-    estimated one-CPU costs (``block_cost``, ``bucket_cost``), and the
-    smallest makespan wins, ties to fewer blocks. A worker's units are its
-    chain blocks, ``(stage, members)`` in stage and member order, then at
-    most one ``("gp", counts)`` unit holding its buckets. Workers left
-    without a unit are dropped, so the plan may have fewer shares than
-    ``workers``.
+    ``stages`` maps each stage name, in stage order, to its stage. Every
+    combination of the stages' ``cuts(workers)`` is packed by ``_lpt`` on its
+    units' estimated one-CPU costs, and the smallest makespan wins, ties to
+    fewer units. A worker's units are ``(name, part)`` pairs in stage order
+    and, within a stage, in the order of its cut. Workers left without a
+    unit are dropped, so the plan may have fewer shares than ``workers``.
     """
-    gp = [(("gp", n), bucket_cost(n, fits)) for n, fits in buckets.items()]
-    order = {stage: i for i, stage in enumerate(chains)}
     best = None
-    for counts in itertools.product(*(range(1, min(workers, s[2]) + 1) for s in chains.values())):
-        units = list(gp)
-        for (stage, (n, k, members, t)), count in zip(chains.items(), counts):
-            units += [((stage, b), block_cost(n, k, len(b), t)) for b in _blocks(members, count)]
+    for cuts in itertools.product(*(stage.cuts(workers) for stage in stages.values())):
+        # a unit is (stage index, index in its cut), so sorting a share orders it
+        units = [((s, i), cost) for s, cut in enumerate(cuts) for i, (_, cost) in enumerate(cut)]
         makespan, shares = _lpt(units, workers)
-        if best is None or (makespan, sum(counts)) < best[0]:
-            best = (makespan, sum(counts)), shares
-    shares = []
-    for share in best[1]:
-        blocks = sorted((u for u in share if u[0] != "gp"), key=lambda u: (order[u[0]], u[1].start))
-        counts = tuple(sorted(n for stage, n in share if stage == "gp"))
-        shares.append(blocks + ([("gp", counts)] if counts else []))
+        if best is None or (makespan, len(units)) < best[0]:
+            best = (makespan, len(units)), cuts, shares
+    _, cuts, shares = best
+    names = list(stages)
+    shares = [[(names[s], cuts[s][i][0]) for s, i in sorted(share)] for share in shares]
     return [share for share in shares if share] or [[]]
 
 
-def _run_share(share, chains, dataset):
-    """One worker's units: its chain blocks, then its GP buckets.
+def _run_share(share, stages):
+    """One worker's units, in order; the first to raise an ``Exception`` ends the share.
 
-    Returns each block's ``Ensemble.run`` values, the GP buckets' results
-    and the GP error, if any. A chain failure raises here; a GP failure is
-    returned, to be raised only once every worker's chains have run, since
-    a chain failure wins over it.
+    Returns each unit run's ``(name, part, result)`` and the failure, if
+    any, as ``(stage index, exception)``. The exception is made
+    ``forking.portable``, so it is the same whichever worker ran the unit.
     """
-    done = [(stage, part, chains[stage].run(part)) for stage, part in share if stage != "gp"]
-    try:
-        fitted = [gp_fit_buckets(dataset, part) for stage, part in share if stage == "gp"]
-    except Exception as exc:  # noqa: BLE001 - raised by the caller after the chains
-        return done, [], exc
-    return done, fitted, None
+    done = []
+    for name, part in share:
+        try:
+            done.append((name, part, stages[name].run(part)))
+        except Exception as exc:  # noqa: BLE001 - run_plan raises it once every share has run
+            return done, (list(stages).index(name), forking.portable(exc))
+    return done, None
 
 
-def run_plan(shares, chains, dataset):
+def run_plan(shares, stages):
     """Run ``plan``'s shares: the first here, each other in one forked child.
 
-    Returns each chain stage's ``Ensemble.per_chain`` values, set together
-    from its blocks, and the GP buckets' results. The first chain failure is
-    raised as soon as it is seen; a GP failure only once every share has
-    run. Every child is killed if need be and reaped before this returns or
-    raises.
+    Returns each stage's ``(part, result)`` pairs, by stage name. Once every
+    share has run, the failure of the earliest stage is raised, and of that
+    stage's failures, the lowest-numbered share's. A ``BaseException`` that
+    is not an ``Exception`` propagates at once. Every child is killed if need
+    be and reaped before this returns or raises.
     """
     with forking.children() as spawn:
-        children = [spawn(_run_share, share, chains, dataset) for share in shares[1:]]
-        outcomes = [_run_share(shares[0], chains, dataset), *(c.join() for c in children)]
-    for _, _, error in outcomes:
-        if error is not None:
-            raise error
-    per_chain = {
-        stage: chains[stage].per_chain(
-            [(part, values) for done, _, _ in outcomes for s, part, values in done if s == stage]
-        )
-        for stage in chains
+        children = [spawn(_run_share, share, stages) for share in shares[1:]]
+        outcomes = [_run_share(shares[0], stages), *(c.join() for c in children)]
+    # (stage index, share index, exception); no two share a share index
+    failures = [(failed[0], w, failed[1]) for w, (_, failed) in enumerate(outcomes) if failed]
+    if failures:
+        raise min(failures)[2]
+    return {
+        name: [(part, result) for done, _ in outcomes for s, part, result in done if s == name]
+        for name in stages
     }
-    return per_chain, [bucket for _, fitted, _ in outcomes for part in fitted for bucket in part]
 
 
 def impute(dataset: Dataset, variant: str, config: Config | None = None) -> ImputationOutput:
@@ -260,25 +242,26 @@ def impute(dataset: Dataset, variant: str, config: Config | None = None) -> Impu
     normalized, nmap = normalize(dataset)
     # CFP chains, CTP chains and the GP read only ``normalized``: one plan
     # spreads them over the usable CPUs, forking once
-    chains = cross_visit_chains(normalized, cross, config) if cross else {}
-    buckets = gp_buckets(normalized) if gp else {}
-    shapes = {stage: c.shape for stage, c in chains.items()}
-    per_chain, fitted = run_plan(plan(shapes, buckets, forking.workers()), chains, normalized)
+    stages = cross_visit_chains(normalized, cross, config) if cross else {}
+    if gp:
+        stages["gp"] = GPBuckets(normalized)
+    results = run_plan(plan(stages, forking.workers()), stages)
+    collected = {name: stage.collect(results[name]) for name, stage in stages.items()}
     if cross:
-        fills, stds = cross_visit_fills(normalized, config, per_chain)
+        fills, stds = cross_visit_fills(normalized, config, collected)
     else:
         fills = stds = np.full(normalized.values.shape, np.nan)
     sigma_m = per_visit_mean_std(normalized, stds)
     if gp:
-        gp_out = gp_collect(normalized, fitted)
-        sigma_g = per_visit_mean_std(normalized, gp_out.stds)
+        gp_fills, gp_stds = collected["gp"]
+        sigma_g = per_visit_mean_std(normalized, gp_stds)
         # theta stays NaN for visits the cross-visit part filled nothing
         theta1, theta2 = (
             np.where(np.isnan(sigma_m), np.nan, w) for w in fusion_weights(sigma_m, sigma_g)
         )
         t1, t2 = (w[normalized.visit_of_row][:, None] for w in (theta1, theta2))
-        fills = fuse(fills, gp_out.fills, t1, t2)
-        stds = fuse(stds, gp_out.stds, t1, t2)
+        fills = fuse(fills, gp_fills, t1, t2)
+        stds = fuse(stds, gp_stds, t1, t2)
     else:
         sigma_g, theta1, theta2 = (np.full(n, np.nan) for _ in range(3))
 

@@ -560,12 +560,12 @@ def in_groups(stack, m, t, seed, streams, groups):
     ``methods.run_plan`` runs the first block here and each other in a
     forked child, as ``impute()`` runs a plan's chain blocks.
     """
-    ensemble = Ensemble(stack, m, t, seed, streams, np.ones(stack.shape, dtype=bool))
-    members = ensemble.shape[2]
-    shares = [[("chains", block)] for block in methods._blocks(members, min(members, groups))]
-    per_chain, _ = methods.run_plan(shares, {"chains": ensemble}, None)
+    keep = np.ones(stack.shape, dtype=bool)
+    ensemble = Ensemble(stack, m, t, seed, streams, keep, None, None)
+    blocks = ensemble.cuts(groups)[-1]
+    results = methods.run_plan([[("chains", block)] for block, _ in blocks], {"chains": ensemble})
     # every cell is kept, so chain i's values are its views' matrices in order
-    matrices = per_chain["chains"].reshape(m, *stack.shape).swapaxes(0, 1)
+    matrices = ensemble.per_chain(results["chains"]).reshape(m, *stack.shape).swapaxes(0, 1)
     return matrices.reshape(-1, *stack.shape[1:])
 
 
@@ -602,9 +602,8 @@ def test_worker_count_follows_cpus_and_threads():
     cpus = len(os.sched_getaffinity(0))
     assert forking.workers() == cpus
     # a one-member ensemble stays one block, however many workers there are
-    assert methods.plan({"chains": (30, 4, 1, 4)}, {}, forking.workers()) == [
-        [("chains", range(1))]
-    ]
+    ensemble = Ensemble(np.zeros((1, 30, 4)), 1, 4, 0, [()], None, None, None)
+    assert methods.plan({"chains": ensemble}, forking.workers()) == [[("chains", range(1))]]
     release = threading.Event()
     worker = threading.Thread(target=release.wait)
     worker.start()
@@ -644,6 +643,6 @@ def test_interrupted_parent_kills_its_children():
     shares = [[("stalls", range(0, 1))], [("stalls", range(1, 2))]]
     start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
-        methods.run_plan(shares, {"stalls": Stalls()}, None)
+        methods.run_plan(shares, {"stalls": Stalls()})
     assert time.perf_counter() - start < 30
     assert_no_child_left()

@@ -271,19 +271,23 @@ def test_report_render_parse_round_trip():
         strategy="random_rate",
         rate=0.5,
         seed=3,
-        per_feature_nrmse={0: 0.25, 1: 0.125},
-        per_feature_masked={0: 10, 1: 4},
+        per_feature_nrmse={0: 0.25, 1: 0.125, 2: 0.5, 3: 0.75},
+        per_feature_masked={0: 10, 1: 4, 2: 1, 3: 2},
         macro_nrmse=0.1875,
         config_echo={"chains": "5", "w1": "0.5"},
     )
-    text = io_formats.render_report(report, {0: "HR", 1: "Temp"})
+    # a comma or a quote in a name must not shift the columns
+    text = io_formats.render_report(report, {0: "HR", 1: "Temp", 2: "f,1", 3: 'g"2'})
     parsed = io_formats.parse_report(text)
     assert parsed["header"]["variant"] == "mean_fill"
     assert parsed["header"]["macro_nrmse"] == "0.1875"
     assert parsed["config"]["chains"] == "5"
-    assert parsed["per_feature"][0] == {
-        "feature": "0", "name": "HR", "masked_cells": "10", "nrmse": "0.25",
-    }
+    assert parsed["per_feature"] == [
+        {"feature": "0", "name": "HR", "masked_cells": "10", "nrmse": "0.25"},
+        {"feature": "1", "name": "Temp", "masked_cells": "4", "nrmse": "0.125"},
+        {"feature": "2", "name": "f,1", "masked_cells": "1", "nrmse": "0.5"},
+        {"feature": "3", "name": 'g"2', "masked_cells": "2", "nrmse": "0.75"},
+    ]
 
 
 def _write_synth(tmp_path, **kwargs):
@@ -419,6 +423,22 @@ def test_cli_manifest_feature_without_rows_is_data_error(tmp_path, capsys):
     assert "feature 'y' has no observations" in capsys.readouterr().err
 
 
+def test_manifest_header_is_only_a_first_name_kind_row(tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_text("visit_id,time_min,feature,value\n"
+                    "a,0,HR,1.0\na,10,name,2.0\na,20,HR,3.0\na,30,name,4.0\n")
+    manifest = tmp_path / "features.csv"
+    manifest.write_text("# features\nname,kind\nHR,vital\nname,lab\n")
+    assert io_formats.read_feature_manifest(manifest) == [
+        FeatureSpec(0, "HR", "vital"), FeatureSpec(1, "name", "lab"),
+    ]
+    # no header: a first row naming a feature is kept
+    manifest.write_text("name,lab\nHR,vital\n")
+    assert [s.name for s in io_formats.read_feature_manifest(manifest)] == ["name", "HR"]
+    assert main(["impute", "--data", str(data), "--features", str(manifest),
+                 "--method", "meanfill", "--out", str(tmp_path / "o.csv")]) == 0
+
+
 def test_cli_missing_file_is_data_error(tmp_path):
     code = main(["impute", "--data", str(tmp_path / "absent.csv"),
                  "--method", "meanfill", "--out", str(tmp_path / "o.csv")])
@@ -437,6 +457,22 @@ def test_cli_bench_rate_grid(tmp_path):
     for path in reports:
         parsed = io_formats.parse_report(path.read_text())
         assert parsed["header"]["variant"] == "mean_fill"
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [["--rates", "20,20.4", "--methods", "meanfill", "--seeds", "0"],
+     ["--rates", "20", "--methods", "meanfill,ecf,meanfill", "--seeds", "0"],
+     ["--rates", "20", "--methods", "meanfill", "--seeds", "1,1"]],
+    ids=["rates", "methods", "seeds"],
+)
+def test_cli_bench_refuses_runs_that_share_a_report(tmp_path, capsys, grid):
+    data = _write_synth(tmp_path, n_visits=6)
+    out_dir = tmp_path / "reports"
+    assert main(["bench", "--data", str(data), *grid, "--out-dir", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert "report_meanfill_rate20_seed" in captured.err and captured.out == ""
+    assert not out_dir.exists()
 
 
 def test_cli_synth_writes_ingestible_csv(tmp_path):

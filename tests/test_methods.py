@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 import tadualcv.chained_equations as ce
-from tadualcv import forking, gp_within_visit, methods
+from tadualcv import dualcv, forking, gp_within_visit, methods
 from tadualcv.config import Config, ConfigError
 from tadualcv.data_model import DataError, apply_mask
 from tadualcv.dualcv import cfp_impute, cross_visit_chains, dualcv_impute, per_visit_mean_std
 from tadualcv.evaluation import denormalize_value, mask_random, normalize
-from tadualcv.gp_within_visit import gp_buckets, gp_impute_visit
+from tadualcv.gp_within_visit import GPBuckets, gp_impute_visit
 from tadualcv.methods import (
     MODEL_VARIANTS,
     VARIANTS,
@@ -329,6 +329,11 @@ BENCH_SHAPES = {
 }
 
 
+def chain_stage(n, k, members, t):
+    """``members`` one-chain views of ``(n, k)``, ``t`` sweeps; ``plan`` reads only its cuts."""
+    return ce.Ensemble(np.zeros((members, n, k)), 1, t, 0, [()] * members, None, None, None)
+
+
 def planned(shape, workers):
     """The plan ``impute()`` makes for a benchmark input, and its GP buckets."""
     synth, variant = BENCH_SHAPES[shape]
@@ -337,14 +342,16 @@ def planned(shape, workers):
     )
     normalized, _ = normalize(apply_mask(premask, mask_random(premask, 0.5, seed=0)))
     cross, gp = MODEL_VARIANTS[variant]
-    chains = cross_visit_chains(normalized, cross, Config())
-    buckets = gp_buckets(normalized) if gp else {}
-    return plan({stage: c.shape for stage, c in chains.items()}, buckets, workers), buckets
+    stages = cross_visit_chains(normalized, cross, Config())
+    if gp:
+        stages["gp"] = GPBuckets(normalized)
+    return plan(stages, workers), sorted(stages["gp"].buckets) if gp else []
 
 
 def test_plan_on_m_runs_ctp_here_and_cfp_then_the_gp_in_one_child():
     shares, buckets = planned("M", 2)
-    assert shares == [[("ctp", range(40))], [("cfp", range(5)), ("gp", tuple(sorted(buckets)))]]
+    gp = [("gp", n) for n in buckets]
+    assert shares == [[("ctp", range(40))], [("cfp", range(5)), *gp]]
 
 
 def test_plan_on_l_splits_ctp_and_spreads_the_gp():
@@ -353,8 +360,8 @@ def test_plan_on_l_splits_ctp_and_spreads_the_gp():
     units = [unit for share in shares for unit in share]
     ctp = sorted((part for stage, part in units if stage == "ctp"), key=lambda r: r.start)
     assert ctp == [range(10), range(10, 20)]
-    gp = [part for stage, part in units if stage == "gp"]
-    assert len(gp) == 2 and sorted(n for part in gp for n in part) == sorted(buckets)
+    gp = [[part for stage, part in share if stage == "gp"] for share in shares]
+    assert all(gp) and sorted(gp[0] + gp[1]) == buckets
 
 
 def test_plan_on_w_splits_cfp_3_2():
@@ -366,17 +373,16 @@ def test_plan_on_w_splits_cfp_3_2():
 def test_plan_on_one_worker_runs_every_stage_here_in_order(shape):
     shares, buckets = planned(shape, 1)
     ctp = {"M": [("ctp", range(40))], "L": [("ctp", range(20))], "W": []}[shape]
-    gp = [("gp", tuple(sorted(buckets)))] if buckets else []
-    assert shares == [[("cfp", range(5)), *ctp, *gp]]
+    assert shares == [[("cfp", range(5)), *ctp, *(("gp", n) for n in buckets)]]
 
 
 def test_plan_takes_fewer_blocks_on_a_tie_and_drops_idle_workers():
     # one member cannot split; four workers then leave three idle
-    assert plan({"cfp": (100, 3, 1, 10)}, {}, 4) == [[("cfp", range(1))]]
-    assert plan({}, {}, 3) == [[]]
+    assert plan({"cfp": chain_stage(100, 3, 1, 10)}, 4) == [[("cfp", range(1))]]
+    assert plan({}, 3) == [[]]
     # the one-member stage sets the makespan however the other is split
-    shares = plan({"cfp": (100, 3, 4, 10), "ctp": (50, 20, 1, 10)}, {}, 2)
-    assert shares == [[("ctp", range(1))], [("cfp", range(4))]]
+    stages = {"cfp": chain_stage(100, 3, 4, 10), "ctp": chain_stage(50, 20, 1, 10)}
+    assert plan(stages, 2) == [[("ctp", range(1))], [("cfp", range(4))]]
 
 
 def small_cohort():
@@ -411,9 +417,8 @@ def test_impute_same_bits_forked_or_in_process(monkeypatch, variant):
         # plan gave it; the GP ran in a child wherever the variant has one
         shares = plans[-1] if variant in MODEL_VARIANTS else [[]]
         assert len(joined) == len(shares) - 1
-        for share, (done, fitted, error) in zip(shares[1:], joined):
-            assert [(stage, part) for stage, part, _ in done] == [u for u in share if u[0] != "gp"]
-            assert len(fitted) == sum(stage == "gp" for stage, _ in share) and error is None
+        for share, (done, failure) in zip(shares[1:], joined):
+            assert [(stage, part) for stage, part, _ in done] == share and failure is None
         assert in_children(shares, "gp") == gp
         for name in ("per_visit_sigma_m", "per_visit_sigma_g", "per_visit_theta1",
                      "per_visit_theta2", "stds"):
@@ -461,6 +466,58 @@ def test_cross_visit_failure_wins_over_a_gp_failure(monkeypatch):
             impute(small_cohort(), "ta_dualcv", Config(chains=2, iterations=2, seed=0))
         assert in_children(plans[-1], "cfp") and in_children(plans[-1], "gp")
         assert_no_child_left()
+
+
+def test_a_cfp_failure_in_a_child_wins_over_a_ctp_failure_here(monkeypatch):
+    # two workers: CTP runs here and CFP in the child; both fail, and the
+    # earlier stage's failure is raised once both shares have run
+    force_workers(monkeypatch, 2)
+    plans = recorded_plans(monkeypatch)
+    parent = os.getpid()
+
+    def failing(*batch):
+        where = "here" if os.getpid() == parent else "in a child"
+        raise ce.DegenerateModelError(f"failed {where}")
+
+    monkeypatch.setattr(ce, "_sweep", failing)
+    with pytest.raises(ce.DegenerateModelError, match="^failed in a child$"):
+        impute(small_cohort(), "ta_dualcv", Config(chains=2, iterations=2, seed=0))
+    assert in_children(plans[-1], "cfp") and not in_children(plans[-1], "ctp")
+    assert_no_child_left()
+
+
+class Unpicklable(ValueError):
+    """An error that does not survive a pickle round trip."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.hook = lambda: None
+
+
+def test_an_unpicklable_failure_keeps_the_failure_rule():
+    # both shares fail; the child's error cannot be pickled as it is, and
+    # share 0's failure must still be the one raised, named the same way
+    class Fails:
+        def run(self, part):
+            raise Unpicklable(f"unit {part} failed")
+
+    with pytest.raises(RuntimeError, match="^Unpicklable: unit 0 failed$"):
+        methods.run_plan([[("s", 0)], [("s", 1)]], {"s": Fails()})
+    assert_no_child_left()
+
+
+def test_impute_builds_the_ctp_gather_and_the_gp_problems_once(monkeypatch):
+    force_workers(monkeypatch, 1)
+    built = []
+    for module, name in ((dualcv, "_ctp_stack"), (gp_within_visit, "_problems")):
+
+        def counting(*args, original=getattr(module, name), name=name):
+            built.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    impute(small_cohort(), "ta_dualcv", Config(chains=2, iterations=2, seed=0))
+    assert sorted(built) == ["_ctp_stack", "_problems"]
 
 
 def _gp_parts(dataset):
