@@ -8,9 +8,10 @@ rows ``starts[i]:starts[i + 1]`` belong to visit ``i``. The dataset also owns
 the rest of that layout, computed once: ``visit_ids``, ``lengths`` and the
 row-to-visit map ``visit_of_row``. Each ``Visit`` in ``dataset.visits`` is a
 view of its rows, built only when read. Code that works on all cells at
-once reads the stacked arrays and maps ``(visit, event, feature)`` cells onto
-them with ``rows``. Masking bookkeeping (which cells were hidden on purpose,
-and what their true values were) lives in ``MaskSet``, as parallel arrays.
+once reads the stacked arrays and maps a ``(K, 3)`` array of ``(visit, event,
+feature)`` cells onto them with ``rows``. Masking bookkeeping (which cells
+were hidden on purpose, and what their true values were) lives in
+``MaskSet``, as four parallel arrays that its one constructor takes.
 
 All containers here are immutable after construction: the value arrays are
 flagged read-only, and the mutating-looking operations (``with_values``,
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -171,12 +171,12 @@ class Dataset:
         """The (row, column) index arrays of ``cells`` in the stacked layout.
 
         ``cells`` is a ``(K, 3)`` integer array of (visit, event, feature)
-        rows, as ``MaskSet.cells`` returns, or a collection of ``CellIndex``.
+        rows, as ``MaskSet.cells`` returns; ``TypeError`` if it is not an array.
         ``IndexError`` names the first cell with a negative index, a visit
         ``>= N`` or a feature ``>= D``; an event past its visit's end raises it too.
         """
         if not isinstance(cells, np.ndarray):
-            cells = np.fromiter(chain.from_iterable(cells), np.int64, 3 * len(cells))
+            raise TypeError(f"cells must be a (K, 3) array, not {type(cells).__name__}")
         idx = cells.reshape(-1, 3)
         visit, event, feature = idx.T
         outside = (idx < 0).any(axis=1) | (visit >= self.n_visits) | (feature >= self.n_features)
@@ -208,22 +208,16 @@ class CellIndex(NamedTuple):
     feature: int
 
 
-class MaskEntry(NamedTuple):
-    cell: CellIndex
-    truth: float
-
-
 @dataclass(frozen=True, eq=False)
 class MaskSet:
     """Cells hidden by the harness, with their ground-truth values.
 
     Stored as four read-only arrays of one length, one entry per hidden
     cell: ``visit``, ``event`` and ``feature`` (int64) locate the cell and
-    ``truth`` (float64) holds its value. ``MaskSet(entries)`` builds one from
-    ``(cell, truth)`` pairs and ``MaskSet.from_arrays`` from the arrays.
+    ``truth`` (float64) holds its value. The constructor copies each array.
 
-    ``strategy`` is "random_rate" or "one_per_feature_visit"; ``rate`` is only
-    meaningful for the former. Entries must reference cells that were observed
+    ``strategy`` is "random_rate", "one_per_feature_visit", or "external" for
+    a mask read from a file; ``rate`` is only meaningful for the first. Entries must reference cells that were observed
     in the source dataset, with no duplicates.
     """
 
@@ -235,36 +229,19 @@ class MaskSet:
     rate: float | None = None
     seed: int = 0
 
-    def __init__(self, entries=(), strategy="random_rate", rate=None, seed=0):
-        pairs = [(tuple(cell), truth) for cell, truth in entries]
-        cells = np.array([cell for cell, _ in pairs], dtype=np.int64).reshape(-1, 3)
-        truth = np.array([truth for _, truth in pairs], dtype=float)
-        self._assign(cells[:, 0], cells[:, 1], cells[:, 2], truth, strategy, rate, seed)
-
-    @classmethod
-    def from_arrays(
-        cls, visit, event, feature, truth, strategy="random_rate", rate=None, seed=0
-    ) -> "MaskSet":
-        """A mask over per-entry arrays; each is copied and flagged read-only."""
-        out = object.__new__(cls)
-        out._assign(visit, event, feature, truth, strategy, rate, seed)
-        return out
-
-    def _assign(self, visit, event, feature, truth, strategy, rate, seed) -> None:
+    def __post_init__(self):
         arrays = {
-            "visit": np.array(visit, dtype=np.int64),
-            "event": np.array(event, dtype=np.int64),
-            "feature": np.array(feature, dtype=np.int64),
-            "truth": np.array(truth, dtype=float),
+            "visit": np.array(self.visit, dtype=np.int64),
+            "event": np.array(self.event, dtype=np.int64),
+            "feature": np.array(self.feature, dtype=np.int64),
+            "truth": np.array(self.truth, dtype=float),
         }
         if len({a.shape for a in arrays.values()}) != 1 or arrays["truth"].ndim != 1:
             raise DataError("mask arrays must be one-dimensional and of one length")
         for name, array in arrays.items():
             array.flags.writeable = False
             object.__setattr__(self, name, array)
-        object.__setattr__(self, "strategy", strategy)
-        object.__setattr__(self, "rate", rate)
-        object.__setattr__(self, "seed", int(seed))
+        object.__setattr__(self, "seed", int(self.seed))
 
     def __len__(self) -> int:
         return self.truth.shape[0]
@@ -272,14 +249,6 @@ class MaskSet:
     def cells(self) -> np.ndarray:
         """``(K, 3)`` int64 array of (visit, event, feature), one row per entry."""
         return np.stack((self.visit, self.event, self.feature), axis=1)
-
-    @cached_property
-    def entries(self) -> tuple[MaskEntry, ...]:
-        """The entries as ``(CellIndex, truth)`` pairs, built on first read."""
-        return tuple(
-            MaskEntry(CellIndex(*cell), truth)
-            for cell, truth in zip(self.cells().tolist(), self.truth.tolist())
-        )
 
 
 def validate(dataset: Dataset) -> list[str]:
@@ -349,7 +318,7 @@ def median_event_count(dataset: Dataset) -> int:
 
 
 def write_cells(dataset: Dataset, cells, values) -> Dataset:
-    """Copy of ``dataset`` with ``values`` written into ``cells`` (as ``Dataset.rows`` takes them).
+    """Copy of ``dataset`` with ``values`` written into ``cells``, a ``(K, 3)`` array.
 
     ``values`` holds one value per cell, or a single value for all of them.
     """

@@ -37,7 +37,6 @@ class NormalizationMap:
 
     offsets: np.ndarray
     scales: np.ndarray
-    constant: np.ndarray
 
 
 def fit_normalization(dataset: Dataset) -> NormalizationMap:
@@ -47,9 +46,8 @@ def fit_normalization(dataset: Dataset) -> NormalizationMap:
     unobserved = ~np.isfinite(lo)
     lo = np.where(unobserved, 0.0, lo)
     hi = np.where(unobserved, 0.0, hi)
-    constant = (hi - lo) == 0.0
-    scales = np.where(constant, 1.0, hi - lo)
-    return NormalizationMap(lo, scales, constant | unobserved)
+    scales = np.where(hi == lo, 1.0, hi - lo)
+    return NormalizationMap(lo, scales)
 
 
 def normalize(dataset: Dataset) -> tuple[Dataset, NormalizationMap]:
@@ -195,7 +193,7 @@ def mask_random(dataset: Dataset, rate: float, seed: int) -> MaskSet:
     # entries in stacked order: visit, then event, then feature
     rows, features = np.divmod(np.flatnonzero(hidden), dataset.n_features)
     visits = dataset.visit_of_row[rows]
-    return MaskSet.from_arrays(
+    return MaskSet(
         visits, rows - dataset.starts[visits], features, dataset.values[rows, features],
         strategy="random_rate", rate=rate, seed=seed,
     )
@@ -227,7 +225,7 @@ def mask_one_per_feature_visit(dataset: Dataset, seed: int) -> MaskSet:
             cells.append((i, e, f))
     visits, events, features = np.array(cells, dtype=np.int64).reshape(-1, 3).T
     truths = dataset.values[dataset.starts[visits] + events, features]
-    return MaskSet.from_arrays(
+    return MaskSet(
         visits, events, features, truths, strategy="one_per_feature_visit", rate=None, seed=seed
     )
 

@@ -22,7 +22,8 @@ gives the same bits alone or in any batch; ``fit_gp``,
 ``GPBuckets`` is the GP stage of ``impute()``'s plan: it builds the table of
 problems once, fits one bucket per ``run`` call, which may be in a separate
 process, and ``collect`` writes any mix of bucket results into the layout;
-``bucket_cost`` estimates a bucket's one-CPU time.
+``bucket_cost`` estimates a bucket's one-CPU time. ``gp_impute_visit`` runs
+every bucket of one visit's ``GPBuckets`` in turn.
 """
 
 from __future__ import annotations
@@ -323,16 +324,6 @@ def gp_predict(model: GPModel, query_times) -> tuple[np.ndarray, np.ndarray]:
     return mean[0], std[0]
 
 
-@dataclass
-class GPStackedResult:
-    """GP fills and stds over a stacked ``(E, D)`` layout, NaN where no fill."""
-
-    fills: np.ndarray
-    stds: np.ndarray
-    skipped: list[tuple[int, int]]  # (visit, feature) pairs with holes left open
-    diagnostics: list[str]
-
-
 def _problems(dataset: Dataset):
     """Every (visit, feature) problem's observed and hole cells.
 
@@ -405,28 +396,6 @@ class GPBuckets:
         return fills, stds
 
 
-def gp_impute_stacked(dataset: Dataset) -> GPStackedResult:
-    """GP-impute every (visit, feature) of a dataset's stacked ``(E, D)`` values.
-
-    Every bucket of ``GPBuckets`` is fitted and predicted here, one batch
-    each. A (visit, feature) with a hole and fewer than two observations is
-    skipped, and so is one whose correlation matrix does not factor at
-    ``NUGGET_MAX``, with a diagnostic.
-    """
-    stage, n_visits = GPBuckets(dataset), dataset.n_visits
-    results = [(n, stage.run(n)) for n in stage.buckets]
-    n_obs, n_holes = stage.problems[:2]
-    few = np.nonzero((n_holes > 0) & (n_obs < 2))[0]
-    skipped = [(int(p % n_visits), int(p // n_visits)) for p in few]
-    failed: dict[tuple[int, int], str] = {}
-    for _, result in results:
-        for p, alpha in result[-1]:
-            f, v = divmod(p, n_visits)
-            failed[(v, f)] = f"visit {v}, feature {f}: ill-conditioned correlation at alpha={alpha:g}"
-    diagnostics = [failed[key] for key in sorted(failed)]
-    return GPStackedResult(*stage.collect(results), sorted(skipped + list(failed)), diagnostics)
-
-
 @dataclass
 class GPVisitResult:
     """Per-visit GP fills keyed by (event index, feature index)."""
@@ -450,12 +419,21 @@ def gp_impute_visit(times, values: np.ndarray) -> GPVisitResult:
     visit = Dataset.from_stacked(
         specs, ["0"], np.array(times, dtype=float), values, np.array([0, len(values)])
     )
-    result = gp_impute_stacked(visit)
-    feats, events = np.nonzero(~np.isnan(result.fills.T))
+    stage = GPBuckets(visit)
+    results = [(n, stage.run(n)) for n in stage.buckets]
+    fills, stds = stage.collect(results)
+    # with one visit, a problem's id is its feature
+    n_obs, n_holes = stage.problems[:2]
+    few = np.flatnonzero((n_holes > 0) & (n_obs < 2)).tolist()
+    failed = dict(pair for _, result in results for pair in result[-1])
+    feats, events = np.nonzero(~np.isnan(fills.T))
     cells = list(zip(events.tolist(), feats.tolist()))
     return GPVisitResult(
-        fills={cell: float(result.fills[cell]) for cell in cells},
-        stds={cell: float(result.stds[cell]) for cell in cells},
-        skipped_features=[f for _, f in result.skipped],
-        diagnostics=result.diagnostics,
+        fills={cell: float(fills[cell]) for cell in cells},
+        stds={cell: float(stds[cell]) for cell in cells},
+        skipped_features=sorted(few + list(failed)),
+        diagnostics=[
+            f"visit 0, feature {f}: ill-conditioned correlation at alpha={failed[f]:g}"
+            for f in sorted(failed)
+        ],
     )

@@ -52,18 +52,32 @@ def read_feature_manifest(path) -> list[FeatureSpec]:
     """Manifest rows are ``name,kind`` in the desired feature order.
 
     Rows starting with ``#`` are comments, and a first other row reading
-    ``name,kind`` is a header.
+    ``name,kind`` is a header. A repeated name or an unknown kind raises a
+    ``DataError`` that names the manifest and the line.
     """
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
-    if rows and [field.strip() for field in rows[0]] == ["name", "kind"]:
+        rows = [
+            (lineno, row)
+            for lineno, row in enumerate(csv.reader(fh), start=1)
+            if row and not row[0].startswith("#")
+        ]
+    if rows and [field.strip() for field in rows[0][1]] == ["name", "kind"]:
         del rows[0]
-    specs = [
-        FeatureSpec(k, row[0].strip(), row[1].strip() if len(row) > 1 else "other")
-        for k, row in enumerate(rows)
-    ]
-    if not specs:
+    if not rows:
         raise DataError(f"{path}: empty feature manifest")
+    specs: list[FeatureSpec] = []
+    first_line: dict[str, int] = {}
+    for lineno, row in rows:
+        name, kind = row[0].strip(), row[1].strip() if len(row) > 1 else "other"
+        if name in first_line:
+            raise DataError(
+                f"{path}:{lineno}: duplicate feature name {name!r}"
+                f" (first on line {first_line[name]})"
+            )
+        if kind not in FEATURE_KINDS:
+            raise DataError(f"{path}:{lineno}: unknown feature kind {kind!r} for {name!r}")
+        first_line[name] = lineno
+        specs.append(FeatureSpec(len(specs), name, kind))
     return specs
 
 
@@ -343,7 +357,8 @@ def read_wide_csv(path, features: list[FeatureSpec] | None = None) -> Dataset:
 
     Columns map positionally onto ``features`` when given (they must match in
     count); otherwise placeholder specs named after the header are created.
-    Each visit's rows are put in (time, values) order.
+    Each visit's rows are put in time order, and rows that share a time in
+    value order.
     """
     visit_index: dict[str, int] = {}
     scan = _Scan(path)
@@ -368,7 +383,11 @@ def read_wide_csv(path, features: list[FeatureSpec] | None = None) -> Dataset:
     scan.raise_first()
     if not visit_index:
         raise DataError(f"{path}: no records")
-    order = np.lexsort((*values.T[::-1], times, visit))
+    order = np.lexsort((times, visit))
+    keys = np.stack((visit[order], times[order]))
+    if (keys[:, 1:] == keys[:, :-1]).all(axis=0).any():
+        # rows of one visit that share a time go in value order
+        order = np.lexsort((*values.T[::-1], times, visit))
     starts = np.concatenate(([0], np.cumsum(np.bincount(visit, minlength=len(visit_index)))))
     specs = features or [FeatureSpec(k, f"f_{k}", "other") for k in range(d)]
     return Dataset.from_stacked(specs, list(visit_index), times[order], values[order], starts)
@@ -423,10 +442,10 @@ def _mask_block(scan: _Scan, rows, dataset: Dataset, visit_index, feat_index, ev
     return visit[:n], rows_at[:n] - dataset.starts[visit[:n]], feature[:n], truth[:n]
 
 
-def read_mask_csv(path, dataset: Dataset, strategy="external", rate=None, seed=0) -> MaskSet:
+def read_mask_csv(path, dataset: Dataset) -> MaskSet:
     """Resolve mask rows against ``dataset`` (typically the masked input).
 
-    The file does not record how it was produced, so the default provenance
+    The file does not record how it was produced, so the mask's provenance
     is the placeholder ``external`` with rate NA and seed 0.
     """
     visit_index = {vid: i for i, vid in enumerate(dataset.visit_ids)}
@@ -445,9 +464,7 @@ def read_mask_csv(path, dataset: Dataset, strategy="external", rate=None, seed=0
             scan,
         )
     scan.raise_first()
-    return MaskSet.from_arrays(
-        visit, event, feature, truth, strategy=strategy, rate=rate, seed=seed
-    )
+    return MaskSet(visit, event, feature, truth, strategy="external")
 
 
 def parse_config_text(text: str, base: Config | None = None) -> Config:

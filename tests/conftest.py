@@ -19,6 +19,13 @@ def make_dataset(visit_rows, kinds=None, names=None):
     return Dataset(features, visits)
 
 
+def same_mask(a, b) -> bool:
+    """Both masks hide the same cells in the same order, with bit-identical truths."""
+    return np.array_equal(a.cells(), b.cells()) and np.array_equal(
+        a.truth.view(np.uint64), b.truth.view(np.uint64)
+    )
+
+
 def assert_no_child_left():
     """This process has no child left, running or unreaped."""
     with pytest.raises(ChildProcessError):

@@ -14,7 +14,7 @@ import pytest
 from tadualcv.chained_equations import run_chains
 from tadualcv.cli import main
 from tadualcv.config import Config
-from tadualcv.data_model import CellIndex, MaskSet, apply_mask
+from tadualcv.data_model import MaskSet, apply_mask
 from tadualcv.dualcv import cfp_impute, dualcv_impute
 from tadualcv.evaluation import (
     denormalize,
@@ -28,7 +28,7 @@ from tadualcv.gp_within_visit import fit_gp, gp_predict, profile_neg_log_likelih
 from tadualcv.methods import VARIANTS, fuse, fusion_weights, impute
 from tadualcv.synthetic import SynthConfig, generate
 
-from conftest import NAN, make_dataset
+from conftest import NAN, make_dataset, same_mask
 
 
 def report(num, ok, description):
@@ -213,7 +213,7 @@ def test_criterion_06_fusion_identities():
 def test_criterion_07_nrmse_hand_oracle():
     single = make_dataset([("a", [0, 10, 20], [[1.0], [2.0], [3.0]])])
     single_imp = make_dataset([("a", [0, 10, 20], [[1.0], [2.5], [3.0]])])
-    r1 = nrmse(MaskSet([(CellIndex(0, 1, 0), 2.0)]), single_imp, single)
+    r1 = nrmse(MaskSet([0], [1], [0], [2.0]), single_imp, single)
 
     two = make_dataset(
         [("a", [0, 10, 20], [[1.0], [2.0], [3.0]]),
@@ -223,11 +223,9 @@ def test_criterion_07_nrmse_hand_oracle():
         [("a", [0, 10, 20], [[1.0], [2.5], [3.0]]),
          ("b", [0, 10, 20], [[10.0], [13.0], [14.0]])]
     )
-    r2 = nrmse(
-        MaskSet([(CellIndex(0, 1, 0), 2.0), (CellIndex(1, 1, 0), 12.0)]), two_imp, two
-    )
+    r2 = nrmse(MaskSet([0, 1], [1, 1], [0, 0], [2.0, 12.0]), two_imp, two)
 
-    perfect = nrmse(MaskSet([(CellIndex(0, 1, 0), 2.0)]), single, single)
+    perfect = nrmse(MaskSet([0], [1], [0], [2.0]), single, single)
 
     ok = (
         r1.per_feature_nrmse[0] == 0.25
@@ -248,8 +246,8 @@ def test_criterion_08_masking_calibration():
 
     one = mask_one_per_feature_visit(ds, seed=11)
     per_pair = {}
-    for cell, _ in one.entries:
-        per_pair[(cell.visit, cell.feature)] = per_pair.get((cell.visit, cell.feature), 0) + 1
+    for visit, _, feature in one.cells().tolist():
+        per_pair[(visit, feature)] = per_pair.get((visit, feature), 0) + 1
     eligible = {
         (i, f)
         for i, visit in enumerate(ds.visits)
@@ -261,7 +259,7 @@ def test_criterion_08_masking_calibration():
     ok = (
         n_cells >= 10_000
         and 0.49 <= fraction <= 0.51
-        and replay.entries == mask.entries
+        and same_mask(replay, mask)
         and exact_one
     )
     report(8, ok, f"masking calibration (fraction {fraction:.4f} of {n_cells} cells)")

@@ -309,13 +309,6 @@ def gibbs_oracle(matrix, m, t, seed, stream):
     Bootstrap, then per sweep and column: ridge fit on the observed rows,
     coefficient perturbation, PMM; with the kernel's draw order and skip
     rules. Returns the ``(m, n, k)`` completed matrices.
-
-    Its PMM ranks all donors by distance, so when more than ``PMM_DONORS``
-    donors lie equally far below a hole it draws among the lowest in sorted
-    order, where the kernel draws among those nearest the hole
-    (``test_match_draws_from_the_window_when_many_donors_tie_below``). It
-    runs only on continuous inputs, whose predictions do not tie, so the
-    two rules never meet.
     """
     holes = np.isnan(matrix)
     n, k = matrix.shape
@@ -347,18 +340,31 @@ def gibbs_oracle(matrix, m, t, seed, stream):
                     z = rng.standard_normal(p)
                     beta = beta + np.sqrt(sigma2) * np.linalg.solve(np.linalg.cholesky(gram).T, z)
                 pred = design @ beta
-                u = rng.random(mis.size)
-                donors = obs[np.argsort(pred[obs], kind="stable")]
-                for hole, draw in zip(mis, u):
-                    ties = donors[pred[donors] == pred[hole]][:PMM_DONORS]
-                    if ties.size:
-                        mat[hole, c] = mat[ties[int(draw * ties.size)], c]
-                        continue
-                    near = sorted(donors, key=lambda r: abs(pred[r] - pred[hole]))
-                    near = near[: min(PMM_DONORS, obs.size)]
-                    mat[hole, c] = mat[near[int(draw * len(near))], c]
+                mat[mis, c] = oracle_pmm(pred, mat[:, c], obs, mis, rng.random(mis.size))
         out.append(mat)
     return np.stack(out)
+
+
+def oracle_pmm(pred, values, obs, mis, u):
+    """PMM fills of rows ``mis`` from donor rows ``obs``, one uniform in ``u`` per hole.
+
+    A hole draws among the first ``PMM_DONORS`` donors, in row order, whose
+    prediction ties its own. Otherwise it draws among its ``PMM_DONORS``
+    nearest donors of the ``PMM_DONORS`` sorted donors on each side of its
+    insertion point, ranked by distance and then by sorted order.
+    """
+    donors = obs[np.argsort(pred[obs], kind="stable")]
+    fills = []
+    for hole, draw in zip(mis, u):
+        ties = donors[pred[donors] == pred[hole]][:PMM_DONORS]
+        if ties.size:
+            fills.append(values[ties[int(draw * ties.size)]])
+            continue
+        at = np.searchsorted(pred[donors], pred[hole])
+        window = donors[max(0, at - PMM_DONORS) : at + PMM_DONORS]
+        near = sorted(window, key=lambda r: abs(pred[r] - pred[hole]))[:PMM_DONORS]
+        fills.append(values[near[int(draw * len(near))]])
+    return np.array(fills)
 
 
 def ragged_stack():
@@ -541,7 +547,8 @@ def test_match_draws_from_the_window_when_many_donors_tie_below():
     # Seven donors predict 0 and one predicts 5; the hole predicts 1. The
     # five nearest donors all predict 0, and the ranked window holds the
     # five just below the insertion point, lowest first: rows 2..6, not the
-    # rows 0..4 that a sort over all donors (gibbs_oracle's rule) gives.
+    # rows 0..4 that a sort over all donors gives. gibbs_oracle's PMM step
+    # draws from the same window.
     pred = np.array([[0.0] * 7 + [5.0, 1.0]])
     y = np.arange(9.0)[None]
     holes = np.arange(9)[None] == 8
@@ -549,7 +556,8 @@ def test_match_draws_from_the_window_when_many_donors_tie_below():
     for seed in range(40):
         u = np.random.default_rng(seed).random()
         _, _, fills = ce._match(pred, y, ~holes, holes, [np.random.default_rng(seed)])
-        assert fills.tolist() == [2.0 + int(5 * u)]
+        oracle = oracle_pmm(pred[0], y[0], np.arange(8), np.array([8]), [u])
+        assert fills.tolist() == oracle.tolist() == [2.0 + int(5 * u)]
         drawn.add(fills[0])
     assert drawn == {2.0, 3.0, 4.0, 5.0, 6.0}
 

@@ -73,22 +73,21 @@ def test_median_is_member_of_counts():
 
 
 def test_apply_mask_empty_is_identity(two_visit_dataset):
-    masked = apply_mask(two_visit_dataset, MaskSet([]))
+    masked = apply_mask(two_visit_dataset, MaskSet([], [], [], []))
     for before, after in zip(two_visit_dataset.visits, masked.visits):
         np.testing.assert_array_equal(before.values, after.values)
 
 
 def test_apply_mask_hides_cell_and_keeps_source(two_visit_dataset):
-    cell = CellIndex(0, 0, 1)
-    mask = MaskSet([(cell, 10.0)])
+    mask = MaskSet([0], [0], [1], [10.0])
     masked = apply_mask(two_visit_dataset, mask)
     assert np.isnan(masked.visits[0].values[0, 1])
     assert two_visit_dataset.visits[0].values[0, 1] == 10.0
-    assert mask.entries[0].truth == 10.0
+    assert mask.truth.tolist() == [10.0]
 
 
 def test_mask_restore_round_trip(two_visit_dataset):
-    mask = MaskSet([(CellIndex(0, 0, 0), 1.0), (CellIndex(1, 1, 1), 50.0)])
+    mask = MaskSet([0, 1], [0, 1], [0, 1], [1.0, 50.0])
     restored = restore_mask(apply_mask(two_visit_dataset, mask), mask)
     for before, after in zip(two_visit_dataset.visits, restored.visits):
         np.testing.assert_array_equal(before.values, after.values)
@@ -96,8 +95,8 @@ def test_mask_restore_round_trip(two_visit_dataset):
 
 def test_apply_mask_rejects_missing_target(two_visit_dataset):
     with pytest.raises(DataError, match="mask targets missing cell"):
-        apply_mask(two_visit_dataset, MaskSet([(CellIndex(0, 1, 1), 0.0)]))
-    twice = MaskSet([(CellIndex(0, 0, 0), 1.0), (CellIndex(0, 0, 0), 1.0)])
+        apply_mask(two_visit_dataset, MaskSet([0], [1], [1], [0.0]))
+    twice = MaskSet([0, 0], [0, 0], [0, 0], [1.0, 1.0])
     with pytest.raises(DataError, match=r"mask targets missing cell \(0, 0, 0\)"):
         apply_mask(two_visit_dataset, twice)
 
@@ -115,10 +114,13 @@ def test_dataset_starts_and_rows_bijective(two_visit_dataset):
     assert ds.values.shape == (5, 2)
     assert ds.starts.tolist() == [0, 3, 5]
     origin = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]
-    rows, cols = ds.rows([CellIndex(i, e, 1) for i, e in origin])
+    rows, cols = ds.rows(np.array([(i, e, 1) for i, e in origin]))
     assert rows.tolist() == [0, 1, 2, 3, 4] and cols.tolist() == [1] * 5
     with pytest.raises(IndexError):
-        ds.rows([CellIndex(1, 2, 0)])
+        ds.rows(np.array([[1, 2, 0]]))
+    # the cells come as one array, not as a collection of CellIndex
+    with pytest.raises(TypeError, match="cells must be a"):
+        ds.rows([CellIndex(0, 0, 1)])
 
 
 @pytest.mark.parametrize(
@@ -130,8 +132,8 @@ def test_rows_rejects_cells_outside_the_dataset(two_visit_dataset, cell):
     ds = two_visit_dataset
     message = rf"cell \({cell.visit}, {cell.event}, {cell.feature}\) outside the dataset"
     with pytest.raises(IndexError, match=message):
-        ds.rows([CellIndex(0, 0, 0), cell, CellIndex(9, 9, 9)])
-    mask = MaskSet([(cell, 3.0)])
+        ds.rows(np.array([(0, 0, 0), cell, (9, 9, 9)]))
+    mask = MaskSet([cell.visit], [cell.event], [cell.feature], [3.0])
     with pytest.raises(IndexError, match=message):
         apply_mask(ds, mask)
     with pytest.raises(IndexError, match=message):
@@ -194,22 +196,33 @@ def test_from_stacked_rejects_a_layout_its_arrays_disagree_on(part, bad, message
 
 
 def test_mask_arrays_and_pairs_agree(two_visit_dataset):
-    pairs = [(CellIndex(1, 1, 1), 50.0), (CellIndex(0, 0, 0), 1.0)]
-    mask = MaskSet(pairs, strategy="random_rate", rate=0.5, seed=2)
-    same = MaskSet.from_arrays([1, 0], [1, 0], [1, 0], [50.0, 1.0], "random_rate", 0.5, 2)
-    for m in (mask, same):
+    # each (cell, truth) pair is one row of cells() and one truth, in entry order
+    mask = MaskSet([1, 0], [1, 0], [1, 0], [50.0, 1.0], "random_rate", 0.5, 2)
+    listed = MaskSet(
+        np.array([1, 0], np.int32), (1, 0), [1.0, 0.0], np.array([50, 1]),
+        strategy="random_rate", rate=0.5, seed=np.int64(2),
+    )
+    for m in (mask, listed):
         assert len(m) == 2 and (m.strategy, m.rate, m.seed) == ("random_rate", 0.5, 2)
+        assert type(m.seed) is int
         assert m.cells().dtype == np.int64 and m.cells().tolist() == [[1, 1, 1], [0, 0, 0]]
-        assert m.truth.tolist() == [50.0, 1.0]
-        assert m.entries == tuple(pairs) and m.entries is m.entries
-        with pytest.raises(ValueError):
-            m.truth[0] = 0.0
+        assert m.truth.dtype == np.float64 and m.truth.tolist() == [50.0, 1.0]
+        for array in (m.visit, m.event, m.feature, m.truth):
+            with pytest.raises(ValueError):
+                array[0] = 0
+    # the constructor copies: its inputs stay writable and apart from the mask
+    truth = np.array([50.0, 1.0])
+    copied = MaskSet([1, 0], [1, 0], [1, 0], truth)
+    truth[0] = 0.0
+    assert copied.truth.tolist() == [50.0, 1.0] and truth.flags.writeable
     rows, cols = two_visit_dataset.rows(mask.cells())
     assert rows.tolist() == [4, 0] and cols.tolist() == [1, 0]
-    empty = MaskSet([])
-    assert len(empty) == 0 and empty.cells().shape == (0, 3) and empty.entries == ()
+    empty = MaskSet([], [], [], [])
+    assert len(empty) == 0 and empty.cells().shape == (0, 3) and empty.cells().dtype == np.int64
     with pytest.raises(DataError, match="one length"):
-        MaskSet.from_arrays([0], [0], [0], [1.0, 2.0])
+        MaskSet([0], [0], [0], [1.0, 2.0])
+    with pytest.raises(DataError, match="one-dimensional"):
+        MaskSet([[0]], [[0]], [[0]], [[1.0]])
 
 
 def validate_oracle(dataset):

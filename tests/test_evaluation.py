@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from tadualcv.config import Config
 from tadualcv.data_model import (
-    CellIndex,
     DataError,
     Dataset,
     FeatureSpec,
@@ -27,7 +26,7 @@ from tadualcv.evaluation import (
 )
 from tadualcv.synthetic import SynthConfig, generate
 
-from conftest import NAN, make_dataset
+from conftest import NAN, make_dataset, same_mask
 
 
 def test_normalize_midpoint():
@@ -41,7 +40,7 @@ def test_normalize_constant_feature():
     ds = make_dataset([("a", [0, 10], [[7.0], [7.0]])])
     normalized, nmap = normalize(ds)
     np.testing.assert_array_equal(normalized.visits[0].values[:, 0], [0.0, 0.0])
-    assert nmap.constant[0]
+    assert nmap.scales[0] == 1.0 and nmap.offsets[0] == 7.0
     back = denormalize(normalized, nmap)
     np.testing.assert_array_equal(back.visits[0].values[:, 0], [7.0, 7.0])
 
@@ -80,7 +79,7 @@ def test_mask_random_rate_calibration_and_replay():
     fraction = len(mask) / n_cells
     assert 0.49 <= fraction <= 0.51
     replay = mask_random(ds, 0.5, seed=11)
-    assert replay.entries == mask.entries
+    assert same_mask(replay, mask)
 
 
 def test_mask_random_guard_leaves_an_observation_per_event():
@@ -110,9 +109,9 @@ def test_masked_datasets_stay_valid():
 def test_mask_random_entries_are_observed_cells():
     ds = make_dataset([("a", [0, 10], [[1.0, NAN], [NAN, 4.0]])])
     mask = mask_random(ds, 0.9, seed=3)
-    for cell, truth in mask.entries:
-        assert not np.isnan(ds.visits[cell.visit].values[cell.event, cell.feature])
-        assert truth == ds.visits[cell.visit].values[cell.event, cell.feature]
+    for (visit, event, feature), truth in zip(mask.cells().tolist(), mask.truth.tolist()):
+        assert not np.isnan(ds.visits[visit].values[event, feature])
+        assert truth == ds.visits[visit].values[event, feature]
 
 
 def test_mask_one_per_feature_visit_counts():
@@ -127,14 +126,14 @@ def test_mask_one_per_feature_visit_counts():
     # visit a: feature 0 has 5 obs (1 masked), feature 1 has 1 obs (skipped)
     # visit b: both features have 2 obs (1 masked each)
     per_pair = {}
-    for cell, _ in mask.entries:
-        per_pair[(cell.visit, cell.feature)] = per_pair.get((cell.visit, cell.feature), 0) + 1
+    for visit, _, feature in mask.cells().tolist():
+        per_pair[(visit, feature)] = per_pair.get((visit, feature), 0) + 1
     assert per_pair == {(0, 0): 1, (1, 0): 1, (1, 1): 1}
 
 
 def test_nrmse_perfect_imputation():
     ds = make_dataset([("a", [0, 10, 20], [[1.0], [2.0], [3.0]])])
-    mask = MaskSet([(CellIndex(0, 1, 0), 2.0)])
+    mask = MaskSet([0], [1], [0], [2.0])
     report = nrmse(mask, ds, ds)
     assert report.per_feature_nrmse == {0: 0.0}
     assert report.macro_nrmse == 0.0
@@ -144,7 +143,7 @@ def test_nrmse_single_patient_hand_value():
     # patient range 2 (values 1..3), truth 2.0 imputed as 2.5 -> 0.25
     premask = make_dataset([("a", [0, 10, 20], [[1.0], [2.0], [3.0]])])
     imputed = make_dataset([("a", [0, 10, 20], [[1.0], [2.5], [3.0]])])
-    mask = MaskSet([(CellIndex(0, 1, 0), 2.0)])
+    mask = MaskSet([0], [1], [0], [2.0])
     report = nrmse(mask, imputed, premask)
     assert report.per_feature_nrmse[0] == 0.25
 
@@ -163,7 +162,7 @@ def test_nrmse_two_patient_hand_value():
             ("b", [0, 10, 20], [[10.0], [13.0], [14.0]]),
         ]
     )
-    mask = MaskSet([(CellIndex(0, 1, 0), 2.0), (CellIndex(1, 1, 0), 12.0)])
+    mask = MaskSet([0, 1], [1, 1], [0, 0], [2.0, 12.0])
     report = nrmse(mask, imputed, premask)
     assert report.per_feature_nrmse[0] == 0.25
     assert report.per_feature_masked[0] == 2
@@ -188,7 +187,7 @@ def test_per_patient_ranges_skip_empty_visits():
 def test_nrmse_zero_range_divisor_one():
     premask = make_dataset([("a", [0, 10], [[5.0], [5.0]])])
     imputed = make_dataset([("a", [0, 10], [[5.0], [5.4]])])
-    mask = MaskSet([(CellIndex(0, 1, 0), 5.0)])
+    mask = MaskSet([0], [1], [0], [5.0])
     report = nrmse(mask, imputed, premask)
     assert abs(report.per_feature_nrmse[0] - 0.4) < 1e-12
 
@@ -196,7 +195,7 @@ def test_nrmse_zero_range_divisor_one():
 def test_nrmse_incomplete_imputation_rejected():
     premask = make_dataset([("a", [0, 10], [[1.0], [2.0]])])
     holey = make_dataset([("a", [0, 10], [[1.0], [NAN]])])
-    mask = MaskSet([(CellIndex(0, 1, 0), 2.0)])
+    mask = MaskSet([0], [1], [0], [2.0])
     with pytest.raises(DataError, match="incomplete imputation"):
         nrmse(mask, holey, premask)
 
@@ -211,7 +210,8 @@ def test_nrmse_affine_rescale_invariance():
     base = nrmse(mask, imputed, ds)
 
     scaled_mask = MaskSet(
-        [(c, t * 10.0) for c, t in mask.entries], mask.strategy, mask.rate, mask.seed
+        mask.visit, mask.event, mask.feature, mask.truth * 10.0,
+        mask.strategy, mask.rate, mask.seed,
     )
     scaled_ds = make_dataset([("a", (np.arange(12) * 5).tolist(), values * 10.0)])
     scaled_imp = make_dataset([("a", (np.arange(12) * 5).tolist(), imputed_values * 10.0)])

@@ -4,10 +4,10 @@ import pytest
 from tadualcv import gp_within_visit
 from tadualcv.data_model import Dataset, FeatureSpec
 from tadualcv.gp_within_visit import (
+    GPBuckets,
     corr,
     corr_matrix,
     fit_gp,
-    gp_impute_stacked,
     gp_impute_visit,
     gp_predict,
     profile_neg_log_likelihood,
@@ -255,11 +255,21 @@ def near_duplicate_layout():
     return times, values[:, None], np.array([0, 5, 10, 15])
 
 
-def stacked(times, values, starts):
-    """A dataset over a stacked layout, one feature per column of ``values``."""
+def run_buckets(times, values, starts):
+    """Run every bucket of a stacked layout's ``GPBuckets``, one feature per column.
+
+    Returns the fills, the stds, the (visit, feature) pairs with a hole left
+    open, and the buckets' ``(problem id, alpha)`` pairs that failed to factor.
+    """
     specs = [FeatureSpec(k, f"f_{k}") for k in range(values.shape[1])]
     ids = [f"v{i}" for i in range(len(starts) - 1)]
-    return Dataset.from_stacked(specs, ids, times, values, np.asarray(starts))
+    dataset = Dataset.from_stacked(specs, ids, times, values, np.asarray(starts))
+    stage = GPBuckets(dataset)
+    results = [(n, stage.run(n)) for n in stage.buckets]
+    fills, stds = stage.collect(results)
+    rows, cols = np.nonzero(np.isnan(values) & np.isnan(fills))
+    skipped = sorted({(int(dataset.visit_of_row[r]), int(c)) for r, c in zip(rows, cols)})
+    return fills, stds, skipped, [pair for _, result in results for pair in result[-1]]
 
 
 def singleton_fills(times, values, starts, visit, feature):
@@ -273,7 +283,7 @@ def singleton_fills(times, values, starts, visit, feature):
 
 def test_stacked_fits_are_bit_identical_to_singletons(bucket_fits):
     times, values, starts = ragged_layout()
-    result = gp_impute_stacked(stacked(times, values, starts))
+    fills, stds, skipped, failed = run_buckets(times, values, starts)
     buckets = list(bucket_fits)
     sizes = [y.shape[1] for _, y, *_ in buckets]
     assert min(sizes) == 2 and max(sizes) >= 30 and len(set(sizes)) == len(sizes)
@@ -284,48 +294,54 @@ def test_stacked_fits_are_bit_identical_to_singletons(bucket_fits):
             alone = fit_gp(t[b], y[b])
             assert alone.alpha == fits.alpha[b]
             assert alone.nugget == fits.profile.nugget[b]
-    assert result.skipped == []
+    assert skipped == []
     for visit in range(len(starts) - 1):
         rows = slice(starts[visit], starts[visit + 1])
         for feature in range(2):
             holes = np.isnan(values[rows, feature])
             mean, std = singleton_fills(times, values, starts, visit, feature)
-            np.testing.assert_array_equal(result.fills[rows, feature][holes], mean)
-            np.testing.assert_array_equal(result.stds[rows, feature][holes], std)
+            np.testing.assert_array_equal(fills[rows, feature][holes], mean)
+            np.testing.assert_array_equal(stds[rows, feature][holes], std)
     constant = slice(starts[3], starts[4])
-    np.testing.assert_allclose(result.fills[constant, 1][np.isnan(values[constant, 1])], 0.7)
+    np.testing.assert_allclose(fills[constant, 1][np.isnan(values[constant, 1])], 0.7)
 
 
 def test_nugget_escalates_only_for_the_ill_conditioned_member(monkeypatch, bucket_fits):
     # at the default nugget no Gaussian correlation matrix fails to factor
     monkeypatch.setattr(gp_within_visit, "NUGGET_BASE", 1e-20)
     times, values, starts = near_duplicate_layout()
-    result = gp_impute_stacked(stacked(times, values, starts))
+    fills, stds, skipped, failed = run_buckets(times, values, starts)
     [(_, _, fits, ok, _)] = bucket_fits
-    assert ok.all() and result.skipped == []
+    assert ok.all() and skipped == [] and failed == []
     assert fits.profile.nugget[0] > 3 * gp_within_visit.NUGGET_BASE
     assert list(fits.profile.nugget[1:]) == [3 * gp_within_visit.NUGGET_BASE] * 2
-    assert np.isfinite(result.fills[np.isnan(values)]).all()
+    assert np.isfinite(fills[np.isnan(values)]).all()
     for visit in range(3):
         mean, _ = singleton_fills(times, values, starts, visit, 0)
         rows = slice(starts[visit], starts[visit + 1])
-        np.testing.assert_array_equal(result.fills[rows, 0][np.isnan(values[rows, 0])], mean)
+        np.testing.assert_array_equal(fills[rows, 0][np.isnan(values[rows, 0])], mean)
 
 
 def test_member_failing_at_max_nugget_is_skipped_alone(monkeypatch):
     monkeypatch.setattr(gp_within_visit, "NUGGET_BASE", 1e-20)
     monkeypatch.setattr(gp_within_visit, "NUGGET_MAX", 1e-18)
     times, values, starts = near_duplicate_layout()
-    result = gp_impute_stacked(stacked(times, values, starts))
-    assert result.skipped == [(0, 0)]
-    assert len(result.diagnostics) == 1
-    assert result.diagnostics[0].startswith("visit 0, feature 0: ill-conditioned correlation")
-    assert np.isnan(result.fills[: starts[1]]).all()
+    fills, stds, skipped, failed = run_buckets(times, values, starts)
+    assert skipped == [(0, 0)]
+    [(problem, alpha)] = failed
+    assert problem == 0
+    # gp_impute_visit reports the failure of the same fit with its alpha
+    alone = gp_impute_visit(times[: starts[1]], values[: starts[1]])
+    assert alone.skipped_features == [0]
+    assert alone.diagnostics == [
+        f"visit 0, feature 0: ill-conditioned correlation at alpha={alpha:g}"
+    ]
+    assert np.isnan(fills[: starts[1]]).all()
     # the other two members keep the fills they get without the failing one
     rest = slice(starts[1], None)
-    mates = gp_impute_stacked(stacked(times[rest], values[rest], starts[1:] - starts[1]))
-    np.testing.assert_array_equal(result.fills[starts[1]:], mates.fills)
-    np.testing.assert_array_equal(result.stds[starts[1]:], mates.stds)
-    assert np.isfinite(mates.fills[np.isnan(values[starts[1]:])]).all()
+    mates, mate_stds, _, _ = run_buckets(times[rest], values[rest], starts[1:] - starts[1])
+    np.testing.assert_array_equal(fills[starts[1]:], mates)
+    np.testing.assert_array_equal(stds[starts[1]:], mate_stds)
+    assert np.isfinite(mates[np.isnan(values[starts[1]:])]).all()
     with pytest.raises(gp_within_visit.IllConditionedCorrelationError):
         fit_gp(times[:2].tolist() + [1.0], [0.1, 0.4, 0.9])

@@ -10,7 +10,6 @@ from tadualcv import io_formats
 from tadualcv.cli import main
 from tadualcv.config import Config, ConfigError
 from tadualcv.data_model import (
-    CellIndex,
     DataError,
     Dataset,
     FeatureSpec,
@@ -99,6 +98,19 @@ def test_wide_round_trip(tmp_path):
     back = io_formats.read_wide_csv(path, features=list(ds.features))
     for va, vb in zip(ds.visits, back.visits):
         np.testing.assert_allclose(vb.values, va.values, atol=1e-9)
+
+
+def test_wide_rows_sharing_a_time_go_in_value_order(tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text(
+        "visit_id,time_min,f_0,f_1\n"
+        "b,5,1,1\na,5,3,0\na,0,9,9\na,5,2,7\na,5,2,-1\nb,0,4,4\n"
+    )
+    back = io_formats.read_wide_csv(path)
+    assert back.visit_ids == ("b", "a") and back.starts.tolist() == [0, 2, 6]
+    assert back.times.tolist() == [0, 5, 0, 5, 5, 5]
+    assert back.values.tolist() == [[4, 4], [1, 1], [9, 9], [2, -1], [2, 7], [3, 0]]
+    assert_same_outcome(back, oracle_read_wide_csv(path))
 
 
 def test_wide_requires_complete_data(tmp_path):
@@ -196,12 +208,14 @@ def test_wide_writers_match_the_row_by_row_writer(tmp_path):
 
 def test_mask_csv_round_trip(tmp_path):
     ds = make_dataset([("a", [0, 30], [[1.5, 2.5], [3.5, 4.5]])], names=["HR", "Temp"])
-    mask = MaskSet([(CellIndex(0, 1, 0), 3.5)], strategy="random_rate", rate=0.5, seed=1)
+    mask = MaskSet([0], [1], [0], [3.5], strategy="random_rate", rate=0.5, seed=1)
     path = tmp_path / "mask.csv"
     io_formats.emit_mask_csv(ds, mask, path)
     back = io_formats.read_mask_csv(path, ds)
-    assert back.entries[0].cell == CellIndex(0, 1, 0)
-    assert back.entries[0].truth == 3.5
+    assert back.cells().tolist() == [[0, 1, 0]]
+    np.testing.assert_array_equal(bits(back.truth), bits(mask.truth))
+    # the file does not record how the mask was drawn
+    assert (back.strategy, back.rate, back.seed) == ("external", None, 0)
 
 
 def test_mask_csv_resolves_times_and_rejects_missing_event(tmp_path):
@@ -211,9 +225,8 @@ def test_mask_csv_resolves_times_and_rejects_missing_event(tmp_path):
     path = tmp_path / "mask.csv"
     path.write_text("visit_id,time,feature,truth\nb,30,f0,5\na,90,f0,3\na,0,f0,1\n")
     back = io_formats.read_mask_csv(path, ds)
-    assert [e.cell for e in back.entries] == [
-        CellIndex(1, 1, 0), CellIndex(0, 2, 0), CellIndex(0, 0, 0)
-    ]
+    assert back.cells().tolist() == [[1, 1, 0], [0, 2, 0], [0, 0, 0]]
+    np.testing.assert_array_equal(bits(back.truth), bits([5.0, 3.0, 1.0]))
     path.write_text("visit_id,time,feature,truth\na,30,f0,2\nb,90,f0,3\n")
     with pytest.raises(DataError) as err:
         io_formats.read_mask_csv(path, ds)
@@ -439,6 +452,27 @@ def test_manifest_header_is_only_a_first_name_kind_row(tmp_path):
                  "--method", "meanfill", "--out", str(tmp_path / "o.csv")]) == 0
 
 
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("HR,vital\nHR,lab\n", ":2: duplicate feature name 'HR' (first on line 1)"),
+        ("# kinds\nname,kind\nHR,vitals\n", ":3: unknown feature kind 'vitals' for 'HR'"),
+    ],
+)
+def test_cli_manifest_errors_name_the_manifest_line(tmp_path, capsys, text, message):
+    data = tmp_path / "d.csv"
+    data.write_text("visit_id,time_min,feature,value\na,0,HR,1.0\na,10,HR,2.0\n")
+    manifest = tmp_path / "features.csv"
+    manifest.write_text(text)
+    with pytest.raises(DataError) as err:
+        io_formats.read_feature_manifest(manifest)
+    assert str(err.value) == f"{manifest}{message}"
+    code = main(["impute", "--data", str(data), "--features", str(manifest),
+                 "--method", "mice", "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"data error: {manifest}{message}\n"
+
+
 def test_cli_missing_file_is_data_error(tmp_path):
     code = main(["impute", "--data", str(tmp_path / "absent.csv"),
                  "--method", "meanfill", "--out", str(tmp_path / "o.csv")])
@@ -549,11 +583,11 @@ def oracle_ingest_long_csv(path, features=None):
     return dataset
 
 
-def oracle_read_mask_csv(path, dataset, strategy="external", rate=None, seed=0):
+def oracle_read_mask_csv(path, dataset):
     visit_index = {v.visit_id: i for i, v in enumerate(dataset.visits)}
     feat_index = {s.name: s.id for s in dataset.features}
     event_index = {}
-    entries = []
+    cells = []
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or row[0] == "visit_id":
@@ -576,8 +610,9 @@ def oracle_read_mask_csv(path, dataset, strategy="external", rate=None, seed=0):
             event = event_index[i].get(time)
             if event is None:
                 raise DataError(f"{path}:{lineno}: no event at time {time} in {visit_id!r}")
-            entries.append((CellIndex(i, event, feat_index[feat_name]), truth))
-    return MaskSet(entries, strategy=strategy, rate=rate, seed=seed)
+            cells.append((i, event, feat_index[feat_name], truth))
+    visit, event, feature, truth = zip(*cells) if cells else ((),) * 4
+    return MaskSet(visit, event, feature, truth, strategy="external")
 
 
 def oracle_read_wide_csv(path, features=None):
@@ -742,9 +777,9 @@ mask_files = csv_lines(
 def test_read_mask_matches_row_oracle(tmp_path_factory, text, fields):
     path = tmp_path_factory.getbasetemp() / "mask.csv"
     path.write_text(text)
-    want = outcome(oracle_read_mask_csv, path, MASK_DATASET, "random_rate", 0.5, 3)
+    want = outcome(oracle_read_mask_csv, path, MASK_DATASET)
     with block_fields(fields):
-        got = outcome(io_formats.read_mask_csv, path, MASK_DATASET, "random_rate", 0.5, 3)
+        got = outcome(io_formats.read_mask_csv, path, MASK_DATASET)
     assert_same_outcome(got, want)
 
 

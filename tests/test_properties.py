@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from tadualcv.config import Config
 from tadualcv.data_model import (
-    CellIndex,
     Dataset,
     FeatureSpec,
     Visit,
@@ -112,11 +111,10 @@ def test_layout_is_the_stacked_visits(dataset):
         assert read_only(visit.values, visit.times)
         assert np.shares_memory(visit.values, dataset.values) or visit.n_events == 0
         assert np.shares_memory(visit.times, dataset.times) or visit.n_events == 0
-        cells = [CellIndex(i, e, f) for e in range(visit.n_events)
-                 for f in range(dataset.n_features)]
-        rows, cols = dataset.rows(cells)
-        assert rows.tolist() == [dataset.starts[i] + c.event for c in cells]
-        assert cols.tolist() == [c.feature for c in cells]
+        cells = [(i, e, f) for e in range(visit.n_events) for f in range(dataset.n_features)]
+        rows, cols = dataset.rows(np.array(cells, dtype=np.int64).reshape(-1, 3))
+        assert rows.tolist() == [dataset.starts[i] + e for _, e, _ in cells]
+        assert cols.tolist() == [f for _, _, f in cells]
 
     # with_values shares the layout, builds its own views, and compares by identity
     other = dataset.with_values(dataset.values * 2.0)
