@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
 # The whole pipeline as shell commands: synth -> mask -> impute -> evaluate,
+# once with random masks and once with one hidden cell per (visit, feature),
 # then a bench sweep over the usual rate grid. Run from anywhere; writes into
 # a temporary directory that is removed on exit.
 set -euo pipefail
@@ -22,6 +23,18 @@ tadualcv evaluate --truth-mask "$work/mask.csv" --imputed "$work/imputed.csv" \
 
 echo "--- report ---"
 cat "$work/report.txt"
+
+tadualcv mask --data "$work/data.csv" --one-per-feature --seed 1 \
+    --out "$work/masked_opf.csv" --mask-out "$work/mask_opf.csv"
+
+tadualcv impute --data "$work/masked_opf.csv" --method tadualcv \
+    --chains 3 --iterations 5 --seed 1 --out "$work/imputed_opf.csv"
+
+tadualcv evaluate --truth-mask "$work/mask_opf.csv" --imputed "$work/imputed_opf.csv" \
+    --masked "$work/masked_opf.csv" --method tadualcv --out "$work/report_opf.txt"
+
+echo "--- one-per-feature report ---"
+cat "$work/report_opf.txt"
 
 tadualcv bench --data "$work/data.csv" --rates 20,50,90 \
     --methods tadualcv,mice,meanfill --seeds 1 \

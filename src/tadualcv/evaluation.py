@@ -207,26 +207,32 @@ def mask_one_per_feature_visit(dataset: Dataset, seed: int) -> MaskSet:
     choice avoids emptying an event (cells whose event would be left with no
     values are ineligible).
     """
-    cells = []
-    observed_all, bounds = ~np.isnan(dataset.values), dataset.starts.tolist()
-    for i in range(dataset.n_visits):
-        rng = np.random.default_rng((int(seed), i))
-        observed = observed_all[bounds[i] : bounds[i + 1]]
-        remaining = observed.copy()
-        for f in range(dataset.n_features):
-            rows = np.nonzero(observed[:, f])[0]
-            if rows.size < 2:
-                continue
-            eligible = rows[remaining[rows].sum(axis=1) >= 2]
-            if eligible.size == 0:
-                continue
-            e = int(eligible[rng.integers(eligible.size)])
-            remaining[e, f] = False
-            cells.append((i, e, f))
-    visits, events, features = np.array(cells, dtype=np.int64).reshape(-1, 3).T
-    truths = dataset.values[dataset.starts[visits] + events, features]
+    observed, visit_of_row = ~np.isnan(dataset.values), dataset.visit_of_row
+    # observed cells per row not yet masked
+    remaining = observed.sum(axis=1)
+    rngs = [np.random.default_rng((int(seed), i)) for i in range(dataset.n_visits)]
+    hidden = np.zeros(observed.shape, dtype=bool)
+    # one feature at a time, every visit at once; each visit's generator
+    # draws once per feature it masks, in feature order
+    for f in range(dataset.n_features):
+        observed_f = observed[:, f]
+        pairs = np.bincount(visit_of_row[observed_f], minlength=dataset.n_visits) >= 2
+        eligible = np.flatnonzero(observed_f & (remaining >= 2) & pairs[visit_of_row])
+        sizes = np.bincount(visit_of_row[eligible], minlength=dataset.n_visits)
+        visits = np.flatnonzero(sizes)
+        counts = sizes[visits]
+        draws = [rngs[i].integers(k) for i, k in zip(visits.tolist(), counts.tolist())]
+        chosen = eligible[np.cumsum(counts) - counts + np.array(draws, dtype=np.int64)]
+        remaining[chosen] -= 1
+        hidden[chosen, f] = True
+    rows, features = np.nonzero(hidden)
+    # entries in visit order, then feature order
+    order = np.lexsort((features, visit_of_row[rows]))
+    rows, features = rows[order], features[order]
+    visits = visit_of_row[rows]
     return MaskSet(
-        visits, events, features, truths, strategy="one_per_feature_visit", rate=None, seed=seed
+        visits, rows - dataset.starts[visits], features, dataset.values[rows, features],
+        strategy="one_per_feature_visit", rate=None, seed=seed,
     )
 
 

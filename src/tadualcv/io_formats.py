@@ -81,8 +81,8 @@ def read_feature_manifest(path) -> list[FeatureSpec]:
     return specs
 
 
-# Records are converted in blocks of about this many fields, which bounds
-# the field strings alive at once.
+# Records are read and written in blocks of about this many fields, which
+# bounds the field strings alive at once.
 _BLOCK_FIELDS = 1 << 14
 
 
@@ -272,27 +272,36 @@ def _csv_field(text: str) -> str:
     return out.getvalue()[: -len("," + csv.excel.lineterminator)]
 
 
-def _emit_cells(path, dataset: Dataset, rows, cols, values, value_column: str) -> None:
-    """One line per cell at stacked ``(rows, cols)``: visit id, time, feature, value.
+def _write_lines(fh, line: str, columns) -> None:
+    """Write one ``line % fields`` per row of the equal-length ``columns`` arrays.
 
-    Each line is one ``%`` template, as in ``_emit_wide``; each visit id and
-    feature name is quoted once, by ``csv.writer``'s rules.
+    A block of about ``_BLOCK_FIELDS`` fields is formatted by one ``%`` over
+    that many copies of ``line``, its fields interleaved by slice assignment,
+    so the Python objects of one block are alive at a time.
     """
-    ids = [_csv_field(vid) for vid in dataset.visit_ids]
-    names = [_csv_field(spec.name) for spec in dataset.features]
+    width, total = len(columns), len(columns[0])
+    size = max(1, _BLOCK_FIELDS // width)
+    for start in range(0, total, size):
+        count = min(size, total - start)
+        fields = [None] * (count * width)
+        for j, column in enumerate(columns):
+            fields[j::width] = column[start : start + count].tolist()
+        fh.write((line * count) % tuple(fields))
+
+
+def _quoted(texts) -> np.ndarray:
+    """Each text as ``csv.writer`` writes it inside a row, in an object array for indexing."""
+    return np.array([_csv_field(text) for text in texts], dtype=object)
+
+
+def _emit_cells(path, dataset: Dataset, rows, cols, values, value_column: str) -> None:
+    """One line per cell at stacked ``(rows, cols)``: visit id, time, feature, value."""
     line = ",".join(["%s", "%d", "%s", DECIMAL]) + csv.excel.lineterminator
+    ids, names = _quoted(dataset.visit_ids), _quoted([spec.name for spec in dataset.features])
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(["visit_id", "time_min", "feature", value_column])
-        fh.writelines(
-            map(
-                line.__mod__,
-                zip(
-                    map(ids.__getitem__, dataset.visit_of_row[rows].tolist()),
-                    dataset.times[rows].tolist(),
-                    map(names.__getitem__, cols.tolist()),
-                    values.tolist(),
-                ),
-            )
+        _write_lines(
+            fh, line, [ids[dataset.visit_of_row[rows]], dataset.times[rows], names[cols], values]
         )
 
 
@@ -305,19 +314,14 @@ def emit_long_csv(dataset: Dataset, path) -> None:
 def _emit_wide(path, dataset: Dataset, cells: np.ndarray, spec: str) -> None:
     """One line per event: visit id, time, then that event's row of ``cells``.
 
-    ``cells`` is ``(E, D)``. Each line is one ``%`` template with ``spec`` for
-    every cell, filled row by row; each visit id is quoted once, by
-    ``csv.writer``'s rules.
+    ``cells`` is ``(E, D)``, each written with ``spec``.
     """
     d = dataset.n_features
     line = ",".join(["%s", "%d"] + [spec] * d) + csv.excel.lineterminator
-    ids = [_csv_field(vid) for vid in dataset.visit_ids]
+    ids = _quoted(dataset.visit_ids)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(["visit_id", "time_min"] + [f"f_{k}" for k in range(d)])
-        fh.writelines(
-            line % (ids[v], t, *row.tolist())
-            for v, t, row in zip(dataset.visit_of_row.tolist(), dataset.times.tolist(), cells)
-        )
+        _write_lines(fh, line, [ids[dataset.visit_of_row], dataset.times, *cells.T])
 
 
 def emit_wide_csv(dataset: Dataset, path) -> None:

@@ -34,6 +34,8 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n_visits < 1 or self.n_features < 1:
+            raise ValueError("n_visits and n_features must be >= 1")
         lo, hi = self.events_per_visit
         if lo < 2 or hi < lo:
             raise ValueError("events_per_visit must satisfy 2 <= min <= max")
@@ -79,34 +81,46 @@ def generate(config: SynthConfig) -> tuple[Dataset, list[np.ndarray]]:
         raise ValueError("mixing matrix must be D x D")
 
     features = [FeatureSpec(f, f"f{f}", "other") for f in range(d)]
-    times, values, truths = [], [], []
-    lo, hi = config.events_per_visit
-    for i in range(config.n_visits):
+    n, (lo, hi) = config.n_visits, config.events_per_visit
+    rate, noisy = config.native_missing_rate, config.noise_scale > 0
+    # every visit's draws, in the order one generator per visit makes them;
+    # all other arithmetic runs once over the stacked (E, D) layout
+    rngs, lengths, phases = [], np.empty(n, np.int64), np.empty((n, d))
+    gaps, noise, uniforms = [], [], []
+    for i in range(n):
         rng = np.random.default_rng((int(config.seed), i))
-        t_i = int(rng.integers(lo, hi + 1))
-        gaps = rng.integers(_GAP_RANGE[0], _GAP_RANGE[1] + 1, size=t_i - 1)
-        times.append(np.concatenate([[0], np.cumsum(gaps)]))
+        t_i = lengths[i] = rng.integers(lo, hi + 1)
+        # a visit's first event has gap 0, which restarts its clock
+        gaps += [[0], rng.integers(_GAP_RANGE[0], _GAP_RANGE[1] + 1, size=t_i - 1)]
+        phases[i] = rng.uniform(0.0, 2.0 * np.pi, size=d)
+        if noisy:
+            noise.append(rng.standard_normal((t_i, d)))
+        if rate > 0:
+            uniforms.append(rng.random((t_i, d)))
+        rngs.append(rng)
 
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=d)
-        latent = np.sin(times[-1][:, None] * freqs[None, :] + phases[None, :])
-        full = latent @ mixing.T
-        if config.noise_scale > 0:
-            full = full + config.noise_scale * rng.standard_normal((t_i, d))
-        truths.append(full)
+    clock = np.cumsum(np.concatenate(gaps))
+    starts = np.concatenate(([0], np.cumsum(lengths)))
+    visit_of_row = np.repeat(np.arange(n), lengths)
+    times = clock - clock[starts[:-1]][visit_of_row]
+    latent = np.sin(times[:, None] * freqs[None, :] + phases[visit_of_row])
+    full = latent @ mixing.T
+    if noisy:
+        full = full + config.noise_scale * np.concatenate(noise)
 
-        if config.native_missing_rate > 0:
-            holes = rng.random((t_i, d)) < config.native_missing_rate
-            for row in np.nonzero(holes.all(axis=1))[0]:
-                holes[row, int(rng.integers(d))] = False
-            full = np.where(holes, np.nan, full)
-        values.append(full)
-
-    stacked = np.concatenate([np.empty((0, d)), *values])
+    holes = np.concatenate(uniforms) < rate if rate > 0 else np.zeros(full.shape, dtype=bool)
+    emptied = np.flatnonzero(holes.all(axis=1))
+    # an emptied row keeps one feature, drawn last from its visit's
+    # generator, one draw per row in row order
+    for rows in np.split(emptied, np.flatnonzero(np.diff(visit_of_row[emptied])) + 1):
+        if rows.size:
+            holes[rows, rngs[visit_of_row[rows[0]]].integers(d, size=rows.size)] = False
+    # a new array, so the truths share no memory with the dataset's values
+    stacked = np.where(holes, np.nan, full)
     # A feature that lost every observation would break downstream baselines.
-    for f in np.nonzero(np.isnan(stacked).all(axis=0))[0]:
-        stacked[0, f] = truths[0][0, f]
+    lost = np.isnan(stacked).all(axis=0)
+    stacked[0, lost] = full[0, lost]
 
-    starts = np.cumsum([0] + [len(t) for t in times])
-    times = np.concatenate([np.empty(0, dtype=np.int64), *times])
-    ids = [f"v{i}" for i in range(config.n_visits)]
+    ids = [f"v{i}" for i in range(n)]
+    truths = np.split(full, starts[1:-1])
     return Dataset.from_stacked(features, ids, times, stacked, starts), truths

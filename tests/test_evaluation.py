@@ -346,6 +346,18 @@ def test_mask_random_matches_the_oracle_at_benchmark_scale():
         assert_same_mask(mask_random(ds, rate, 0), oracle_mask_random(ds, rate, 0))
 
 
+def test_mask_one_per_feature_visit_matches_the_oracle_at_benchmark_scale():
+    # 1,500 visits of 4 to 12 events and 16 features; at missing rate 0.6
+    # many rows hold one or two observed cells, so earlier features' choices
+    # often leave a later feature fewer eligible rows
+    for rate in (0.1, 0.6):
+        ds, _ = generate(SynthConfig(n_visits=1500, n_features=16, events_per_visit=(4, 12),
+                                     noise_scale=0.05, native_missing_rate=rate, seed=0))
+        for seed in (0, 7):
+            assert_same_mask(mask_one_per_feature_visit(ds, seed),
+                             oracle_mask_one_per_feature_visit(ds, seed))
+
+
 def test_mask_random_matches_the_oracle_when_redraws_run_out():
     # at rate 0.999 most events with one or two observed cells fail all
     # their redraws, and then keep their first observed cell

@@ -164,10 +164,26 @@ def row_by_row_cells(path, dataset, rows, cols, values, value_column):
             writer.writerow([vid, int(dataset.times[row]), name, io_formats.fmt(value)])
 
 
+def spans_blocks(path, width, n_blocks):
+    """Whether ``path`` holds more than ``n_blocks`` full write blocks of ``width``-field lines."""
+    per_block = io_formats._BLOCK_FIELDS // width
+    lines = len(path.read_bytes().split(b"\r\n")) - 2  # header, and the empty tail
+    return lines > n_blocks * per_block and lines % per_block != 0
+
+
 def test_wide_writers_match_the_row_by_row_writer(tmp_path):
+    # 40 events fit in one write block
+    assert_writers_match_the_row_by_row_writer(tmp_path, 40)
+
+
+def test_writers_match_the_row_by_row_writer_across_blocks(tmp_path):
+    # every file holds at least two full write blocks and a partial one
+    assert_writers_match_the_row_by_row_writer(tmp_path, 12_000)
+
+
+def assert_writers_match_the_row_by_row_writer(tmp_path, n):
     ids = ["a,b", 'q"x', "new\nline", "cr\rx", " pad ", "", "plain"]
     rng = np.random.default_rng(3)
-    n = 40
     starts = np.concatenate(([0], np.sort(rng.choice(np.arange(1, n), len(ids) - 1, False)), [n]))
     values = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-15, 15, size=(n, 3))
     values[:4, 0] = [-0.0, 0.0, 1e300, 5e-324]
@@ -184,15 +200,20 @@ def test_wide_writers_match_the_row_by_row_writer(tmp_path):
     for name in ("std", "wide"):
         written = (tmp_path / f"{name}.csv").read_bytes()
         assert written == (tmp_path / f"{name}_oracle.csv").read_bytes()
+        assert spans_blocks(tmp_path / f"{name}.csv", 5, 2) == (n > 40)
     # the cases the test is about reached the wide file
     assert b'\r\n"a,b",0,-0,' in written and b'\n"q""x",' in written
     back = io_formats.read_wide_csv(tmp_path / "wide.csv", features)
     assert back.visit_ids == ds.visit_ids
 
-    # the long and mask writers, on the same ids and feature names
+    # the missing-indicator, long and mask writers, on the same ids and feature names
     holes = values.copy()
     holes[rng.random(holes.shape) < 0.3] = NAN
     sparse = ds.with_values(holes)
+    io_formats.emit_mi_csv(sparse, tmp_path / "mi.csv")
+    row_by_row_wide(tmp_path / "mi_oracle.csv", sparse, np.isnan(holes))
+    assert (tmp_path / "mi.csv").read_bytes() == (tmp_path / "mi_oracle.csv").read_bytes()
+    assert spans_blocks(tmp_path / "mi.csv", 5, 2) == (n > 40)
     mask = mask_random(sparse, 0.5, seed=0)
     io_formats.emit_long_csv(sparse, tmp_path / "long.csv")
     rows, cols = np.nonzero(~np.isnan(holes))
@@ -203,6 +224,7 @@ def test_wide_writers_match_the_row_by_row_writer(tmp_path):
     for name in ("long", "mask"):
         written = (tmp_path / f"{name}.csv").read_bytes()
         assert written == (tmp_path / f"{name}_oracle.csv").read_bytes()
+        assert spans_blocks(tmp_path / f"{name}.csv", 4, 2) == (n > 40)
         assert b',"f,1",' in written and b',"g""2",' in written and b'\n"q""x",' in written
 
 
@@ -515,6 +537,15 @@ def test_cli_synth_writes_ingestible_csv(tmp_path):
                  "--seed", "3"]) == 0
     ds = io_formats.ingest_long_csv(out)
     assert ds.n_visits == 5 and ds.n_features == 2
+
+
+@pytest.mark.parametrize("counts", [["--visits", "0"], ["--visits", "-2"], ["--features", "0"]])
+def test_cli_synth_rejects_empty_cohorts(tmp_path, capsys, counts):
+    out = tmp_path / "synth.csv"
+    assert main(["synth", "--out", str(out), *counts]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 # ---------------------------------------------------------------------------
