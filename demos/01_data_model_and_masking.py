@@ -14,11 +14,11 @@ from tadualcv import (
     Visit,
     apply_mask,
     mask_random,
-    median_event_count,
     nrmse,
     restore_mask,
     validate,
 )
+from tadualcv.data_model import median_event_count
 
 nan = float("nan")
 

@@ -9,7 +9,7 @@ fusion stage feeds on.
 
 import numpy as np
 
-from tadualcv import run_chains
+from tadualcv.chained_equations import run_chains
 
 nan = float("nan")
 
@@ -21,7 +21,7 @@ print("matrix with a hole (y = 2x, duplicated x at the hole):")
 print(matrix)
 
 result = run_chains(matrix, m=5, t=10, master_seed=0)
-print("hole cells:", result.cells)
+print("hole cells (row, column):", result.cells.tolist())
 print("per-chain fills:", result.per_chain_fills.ravel())
 print("pooled fill:", result.pooled_fill[0], "(truth 6.0)")
 print("cross-chain std:", result.per_cell_std[0])
@@ -37,10 +37,10 @@ print(f"\nnoisy 40x4 matrix: {len(result.cells)} holes filled")
 print(f"mean cross-chain std: {result.per_cell_std.mean():.3f}")
 print(f"max  cross-chain std: {result.per_cell_std.max():.3f}")
 
-# every fill is a value that was actually observed in its column (PMM)
-for (r, c), fill in zip(result.cells, result.pooled_fill):
-    observed = noisy[~np.isnan(noisy[:, c]), c]
-    assert result.per_chain_fills[:, result.cells.index((r, c))][0] in observed
+# every chain's fill is a value that was actually observed in its column (PMM)
+for chain_fills in result.per_chain_fills:
+    for (r, c), fill in zip(result.cells, chain_fills):
+        assert fill in noisy[~np.isnan(noisy[:, c]), c]
 print("all fills are members of their column's observed-value set")
 
 completed = result.completed(noisy)

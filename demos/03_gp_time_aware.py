@@ -8,7 +8,7 @@ useful confidence signal for fusion.
 
 import numpy as np
 
-from tadualcv import fit_gp, gp_impute_visit, gp_predict
+from tadualcv.gp_within_visit import fit_gp, gp_impute_visit, gp_predict
 
 nan = float("nan")
 
@@ -34,6 +34,6 @@ values[5, 0] = nan
 values[3, 1] = nan
 result = gp_impute_visit(times, values)
 print("\nvisit-level fills (event, feature) -> mean +/- std:")
-for key in sorted(result.fills):
-    print(f"  {key} -> {result.fills[key]:.3f} +/- {result.stds[key]:.3f}")
+for e, f in np.argwhere(~np.isnan(result.fills)):
+    print(f"  ({e}, {f}) -> {result.fills[e, f]:.3f} +/- {result.stds[e, f]:.3f}")
 print("skipped features:", result.skipped_features or "none")

@@ -103,12 +103,13 @@ class ChainState:
 class ChainEnsembleResult:
     """Pooled output of ``m`` chains over the originally missing cells.
 
-    ``cells`` lists (row, column) pairs in row-major order; the fill arrays
-    align with it. ``per_cell_std`` is the sample standard deviation across
-    chains (ddof=1), zero when only one chain ran.
+    ``cells`` is a ``(K, 2)`` int64 array of (row, column) pairs in
+    row-major order; the fill arrays align with it. ``per_cell_std`` is the
+    sample standard deviation across chains (ddof=1), zero when only one
+    chain ran.
     """
 
-    cells: list[tuple[int, int]]
+    cells: np.ndarray
     per_chain_fills: np.ndarray
     pooled_fill: np.ndarray
     per_cell_std: np.ndarray
@@ -116,8 +117,7 @@ class ChainEnsembleResult:
     def completed(self, matrix: np.ndarray) -> np.ndarray:
         """Copy of ``matrix`` with pooled fills written into its holes."""
         out = np.array(matrix, dtype=float)
-        rows, cols = np.array(self.cells, dtype=np.int64).reshape(-1, 2).T
-        out[rows, cols] = self.pooled_fill
+        out[tuple(self.cells.T)] = self.pooled_fill
         return out
 
 
@@ -522,7 +522,5 @@ def run_chains(
     if matrix.ndim != 2:
         raise ValueError("expected a 2-D matrix")
     holes = np.isnan(matrix)
-    rows, cols = np.nonzero(holes)
-    cells = list(zip(rows.tolist(), cols.tolist()))
     per_chain = chain_ensemble(matrix[None], m, t, master_seed, [stream])[:, holes]
-    return ChainEnsembleResult(cells, per_chain, *pool_chains(per_chain))
+    return ChainEnsembleResult(np.argwhere(holes), per_chain, *pool_chains(per_chain))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -198,14 +198,6 @@ class Dataset:
         out = object.__new__(type(self))
         out._assign(self.features, self.visit_ids, self.times, values, *layout)
         return out
-
-
-class CellIndex(NamedTuple):
-    """Location of one value slot: (visit index, event index, feature index)."""
-
-    visit: int
-    event: int
-    feature: int
 
 
 @dataclass(frozen=True, eq=False)

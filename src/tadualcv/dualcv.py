@@ -29,7 +29,7 @@ from .chained_equations import Ensemble
 # run_chains stays importable here because perfbench/tracing.py wraps dualcv.run_chains
 from .chained_equations import run_chains  # noqa: F401
 from .config import Config
-from .data_model import CellIndex, Dataset, median_event_count
+from .data_model import Dataset, median_event_count
 
 # Seed-stream tags keeping the two views' randomness disjoint.
 _CFP_STREAM = 1
@@ -118,31 +118,19 @@ def cfp_impute(dataset: Dataset, config: Config) -> tuple[np.ndarray, np.ndarray
     return _run_here(_cfp_chains(dataset, config))
 
 
-def ctp_impute(
-    dataset: Dataset, t_med: int, config: Config
-) -> tuple[dict[CellIndex, float], dict[CellIndex, float]]:
+def ctp_impute(dataset: Dataset, t_med: int, config: Config) -> tuple[np.ndarray, np.ndarray]:
     """Per-feature time-step-view fills for all real (non-placeholder) cells.
 
-    Visits longer than ``t_med`` contribute only their kept window (the most
-    recent events by default); fills for padding placeholders never leave
-    this function. Nor do fills of a time-step column with no observations:
-    the chains hold only a placeholder constant there.
+    Returns (fills, chain stds) as ``(E, D)`` arrays, NaN off the kept
+    cells, like ``cfp_impute``. Visits longer than ``t_med`` contribute only
+    their kept window (the most recent events by default); fills for padding
+    placeholders never leave this function. Nor do fills of a time-step
+    column with no observations: the chains hold only a placeholder constant
+    there.
     """
     if t_med < 1:
         raise ValueError("t_med must be >= 1")
-    # the dict return stays because perfbench/tracing.py's ctp_info iterates
-    # it; impute() collects the same ensemble's arrays
-    fills, stds = _run_here(_ctp_chains(dataset, t_med, config))
-    row, feature = np.nonzero(~np.isnan(fills.T))[::-1]
-    visit = dataset.visit_of_row[row]
-    cells = [
-        CellIndex(v, e, f)
-        for v, e, f in zip(visit.tolist(), (row - dataset.starts[visit]).tolist(), feature.tolist())
-    ]
-    return (
-        dict(zip(cells, fills[row, feature].tolist())),
-        dict(zip(cells, stds[row, feature].tolist())),
-    )
+    return _run_here(_ctp_chains(dataset, t_med, config))
 
 
 def compromise(cfp, ctp, t_i, t_med: int, w1: float, w2: float):

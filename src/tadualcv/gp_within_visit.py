@@ -398,10 +398,10 @@ class GPBuckets:
 
 @dataclass
 class GPVisitResult:
-    """Per-visit GP fills keyed by (event index, feature index)."""
+    """Per-visit GP fills and stds as ``(T, D)`` arrays, NaN where the GP gave no value."""
 
-    fills: dict[tuple[int, int], float]
-    stds: dict[tuple[int, int], float]
+    fills: np.ndarray
+    stds: np.ndarray
     skipped_features: list[int]
     diagnostics: list[str] = field(default_factory=list)
 
@@ -421,16 +421,12 @@ def gp_impute_visit(times, values: np.ndarray) -> GPVisitResult:
     )
     stage = GPBuckets(visit)
     results = [(n, stage.run(n)) for n in stage.buckets]
-    fills, stds = stage.collect(results)
     # with one visit, a problem's id is its feature
     n_obs, n_holes = stage.problems[:2]
     few = np.flatnonzero((n_holes > 0) & (n_obs < 2)).tolist()
     failed = dict(pair for _, result in results for pair in result[-1])
-    feats, events = np.nonzero(~np.isnan(fills.T))
-    cells = list(zip(events.tolist(), feats.tolist()))
     return GPVisitResult(
-        fills={cell: float(fills[cell]) for cell in cells},
-        stds={cell: float(stds[cell]) for cell in cells},
+        *stage.collect(results),
         skipped_features=sorted(few + list(failed)),
         diagnostics=[
             f"visit 0, feature {f}: ill-conditioned correlation at alpha={failed[f]:g}"

@@ -471,6 +471,10 @@ def read_mask_csv(path, dataset: Dataset) -> MaskSet:
     return MaskSet(visit, event, feature, truth, strategy="external")
 
 
+# Config keys a file spells as other than a float.
+_CONFIG_TYPES = {"chains": int, "iterations": int, "seed": int, "ctp_truncate": str}
+
+
 def parse_config_text(text: str, base: Config | None = None) -> Config:
     """Parse ``key = value`` lines into a Config on top of ``base`` (defaults)."""
     values = dict((base or Config()).__dict__)
@@ -484,18 +488,16 @@ def parse_config_text(text: str, base: Config | None = None) -> Config:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, value = (s.strip() for s in line.partition("="))
         kind = key.removeprefix("ecf_window_")
-        if kind != key and kind in FEATURE_KINDS:
-            values["ecf_windows"][kind] = int(value)
-            continue
+        window = kind != key and kind in FEATURE_KINDS
         # a file spells the windows as ecf_window_<kind> keys, never as one value
-        if key not in known or key == "ecf_windows":
+        if not window and (key not in known or key == "ecf_windows"):
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        if key == "ctp_truncate":
-            values[key] = value
-        elif key in ("chains", "iterations", "seed"):
-            values[key] = int(value)
-        else:
-            values[key] = float(value)
+        target, name = (values["ecf_windows"], kind) if window else (values, key)
+        convert = int if window else _CONFIG_TYPES.get(key, float)
+        try:
+            target[name] = convert(value)
+        except ValueError:
+            raise ConfigError(f"line {lineno}: invalid value {value!r} for {key!r}") from None
     return Config(**values)
 
 

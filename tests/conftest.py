@@ -26,6 +26,14 @@ def same_mask(a, b) -> bool:
     )
 
 
+def assert_same_bits(a, b):
+    """Both float arrays (or sequences) hold the same bits, compared as uint64."""
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(a, dtype=float).view(np.uint64),
+        np.ascontiguousarray(b, dtype=float).view(np.uint64),
+    )
+
+
 def assert_no_child_left():
     """This process has no child left, running or unreaped."""
     with pytest.raises(ChildProcessError):

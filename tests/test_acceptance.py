@@ -135,7 +135,7 @@ def test_criterion_04_chained_equations_oracle():
     worst = 0.0
     for seed in range(5):
         result = run_chains(matrix, m=5, t=10, master_seed=seed)
-        assert result.cells == [(3, 1)]
+        assert result.cells.tolist() == [[3, 1]]
         worst = max(worst, abs(float(result.pooled_fill[0]) - 6.0))
     ok = worst < 1e-9
     report(4, ok, f"y=2x six-row pooled fill (worst dev {worst:.2e})")

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tadualcv.data_model import (
-    CellIndex,
     DataError,
     Dataset,
     FeatureSpec,
@@ -118,22 +117,22 @@ def test_dataset_starts_and_rows_bijective(two_visit_dataset):
     assert rows.tolist() == [0, 1, 2, 3, 4] and cols.tolist() == [1] * 5
     with pytest.raises(IndexError):
         ds.rows(np.array([[1, 2, 0]]))
-    # the cells come as one array, not as a collection of CellIndex
+    # the cells come as one array, not as a collection of tuples
     with pytest.raises(TypeError, match="cells must be a"):
-        ds.rows([CellIndex(0, 0, 1)])
+        ds.rows([(0, 0, 1)])
 
 
 @pytest.mark.parametrize(
     "cell",
-    [CellIndex(1, -1, 0), CellIndex(-1, 0, 0), CellIndex(0, 0, -1), CellIndex(2, 0, 0),
-     CellIndex(0, 0, 2)],
+    [(1, -1, 0), (-1, 0, 0), (0, 0, -1), (2, 0, 0), (0, 0, 2)],
 )
 def test_rows_rejects_cells_outside_the_dataset(two_visit_dataset, cell):
     ds = two_visit_dataset
-    message = rf"cell \({cell.visit}, {cell.event}, {cell.feature}\) outside the dataset"
+    visit, event, feature = cell
+    message = rf"cell \({visit}, {event}, {feature}\) outside the dataset"
     with pytest.raises(IndexError, match=message):
         ds.rows(np.array([(0, 0, 0), cell, (9, 9, 9)]))
-    mask = MaskSet([cell.visit], [cell.event], [cell.feature], [3.0])
+    mask = MaskSet([visit], [event], [feature], [3.0])
     with pytest.raises(IndexError, match=message):
         apply_mask(ds, mask)
     with pytest.raises(IndexError, match=message):

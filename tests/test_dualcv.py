@@ -3,7 +3,6 @@ import pytest
 
 from tadualcv.chained_equations import run_chains
 from tadualcv.config import Config
-from tadualcv.data_model import CellIndex
 from tadualcv.dualcv import (
     _CFP_STREAM,
     _ctp_stack,
@@ -15,7 +14,14 @@ from tadualcv.dualcv import (
 )
 from tadualcv.methods import impute
 
-from conftest import NAN, make_dataset
+from conftest import NAN, assert_same_bits, make_dataset
+
+
+def filled_cells(ds, fills):
+    """``(K, 3)`` (visit, event, feature) rows of the cells ``fills`` gives a value, row-major."""
+    row, feature = np.nonzero(~np.isnan(fills))
+    visit = ds.visit_of_row[row]
+    return np.stack([visit, row - ds.starts[visit], feature], axis=1)
 
 
 def duplicate_x_dataset():
@@ -79,7 +85,7 @@ def test_ctp_placeholder_fills_discarded():
     )
     fills, _ = ctp_impute(ds, 4, Config())
     # only the real hole comes back; the short visit's two pad cells do not
-    assert set(fills) == {CellIndex(0, 1, 0)}
+    assert filled_cells(ds, fills).tolist() == [[0, 1, 0]]
 
 
 def test_ctp_full_rows_return_nothing():
@@ -90,7 +96,7 @@ def test_ctp_full_rows_return_nothing():
         ]
     )
     fills, _ = ctp_impute(ds, 2, Config())
-    assert fills == {}
+    assert np.isnan(fills).all()
 
 
 def test_ctp_recovers_cross_visit_relation():
@@ -104,14 +110,15 @@ def test_ctp_recovers_cross_visit_relation():
         rows.append((f"v{i}", [0, 10], values))
     ds = make_dataset(rows)
     fills, _ = ctp_impute(ds, 2, Config(seed=1))
-    assert fills == {CellIndex(3, 1, 0): 6.0}
+    assert filled_cells(ds, fills).tolist() == [[3, 1, 0]]
+    assert fills[ds.starts[3] + 1, 0] == 6.0
 
 
 def test_ctp_degenerate_view():
     # t_med above every T_i and nothing observed anywhere in the view
     ds = make_dataset([("a", [0], [[NAN, NAN]]), ("b", [0], [[NAN, NAN]])])
     fills, stds = ctp_impute(ds, 3, Config())
-    assert fills == {} and stds == {}
+    assert np.isnan(fills).all() and np.isnan(stds).all()
 
 
 @pytest.mark.parametrize("variant", ["ta_dualcv", "ta_dualcv_noI"])
@@ -201,21 +208,25 @@ def check_ctp_fills(ds, t_med, truncate):
     """
     config = Config(chains=1, ctp_truncate=truncate, seed=3)
     fills, stds = ctp_impute(ds, t_med, config)
-    assert ctp_impute(ds, t_med, config) == (fills, stds)
-    assert fills.keys() == stds.keys()
-    for cell, fill in fills.items():
-        assert np.isfinite(fill) and stds[cell] == 0.0
-        assert np.isnan(ds.visits[cell.visit].values[cell.event, cell.feature])
-        stack, event_of, _, _ = _ctp_stack(ds, t_med, truncate)
-        (col,) = np.flatnonzero(event_of[cell.visit] == cell.event)
-        column = stack[cell.feature, :, col]
+    for again, first in zip(ctp_impute(ds, t_med, config), (fills, stds)):
+        assert_same_bits(again, first)
+    kept = ~np.isnan(fills)
+    np.testing.assert_array_equal(kept, ~np.isnan(stds))
+    stack, event_of, _, _ = _ctp_stack(ds, t_med, truncate)
+    for visit, event, feature in filled_cells(ds, fills):
+        row = ds.starts[visit] + event
+        fill = fills[row, feature]
+        assert np.isfinite(fill) and stds[row, feature] == 0.0
+        assert np.isnan(ds.values[row, feature])
+        (col,) = np.flatnonzero(event_of[visit] == event)
+        column = stack[feature, :, col]
         assert fill in set(column[~np.isnan(column)].tolist())
-    # five chains: same keys, finite pooled fills, still reproducible
+    # five chains: same cells, finite pooled fills, still reproducible
     config = Config(ctp_truncate=truncate, seed=3)
     pooled, _ = ctp_impute(ds, t_med, config)
-    assert pooled.keys() == fills.keys()
-    assert all(np.isfinite(v) for v in pooled.values())
-    assert ctp_impute(ds, t_med, config)[0] == pooled
+    np.testing.assert_array_equal(~np.isnan(pooled), kept)
+    assert np.isfinite(pooled[kept]).all()
+    assert_same_bits(ctp_impute(ds, t_med, config)[0], pooled)
     return fills
 
 
@@ -233,14 +244,14 @@ def ragged_visits(lengths, seed=0, hole_rate=0.3):
 def test_ctp_single_time_step_is_intercept_only(truncate):
     ds = make_dataset(ragged_visits([1, 3, 1, 2, 4, 1, 2], seed=1))
     fills = check_ctp_fills(ds, 1, truncate)
-    assert fills
+    assert (~np.isnan(fills)).any()
 
 
 @pytest.mark.parametrize("truncate", ["keep_last", "keep_first"])
 def test_ctp_single_event_visits(truncate):
     ds = make_dataset(ragged_visits([1, 1, 1, 1, 1, 1, 3, 3], seed=2, hole_rate=0.4))
     fills = check_ctp_fills(ds, 1, truncate)
-    assert {cell.event for cell in fills} <= {0, 1, 2}
+    assert set(filled_cells(ds, fills)[:, 1].tolist()) <= {0, 1, 2}
     check_ctp_fills(ds, 3, truncate)
 
 
@@ -266,9 +277,10 @@ def test_ctp_column_emptied_by_truncation(truncate, long_values):
     assert np.isnan(stack[1, :, 1]).all()
     fills = check_ctp_fills(ds, 2, truncate)
     # the emptied column's holes get no fill; the rest of the view does
-    emptied = {CellIndex(i, int(e), 1) for i, e in enumerate(event_of[:, 1])}
-    assert len(emptied) == 4 and not emptied & fills.keys()
-    assert CellIndex(2, 1, 0) in fills
+    emptied = {(i, int(e), 1) for i, e in enumerate(event_of[:, 1])}
+    filled = set(map(tuple, filled_cells(ds, fills).tolist()))
+    assert len(emptied) == 4 and not emptied & filled
+    assert (2, 1, 0) in filled
 
 
 @pytest.mark.parametrize("truncate", ["keep_last", "keep_first"])
@@ -278,5 +290,5 @@ def test_ctp_constant_feature(truncate):
         values[:, 1] = np.where(np.isnan(values[:, 1]), NAN, 0.25)
     ds = make_dataset(rows)
     fills = check_ctp_fills(ds, 3, truncate)
-    constant = [v for cell, v in fills.items() if cell.feature == 1]
+    constant = fills[~np.isnan(fills[:, 1]), 1].tolist()
     assert constant and set(constant) == {0.25}

@@ -26,7 +26,7 @@ from tadualcv.evaluation import (
 )
 from tadualcv.synthetic import SynthConfig, generate
 
-from conftest import NAN, make_dataset, same_mask
+from conftest import NAN, assert_same_bits, make_dataset, same_mask
 
 
 def test_normalize_midpoint():
@@ -324,7 +324,7 @@ def maskable_datasets(draw):
 def assert_same_mask(mask, want):
     for got, expected in zip((mask.visit, mask.event, mask.feature), want[:3]):
         assert got.tolist() == expected.tolist()
-    np.testing.assert_array_equal(mask.truth.view(np.uint64), want[3].view(np.uint64))
+    assert_same_bits(mask.truth, want[3])
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -380,4 +380,4 @@ def test_keyed_uniforms_are_default_rng_streams(seed):
     keys[:3] = [[0, 0, 0], [2**32 - 1, 2**32 - 1, 2**32 - 1], [0, 1, 99]]
     got = np.stack(list(_keyed_uniforms(seed, keys, 5)), axis=1)
     want = np.stack([np.random.default_rng((seed, *k.tolist())).random(5) for k in keys])
-    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert_same_bits(got, want)

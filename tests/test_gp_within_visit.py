@@ -185,22 +185,22 @@ def test_fit_is_deterministic():
 def test_impute_visit_fully_observed_feature_untouched():
     values = np.array([[1.0, 2.0], [1.5, NAN], [2.0, 3.0]])
     result = gp_impute_visit([0, 10, 20], values)
-    assert all(f != 0 for _, f in result.fills)
+    assert np.isnan(result.fills[:, 0]).all() and np.isnan(result.stds[:, 0]).all()
 
 
 def test_impute_visit_single_observation_skipped():
     values = np.array([[1.0, 2.0], [NAN, 3.0], [NAN, 4.0]])
     result = gp_impute_visit([0, 10, 20], values)
     assert result.skipped_features == [0]
-    assert result.fills == {}
+    assert np.isnan(result.fills).all() and np.isnan(result.stds).all()
 
 
 def test_impute_visit_linear_trend():
     times = np.array([0, 100, 150, 200, 300])
     col = np.array([0.0, 1.0, NAN, 2.0, 3.0])
     result = gp_impute_visit(times, col[:, None])
-    assert abs(result.fills[(2, 0)] - 1.5) < 0.1
-    assert result.stds[(2, 0)] >= 0.0
+    assert abs(result.fills[2, 0] - 1.5) < 0.1
+    assert result.stds[2, 0] >= 0.0
 
 
 # ---------------------------------------------------------------------------

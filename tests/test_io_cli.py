@@ -28,7 +28,7 @@ from tadualcv.evaluation import (
 from tadualcv.methods import VARIANTS, impute
 from tadualcv.synthetic import SynthConfig, generate
 
-from conftest import NAN, make_dataset
+from conftest import NAN, assert_same_bits, make_dataset
 
 
 def test_long_csv_round_trip(tmp_path):
@@ -235,7 +235,7 @@ def test_mask_csv_round_trip(tmp_path):
     io_formats.emit_mask_csv(ds, mask, path)
     back = io_formats.read_mask_csv(path, ds)
     assert back.cells().tolist() == [[0, 1, 0]]
-    np.testing.assert_array_equal(bits(back.truth), bits(mask.truth))
+    assert_same_bits(back.truth, mask.truth)
     # the file does not record how the mask was drawn
     assert (back.strategy, back.rate, back.seed) == ("external", None, 0)
 
@@ -248,7 +248,7 @@ def test_mask_csv_resolves_times_and_rejects_missing_event(tmp_path):
     path.write_text("visit_id,time,feature,truth\nb,30,f0,5\na,90,f0,3\na,0,f0,1\n")
     back = io_formats.read_mask_csv(path, ds)
     assert back.cells().tolist() == [[1, 1, 0], [0, 2, 0], [0, 0, 0]]
-    np.testing.assert_array_equal(bits(back.truth), bits([5.0, 3.0, 1.0]))
+    assert_same_bits(back.truth, [5.0, 3.0, 1.0])
     path.write_text("visit_id,time,feature,truth\na,30,f0,2\nb,90,f0,3\n")
     with pytest.raises(DataError) as err:
         io_formats.read_mask_csv(path, ds)
@@ -290,6 +290,26 @@ def test_config_file_rejects_unknown_key(tmp_path):
     code = main(["impute", "--data", str(_write_synth(tmp_path)), "--method", "meanfill",
                  "--config", str(path), "--out", str(tmp_path / "o.csv")])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "text, key, value",
+    [("chains = five\n", "chains", "five"), ("w1 = abc\n", "w1", "abc"),
+     ("ecf_window_lab = x\n", "ecf_window_lab", "x")],
+)
+def test_config_file_value_error_names_its_line(text, key, value):
+    with pytest.raises(ConfigError, match=rf"^line 1: invalid value '{value}' for '{key}'$"):
+        io_formats.parse_config_text(text)
+
+
+def test_cli_config_value_error_names_its_line(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("seed = 2\nchains = five\n")
+    out = tmp_path / "o.csv"
+    code = main(["impute", "--data", str(_write_synth(tmp_path)), "--method", "meanfill",
+                 "--config", str(path), "--out", str(out)])
+    assert code == 1 and not out.exists()
+    assert "line 2: invalid value 'five' for 'chains'" in capsys.readouterr().err
 
 
 def test_config_file_rejects_bad_weights():
@@ -690,16 +710,12 @@ def outcome(read, *args):
         return str(exc)
 
 
-def bits(array):
-    return np.ascontiguousarray(array, dtype=float).view(np.uint64)
-
-
 def assert_same_outcome(got, want):
     if isinstance(want, str) or isinstance(got, str):
         assert got == want
     elif isinstance(want, MaskSet):
         np.testing.assert_array_equal(got.cells(), want.cells())
-        np.testing.assert_array_equal(bits(got.truth), bits(want.truth))
+        assert_same_bits(got.truth, want.truth)
         assert (got.strategy, got.rate, got.seed) == (want.strategy, want.rate, want.seed)
     else:
         assert got.features == want.features
@@ -707,7 +723,7 @@ def assert_same_outcome(got, want):
         np.testing.assert_array_equal(got.starts, want.starts)
         assert got.times.dtype == want.times.dtype == np.int64
         np.testing.assert_array_equal(got.times, want.times)
-        np.testing.assert_array_equal(bits(got.values), bits(want.values))
+        assert_same_bits(got.values, want.values)
 
 
 @contextmanager

@@ -6,8 +6,14 @@ import pytest
 import tadualcv.chained_equations as ce
 from tadualcv import dualcv, forking, gp_within_visit, methods
 from tadualcv.config import Config, ConfigError
-from tadualcv.data_model import DataError, apply_mask
-from tadualcv.dualcv import cfp_impute, cross_visit_chains, dualcv_impute, per_visit_mean_std
+from tadualcv.data_model import DataError, apply_mask, median_event_count
+from tadualcv.dualcv import (
+    cfp_impute,
+    cross_visit_chains,
+    ctp_impute,
+    dualcv_impute,
+    per_visit_mean_std,
+)
 from tadualcv.evaluation import denormalize_value, mask_random, normalize
 from tadualcv.gp_within_visit import GPBuckets, gp_impute_visit
 from tadualcv.methods import (
@@ -23,7 +29,7 @@ from tadualcv.methods import (
 )
 from tadualcv.synthetic import SynthConfig, generate
 
-from conftest import NAN, assert_no_child_left, make_dataset
+from conftest import NAN, assert_no_child_left, assert_same_bits, make_dataset
 
 
 def test_fusion_weights_zero_gp_dispersion():
@@ -178,7 +184,7 @@ def test_ecf_matches_loop_oracle(windows):
     ds = make_dataset(visits, kinds=["vital", "lab", "other", "vital"])
     out = ecf_fill(ds, windows)
     expected = ecf_oracle(ds, dict(windows or Config().ecf_windows))
-    np.testing.assert_array_equal(out.values.view(np.uint64), expected.view(np.uint64))
+    assert_same_bits(out.values, expected)
     assert not np.isnan(out.values).any()
 
 
@@ -422,11 +428,8 @@ def test_impute_same_bits_forked_or_in_process(monkeypatch, variant):
         assert in_children(shares, "gp") == gp
         for name in ("per_visit_sigma_m", "per_visit_sigma_g", "per_visit_theta1",
                      "per_visit_theta2", "stds"):
-            a, b = getattr(alone, name), getattr(forked, name)
-            np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
-        np.testing.assert_array_equal(
-            alone.dataset.values.view(np.uint64), forked.dataset.values.view(np.uint64)
-        )
+            assert_same_bits(getattr(alone, name), getattr(forked, name))
+        assert_same_bits(alone.dataset.values, forked.dataset.values)
 
 
 def fail_in_child(monkeypatch, module, name, error):
@@ -523,11 +526,10 @@ def test_impute_builds_the_ctp_gather_and_the_gp_problems_once(monkeypatch):
 def _gp_parts(dataset):
     """GP fills and stds as (E, D) arrays, fitted one visit at a time, and per-visit mean GP std."""
     fills, stds = np.full(dataset.values.shape, NAN), np.full(dataset.values.shape, NAN)
-    for start, visit in zip(dataset.starts.tolist(), dataset.visits):
+    bounds = dataset.starts.tolist()
+    for a, b, visit in zip(bounds[:-1], bounds[1:], dataset.visits):
         result = gp_impute_visit(visit.times, visit.values)
-        for (e, f), value in result.fills.items():
-            fills[start + e, f] = value
-            stds[start + e, f] = result.stds[(e, f)]
+        fills[a:b], stds[a:b] = result.fills, result.stds
     return fills, stds, per_visit_mean_std(dataset, stds)
 
 
@@ -572,3 +574,40 @@ def test_variant_table_cell_meaning(variant):
     for row, col in zip(*np.nonzero(~np.isnan(want_stds))):
         assert out.stds[row, col] == want_stds[row, col]
     np.testing.assert_array_equal(out.per_visit_theta1, theta1)
+
+
+def criterion_9_input():
+    """Acceptance criterion 9's cohort, half its observed cells masked, range-normalized."""
+    ds, _ = generate(
+        SynthConfig(n_visits=12, n_features=4, events_per_visit=(4, 8),
+                    noise_scale=0.05, native_missing_rate=0.1, seed=4)
+    )
+    return normalize(apply_mask(ds, mask_random(ds, 0.5, seed=3)))[0]
+
+
+def test_chain_wrappers_are_batches_of_one_over_the_plan_stages():
+    normalized = criterion_9_input()
+    config = Config(seed=1)
+    stages = cross_visit_chains(normalized, "dualcv", config)
+    results = methods.run_plan(plan(stages, 1), stages)
+    wrappers = {
+        "cfp": cfp_impute(normalized, config),
+        "ctp": ctp_impute(normalized, median_event_count(normalized), config),
+    }
+    for name, stage in stages.items():
+        collected = stage.collect(results[name])
+        assert not np.isnan(collected[0]).all()
+        for got, want in zip(wrappers[name], collected):
+            assert_same_bits(got, want)
+
+
+def test_gp_visit_wrapper_is_a_batch_of_one_over_the_gp_stage():
+    normalized = criterion_9_input()
+    stages = {"gp": GPBuckets(normalized)}
+    fills, stds = stages["gp"].collect(methods.run_plan(plan(stages, 1), stages)["gp"])
+    assert not np.isnan(fills).all()
+    bounds = normalized.starts.tolist()
+    for a, b, visit in zip(bounds[:-1], bounds[1:], normalized.visits):
+        result = gp_impute_visit(visit.times, visit.values)
+        assert_same_bits(result.fills, fills[a:b])
+        assert_same_bits(result.stds, stds[a:b])

@@ -23,6 +23,8 @@ from tadualcv.data_model import (
 from tadualcv.evaluation import mask_random
 from tadualcv.methods import VARIANTS, impute
 
+from conftest import assert_same_bits
+
 CONFIG = Config(chains=2, iterations=2, seed=0)
 MAGNITUDES = (1e-6, 1e-3, 1.0, 1e3, 1e6)
 
@@ -66,10 +68,6 @@ def ragged_datasets(draw):
     return dataset
 
 
-def bits(array):
-    return np.ascontiguousarray(array, dtype=float).view(np.uint64)
-
-
 EMPTY_VISIT = Dataset(
     [FeatureSpec(0, "f0"), FeatureSpec(1, "f1")],
     [Visit("a", [0, 5], [[1.0, np.nan], [2.0, 3.0]]), Visit("e", [], np.empty((0, 2))),
@@ -99,9 +97,8 @@ def test_layout_is_the_stacked_visits(dataset):
     assert dataset.lengths.tolist() == [v.n_events for v in visits]
     assert dataset.visit_of_row.tolist() == [i for i, v in enumerate(visits)
                                              for _ in range(v.n_events)]
-    np.testing.assert_array_equal(bits(dataset.values),
-                                  bits(np.vstack([np.empty((0, dataset.values.shape[1])),
-                                                  *[v.values for v in visits]])))
+    assert_same_bits(dataset.values, np.vstack([np.empty((0, dataset.values.shape[1])),
+                                                *[v.values for v in visits]]))
     np.testing.assert_array_equal(dataset.times,
                                   np.concatenate([np.empty(0, np.int64),
                                                   *[v.times for v in visits]]))
@@ -123,7 +120,7 @@ def test_layout_is_the_stacked_visits(dataset):
     assert other != dataset and dataset == dataset
     for visit, doubled in zip(visits, other.visits):
         assert visit.visit_id == doubled.visit_id
-        np.testing.assert_array_equal(bits(doubled.values), bits(visit.values * 2.0))
+        assert_same_bits(doubled.values, visit.values * 2.0)
 
 
 @examples(60)
@@ -133,7 +130,7 @@ def test_mask_round_trip(dataset, rate, seed):
     masked = apply_mask(dataset, mask)
     assert validate(masked) == []
     assert np.isnan(masked.values[masked.rows(mask.cells())]).all()
-    np.testing.assert_array_equal(bits(restore_mask(masked, mask).values), bits(dataset.values))
+    assert_same_bits(restore_mask(masked, mask).values, dataset.values)
 
 
 @examples(25)
@@ -144,13 +141,12 @@ def test_impute_postconditions(dataset, truncate):
     for variant in VARIANTS:
         out = impute(dataset, variant, config)
         assert np.isfinite(out.dataset.values).all(), variant
-        np.testing.assert_array_equal(bits(out.dataset.values[~holes]),
-                                      bits(dataset.values[~holes]))
+        assert_same_bits(out.dataset.values[~holes], dataset.values[~holes])
         assert out.stds.shape == dataset.values.shape
         assert np.isfinite(out.stds).all() and (out.stds[~holes] == 0.0).all()
         again = impute(dataset, variant, config)
-        np.testing.assert_array_equal(bits(again.dataset.values), bits(out.dataset.values))
-        np.testing.assert_array_equal(bits(again.stds), bits(out.stds))
+        assert_same_bits(again.dataset.values, out.dataset.values)
+        assert_same_bits(again.stds, out.stds)
 
 
 @examples(40)

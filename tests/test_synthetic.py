@@ -4,6 +4,8 @@ import pytest
 from tadualcv.data_model import Dataset, FeatureSpec, validate
 from tadualcv.synthetic import _GAP_RANGE, _PERIOD_RANGE, SynthConfig, default_mixing, generate
 
+from conftest import assert_same_bits
+
 
 def test_generated_dataset_validates():
     ds, _ = generate(
@@ -152,11 +154,11 @@ def test_generate_matches_the_per_visit_oracle(config):
     for name in ("times", "starts"):
         assert getattr(ds, name).dtype == getattr(want, name).dtype
         assert getattr(ds, name).tolist() == getattr(want, name).tolist()
-    np.testing.assert_array_equal(ds.values.view(np.uint64), want.values.view(np.uint64))
+    assert_same_bits(ds.values, want.values)
     assert ds.visit_ids == want.visit_ids and ds.features == want.features
     assert len(truths) == len(want_truths)
     for got, expected in zip(truths, want_truths):
         assert got.shape == expected.shape
-        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+        assert_same_bits(got, expected)
     # the truths hold their own memory, apart from the dataset's read-only values
     assert all(t.flags.writeable and not np.shares_memory(t, ds.values) for t in truths)
