@@ -9,24 +9,20 @@ from .data_model import FEATURE_KINDS
 
 
 class ConfigError(ValueError):
-    """Raised for invalid configuration values."""
+    """Raised for invalid configuration values.
+
+    ``keys`` names the settings of a rejected value as a config file spells
+    them (``ecf_window_<kind>`` for a window), so a parser can name their lines.
+    """
+
+    def __init__(self, message: str, keys=()):
+        super().__init__(message)
+        self.keys = tuple(keys)
 
 
 DEFAULT_ECF_WINDOWS = {"vital": 480, "lab": 1440, "other": 480}
 
 CTP_TRUNCATE_MODES = ("keep_last", "keep_first")
-
-
-def check_ecf_windows(windows: dict[str, int]) -> None:
-    """Raise ``ConfigError`` unless every carry-forward window is positive.
-
-    Each window is keyed by a feature kind of ``data_model.FEATURE_KINDS``.
-    """
-    for kind, minutes in windows.items():
-        if kind not in FEATURE_KINDS:
-            raise ConfigError(f"unknown ECF window kind {kind!r}, expected one of {FEATURE_KINDS}")
-        if minutes <= 0:
-            raise ConfigError(f"ECF window for {kind!r} must be positive")
 
 
 @dataclass
@@ -50,16 +46,27 @@ class Config:
     seed: int = 0
 
     def __post_init__(self):
+        weights = ("w1", "w2")
         if not (math.isfinite(self.w1) and math.isfinite(self.w2)):
-            raise ConfigError(f"view weights must be finite, got {self.w1} and {self.w2}")
+            bad = [key for key in weights if not math.isfinite(getattr(self, key))]
+            raise ConfigError(f"view weights must be finite, got {self.w1} and {self.w2}", bad)
         if abs(self.w1 + self.w2 - 1.0) > 1e-12:
-            raise ConfigError(f"w1 + w2 must equal 1, got {self.w1} + {self.w2}")
+            raise ConfigError(f"w1 + w2 must equal 1, got {self.w1} + {self.w2}", weights)
         if self.w1 < 0 or self.w2 < 0:
-            raise ConfigError("view weights must be non-negative")
+            bad = [key for key in weights if getattr(self, key) < 0]
+            raise ConfigError("view weights must be non-negative", bad)
         if self.chains < 1:
-            raise ConfigError("chains must be >= 1")
+            raise ConfigError("chains must be >= 1", ["chains"])
         if self.iterations < 1:
-            raise ConfigError("iterations must be >= 1")
+            raise ConfigError("iterations must be >= 1", ["iterations"])
         if self.ctp_truncate not in CTP_TRUNCATE_MODES:
-            raise ConfigError(f"ctp_truncate must be one of {CTP_TRUNCATE_MODES}")
-        check_ecf_windows(self.ecf_windows)
+            raise ConfigError(f"ctp_truncate must be one of {CTP_TRUNCATE_MODES}", ["ctp_truncate"])
+        # each window is keyed by a feature kind of data_model.FEATURE_KINDS
+        for kind, minutes in self.ecf_windows.items():
+            if kind not in FEATURE_KINDS:
+                raise ConfigError(
+                    f"unknown ECF window kind {kind!r}, expected one of {FEATURE_KINDS}"
+                )
+            if minutes <= 0:
+                key = f"ecf_window_{kind}"
+                raise ConfigError(f"ECF window for {kind!r} must be positive", [key])

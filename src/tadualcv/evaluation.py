@@ -60,10 +60,6 @@ def denormalize(dataset: Dataset, nmap: NormalizationMap) -> Dataset:
     return dataset.with_values(dataset.values * nmap.scales + nmap.offsets)
 
 
-def denormalize_value(value: float, feature: int, nmap: NormalizationMap) -> float:
-    return value * float(nmap.scales[feature]) + float(nmap.offsets[feature])
-
-
 # NumPy's SeedSequence (a pool of 4 uint32 words and its hash constants) and
 # PCG64's 128-bit LCG multiplier, split into 64-bit halves
 _M32 = 0xFFFFFFFF

@@ -74,11 +74,6 @@ def corr(alpha: float, t_a, t_b):
     return np.exp(-alpha * diff * diff)
 
 
-def corr_matrix(alpha: float, times: np.ndarray) -> np.ndarray:
-    t = np.asarray(times, dtype=float)
-    return corr(alpha, t[:, None], t[None, :])
-
-
 def _cholesky(mats):
     """Lower Cholesky factors of a ``(B, n, n)`` stack, and which members factored.
 

@@ -480,6 +480,7 @@ def parse_config_text(text: str, base: Config | None = None) -> Config:
     values = dict((base or Config()).__dict__)
     values["ecf_windows"] = dict(values["ecf_windows"])
     known = {f.name: f for f in dataclass_fields(Config)}
+    lines = {}  # key -> the last line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -498,7 +499,15 @@ def parse_config_text(text: str, base: Config | None = None) -> Config:
             target[name] = convert(value)
         except ValueError:
             raise ConfigError(f"line {lineno}: invalid value {value!r} for {key!r}") from None
-    return Config(**values)
+        lines[key] = lineno
+    try:
+        return Config(**values)
+    except ConfigError as exc:
+        # name the latest line that set a rejected key
+        set_by = [lines[key] for key in exc.keys if key in lines]
+        if not set_by:
+            raise
+        raise ConfigError(f"line {max(set_by)}: {exc}", exc.keys) from None
 
 
 def load_config(path, base: Config | None = None) -> Config:

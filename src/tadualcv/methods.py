@@ -1,10 +1,10 @@
 """Imputation method variants: the full pipeline, its ablations, baselines.
 
-Each model variant is one cell of a grid: a cross-visit part (none, the
-feature-perspective view alone, or the dual view) and the within-visit GP,
-on or off (``MODEL_VARIANTS``). All of them run one path. The CFP chains,
-the CTP chains and the GP fits read only the normalized dataset, and each is
-a stage: ``cuts(workers)`` lists the ways to cut it into ``(part, estimated
+Every variant is one row of ``VARIANTS``: a cross-visit part (none, the
+feature-perspective view alone, or the dual view), the within-visit GP, on
+or off, and a fallback. All seven run one path. The CFP chains, the CTP
+chains and the GP fits read only the normalized dataset, and each is a
+stage: ``cuts(workers)`` lists the ways to cut it into ``(part, estimated
 one-CPU cost)`` units, ``run(part)`` returns a picklable result, and
 ``collect`` turns ``(part, result)`` pairs into ``(E, D)`` fills and stds.
 ``plan`` packs the units longest first onto ``forking.workers()``
@@ -13,9 +13,11 @@ forked child. No unit combines two chains or two GP fits, so the output has
 the same bits at any worker count. The two parts are then fused visit by
 visit through a convex combination whose weights favor whichever side
 showed the smaller dispersion for that visit.
-A hole the cross-visit part left open takes the GP fill; a hole neither
-filled takes its feature's mean. The feature-mean and expert-carry-forward
-baselines stand apart.
+A hole the cross-visit part left open takes the GP fill. A hole neither
+filled takes the fallback on the original scale, with std 0: its feature's
+mean, or for ``ecf`` the expert carry-forward. The feature-mean and
+carry-forward baselines are the rows with neither part, so the fallback
+fills every hole.
 
 Fills and stds travel as ``(E, D)`` arrays over the dataset's stacked
 layout, NaN where a stage gave no value, so fusion and the fallbacks are
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forking
-from .config import DEFAULT_ECF_WINDOWS, Config, ConfigError, check_ecf_windows
+from .config import Config, ConfigError
 from .data_model import DataError, Dataset
 from .dualcv import cross_visit_chains, cross_visit_fills, per_visit_mean_std
 # cfp_impute, dualcv_impute and gp_impute_visit stay importable here because
@@ -42,18 +44,6 @@ from .dualcv import cfp_impute, dualcv_impute  # noqa: F401
 from .evaluation import normalize
 from .gp_within_visit import GPBuckets
 from .gp_within_visit import gp_impute_visit  # noqa: F401
-
-# Model variant -> (cross-visit part, within-visit GP on).
-MODEL_VARIANTS = {
-    "ta_dualcv": ("dualcv", True),
-    "ta_dualcv_noC": (None, True),
-    "ta_dualcv_noI": ("dualcv", False),
-    "three_d_mice": ("cfp", True),
-    "mice_only": ("cfp", False),
-}
-
-VARIANTS = (*MODEL_VARIANTS, "mean_fill", "ecf")
-
 
 @dataclass
 class ImputationOutput:
@@ -110,22 +100,15 @@ def feature_means(dataset: Dataset) -> np.ndarray:
     return np.where(np.isnan(dataset.values), 0.0, dataset.values).sum(axis=0) / counts
 
 
-def mean_fill(dataset: Dataset) -> Dataset:
-    """Fill every hole with its feature's cross-visit observed mean."""
-    means = feature_means(dataset)
-    return dataset.with_values(np.where(np.isnan(dataset.values), means, dataset.values))
+def carry_forward(dataset: Dataset, config: Config) -> np.ndarray:
+    """Expert carry-forward fills: a recent same-visit value, else the feature mean.
 
-
-def ecf_fill(dataset: Dataset, windows: dict[str, int] | None = None) -> Dataset:
-    """Expert carry-forward: recent same-visit value, else feature mean.
-
-    A hole takes the most recent observed value of its feature earlier in the
-    same visit, provided that value is no older than the window for the
-    feature's kind; everything else falls back to the cross-visit mean.
+    A cell takes the most recent observed value of its feature at or before
+    it in the same visit, provided that value is no older than the window
+    ``config.ecf_windows`` gives the feature's kind; every other cell takes
+    the cross-visit mean. Returns ``(E, D)`` fills over the stacked layout.
     """
-    windows = dict(DEFAULT_ECF_WINDOWS if windows is None else windows)
-    check_ecf_windows(windows)
-    means = feature_means(dataset)
+    windows = config.ecf_windows
     limit = np.array([windows.get(s.kind, windows.get("other", 480)) for s in dataset.features])
 
     values, times = dataset.values, dataset.times
@@ -136,8 +119,25 @@ def ecf_fill(dataset: Dataset, windows: dict[str, int] | None = None) -> Dataset
     visit_start = dataset.starts[dataset.visit_of_row][:, None]
     source = np.maximum(last, 0)
     carry = (last >= visit_start) & (times[:, None] - times[source] <= limit)
-    fills = np.where(carry, np.take_along_axis(values, source, axis=0), means)
-    return dataset.with_values(np.where(holes, fills, values))
+    return np.where(carry, np.take_along_axis(values, source, axis=0), feature_means(dataset))
+
+
+def _means(dataset: Dataset, config: Config) -> np.ndarray:
+    return feature_means(dataset)
+
+
+# Variant -> (cross-visit part, within-visit GP on, fallback). The fallback
+# maps the caller's dataset and the config to fills for the holes that both
+# parts left open, on the original scale.
+VARIANTS = {
+    "ta_dualcv": ("dualcv", True, _means),
+    "ta_dualcv_noC": (None, True, _means),
+    "ta_dualcv_noI": ("dualcv", False, _means),
+    "three_d_mice": ("cfp", True, _means),
+    "mice_only": ("cfp", False, _means),
+    "mean_fill": (None, False, _means),
+    "ecf": (None, False, carry_forward),
+}
 
 
 def _lpt(units, workers: int):
@@ -219,26 +219,18 @@ def run_plan(shares, stages):
 def impute(dataset: Dataset, variant: str, config: Config | None = None) -> ImputationOutput:
     """Impute every missing cell of ``dataset`` with the chosen variant.
 
-    Chained-equation and GP variants run on range-normalized values and their
-    fills are mapped back afterwards; observed cells are copied from the
+    The variant's cross-visit part and GP run on range-normalized values and
+    their fills are mapped back afterwards; the variant's fallback then fills
+    what they left open, with std 0. Observed cells are copied from the
     source and never rescaled. Every feature needs at least one observed
     value, else ``DataError``.
     """
     config = config or Config()
-    n = dataset.n_visits
     if variant not in VARIANTS:
         raise ConfigError(f"unknown method variant {variant!r}")
     _require_observed(dataset)
 
-    if variant in ("mean_fill", "ecf"):
-        if variant == "mean_fill":
-            completed = mean_fill(dataset)
-        else:
-            completed = ecf_fill(dataset, config.ecf_windows)
-        undefined = (np.full(n, np.nan) for _ in range(4))
-        return ImputationOutput(completed, variant, *undefined, np.zeros(dataset.values.shape))
-
-    cross, gp = MODEL_VARIANTS[variant]
+    cross, gp, fallback = VARIANTS[variant]
     normalized, nmap = normalize(dataset)
     # CFP chains, CTP chains and the GP read only ``normalized``: one plan
     # spreads them over the usable CPUs, forking once
@@ -263,23 +255,22 @@ def impute(dataset: Dataset, variant: str, config: Config | None = None) -> Impu
         fills = fuse(fills, gp_fills, t1, t2)
         stds = fuse(stds, gp_stds, t1, t2)
     else:
-        sigma_g, theta1, theta2 = (np.full(n, np.nan) for _ in range(3))
+        sigma_g, theta1, theta2 = (np.full(dataset.n_visits, np.nan) for _ in range(3))
 
-    holes = np.isnan(normalized.values)
-    unfilled = holes & np.isnan(fills)
+    holes = np.isnan(dataset.values)
+    values = np.where(holes, fills * nmap.scales + nmap.offsets, dataset.values)
+    stds = np.where(holes, stds * nmap.scales, 0.0)
+    unfilled = np.isnan(values)
     if unfilled.any():
-        # a hole neither part filled takes its feature's mean, with std 0
-        fills = np.where(unfilled, feature_means(normalized), fills)
+        values = np.where(unfilled, fallback(dataset, config), values)
         stds = np.where(unfilled, 0.0, stds)
 
     return ImputationOutput(
-        dataset=dataset.with_values(
-            np.where(holes, fills * nmap.scales + nmap.offsets, dataset.values)
-        ),
+        dataset=dataset.with_values(values),
         variant=variant,
         per_visit_sigma_m=sigma_m,
         per_visit_sigma_g=sigma_g,
         per_visit_theta1=theta1,
         per_visit_theta2=theta2,
-        stds=np.where(holes, stds * nmap.scales, 0.0),
+        stds=stds,
     )

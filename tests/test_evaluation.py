@@ -17,7 +17,6 @@ from tadualcv.evaluation import (
     _keyed_uniforms,
     _per_patient_ranges,
     denormalize,
-    denormalize_value,
     mask_one_per_feature_visit,
     mask_random,
     normalize,
@@ -33,7 +32,7 @@ def test_normalize_midpoint():
     ds = make_dataset([("a", [0, 10], [[10.0], [30.0]])])
     normalized, nmap = normalize(ds)
     np.testing.assert_allclose(normalized.visits[0].values[:, 0], [0.0, 1.0])
-    assert denormalize_value(0.5, 0, nmap) == 20.0
+    assert 0.5 * nmap.scales[0] + nmap.offsets[0] == 20.0
 
 
 def test_normalize_constant_feature():

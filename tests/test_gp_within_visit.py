@@ -6,7 +6,6 @@ from tadualcv.data_model import Dataset, FeatureSpec
 from tadualcv.gp_within_visit import (
     GPBuckets,
     corr,
-    corr_matrix,
     fit_gp,
     gp_impute_visit,
     gp_predict,
@@ -67,7 +66,7 @@ def test_corr_examples():
 def test_corr_matrix_symmetric_unit_diagonal():
     rng = np.random.default_rng(0)
     t = np.sort(rng.uniform(0, 10, size=6))
-    mat = corr_matrix(0.3, t)
+    mat = corr(0.3, t[:, None], t[None, :])
     np.testing.assert_array_equal(np.diag(mat), np.ones(6))
     np.testing.assert_allclose(mat, mat.T)
     # nugget-inflated matrix must be positive definite
@@ -168,7 +167,8 @@ def test_predict_far_field_variance_level():
     model = fit_gp(t, y)
     far = (t.max() + 100.0 / np.sqrt(model.alpha)) * model.time_scale
     _, std = gp_predict(model, [far])
-    corr_full = corr_matrix(model.alpha, model.train_times) + model.nugget * np.eye(t.size)
+    train = model.train_times
+    corr_full = corr(model.alpha, train[:, None], train[None, :]) + model.nugget * np.eye(t.size)
     denom = float(np.sum(np.linalg.solve(corr_full, np.ones(t.size))))
     want = np.sqrt(model.sigma2_hat * (1.0 + 1.0 / denom))
     assert abs(std[0] - want) <= 0.05 * want

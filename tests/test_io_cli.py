@@ -312,6 +312,34 @@ def test_cli_config_value_error_names_its_line(tmp_path, capsys):
     assert "line 2: invalid value 'five' for 'chains'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("seed = 1\nchains = 0\n", "line 2: chains must be >= 1"),
+        ("ctp_truncate = sideways\n",
+         "line 1: ctp_truncate must be one of ('keep_last', 'keep_first')"),
+        ("ecf_window_lab = -5\n", "line 1: ECF window for 'lab' must be positive"),
+        ("w1 = 0.7\n", "line 1: w1 + w2 must equal 1, got 0.7 + 0.5"),
+        # the sum rule names the later of the two weights' lines
+        ("w2 = 0.4\nseed = 3\nw1 = 0.7\n", "line 3: w1 + w2 must equal 1, got 0.7 + 0.4"),
+    ],
+)
+def test_config_file_rejected_value_names_its_line(text, message):
+    with pytest.raises(ConfigError) as err:
+        io_formats.parse_config_text(text)
+    assert str(err.value) == message
+
+
+def test_cli_config_rejected_value_names_its_line(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("seed = 1\nchains = 0\n")
+    out = tmp_path / "o.csv"
+    code = main(["impute", "--data", str(_write_synth(tmp_path)), "--method", "meanfill",
+                 "--config", str(path), "--out", str(out)])
+    assert code == 1 and not out.exists()
+    assert "line 2: chains must be >= 1" in capsys.readouterr().err
+
+
 def test_config_file_rejects_bad_weights():
     for text in ["w1 = 0.9\n", "w1 = nan\nw2 = nan\n"]:
         with pytest.raises(ConfigError):

@@ -14,19 +14,9 @@ from tadualcv.dualcv import (
     dualcv_impute,
     per_visit_mean_std,
 )
-from tadualcv.evaluation import denormalize_value, mask_random, normalize
+from tadualcv.evaluation import mask_random, normalize
 from tadualcv.gp_within_visit import GPBuckets, gp_impute_visit
-from tadualcv.methods import (
-    MODEL_VARIANTS,
-    VARIANTS,
-    ecf_fill,
-    feature_means,
-    fuse,
-    fusion_weights,
-    impute,
-    mean_fill,
-    plan,
-)
+from tadualcv.methods import VARIANTS, feature_means, fuse, fusion_weights, impute, plan
 from tadualcv.synthetic import SynthConfig, generate
 
 from conftest import NAN, assert_no_child_left, assert_same_bits, make_dataset
@@ -72,14 +62,24 @@ def test_fusion_output_convex():
         assert min(a, b) - 1e-12 <= value <= max(a, b) + 1e-12
 
 
+def baseline(ds, variant, config=None):
+    """``impute(ds, variant, config).dataset`` for a baseline, checked to carry no dispersion."""
+    out = impute(ds, variant, config)
+    for name in ("per_visit_sigma_m", "per_visit_sigma_g", "per_visit_theta1",
+                 "per_visit_theta2"):
+        assert_same_bits(getattr(out, name), np.full(ds.n_visits, NAN))
+    assert_same_bits(out.stds, np.zeros(ds.values.shape))
+    return out.dataset
+
+
 def test_mean_fill_examples():
     ds = make_dataset([("a", [0, 10, 20], [[1.0], [NAN], [3.0]])])
-    out = mean_fill(ds)
+    out = baseline(ds, "mean_fill")
     assert out.visits[0].values[1, 0] == 2.0
 
     complete = make_dataset([("a", [0], [[1.0, 2.0]])])
     np.testing.assert_array_equal(
-        mean_fill(complete).visits[0].values, complete.visits[0].values
+        baseline(complete, "mean_fill").visits[0].values, complete.visits[0].values
     )
 
 
@@ -87,7 +87,7 @@ def test_mean_fill_features_independent():
     ds = make_dataset(
         [("a", [0, 10], [[1.0, 100.0], [NAN, NAN]]), ("b", [0], [[3.0, 300.0]])]
     )
-    out = mean_fill(ds)
+    out = baseline(ds, "mean_fill")
     assert out.visits[0].values[1, 0] == 2.0
     assert out.visits[0].values[1, 1] == 200.0
 
@@ -95,14 +95,14 @@ def test_mean_fill_features_independent():
 def test_mean_fill_fully_missing_feature_errors():
     ds = make_dataset([("a", [0, 10], [[1.0, NAN], [2.0, NAN]])])
     with pytest.raises(DataError, match="has no observations"):
-        mean_fill(ds)
+        impute(ds, "mean_fill")
 
 
 def test_ecf_carries_within_window():
     ds = make_dataset(
         [("a", [0, 300], [[80.0], [NAN]])], kinds=["vital"]
     )
-    out = ecf_fill(ds)
+    out = baseline(ds, "ecf")
     assert out.visits[0].values[1, 0] == 80.0
 
 
@@ -112,13 +112,13 @@ def test_ecf_expired_window_uses_mean():
     ds = make_dataset(
         [("a", [0, 600, 1000], [[80.0], [NAN], [100.0]])], kinds=["vital"]
     )
-    out = ecf_fill(ds)
+    out = baseline(ds, "ecf")
     assert out.visits[0].values[1, 0] == 90.0
 
 
 def test_ecf_no_prior_observation_uses_mean():
     ds = make_dataset([("a", [0, 10], [[NAN], [80.0]])], kinds=["vital"])
-    out = ecf_fill(ds)
+    out = baseline(ds, "ecf")
     assert out.visits[0].values[0, 0] == 80.0
 
 
@@ -126,7 +126,7 @@ def test_ecf_kind_windows_differ():
     ds = make_dataset(
         [("a", [0, 600], [[10.0, 10.0], [NAN, NAN]])], kinds=["vital", "lab"]
     )
-    out = ecf_fill(ds)
+    out = baseline(ds, "ecf")
     # 600 min exceeds the 480-minute vital window but not the 1440-minute lab one
     assert out.visits[0].values[1, 0] == 10.0  # mean coincides with carry here
     assert out.visits[0].values[1, 1] == 10.0
@@ -134,7 +134,7 @@ def test_ecf_kind_windows_differ():
         [("a", [0, 600], [[10.0, 10.0], [NAN, NAN]]), ("b", [0], [[40.0, 40.0]])],
         kinds=["vital", "lab"],
     )
-    out2 = ecf_fill(ds2)
+    out2 = baseline(ds2, "ecf")
     assert out2.visits[0].values[1, 0] == 25.0  # window expired -> mean
     assert out2.visits[0].values[1, 1] == 10.0  # carried within lab window
 
@@ -144,7 +144,7 @@ def test_ecf_infinite_window_is_locf():
     values = rng.uniform(0, 1, size=(8, 1))
     values[3, 0] = values[6, 0] = np.nan
     ds = make_dataset([("a", (np.arange(8) * 100).tolist(), values)])
-    out = ecf_fill(ds, windows={"other": 10**9})
+    out = baseline(ds, "ecf", Config(ecf_windows={"other": 10**9}))
     assert out.visits[0].values[3, 0] == values[2, 0]
     assert out.visits[0].values[6, 0] == values[5, 0]
 
@@ -182,8 +182,9 @@ def test_ecf_matches_loop_oracle(windows):
     # a single-event visit holds the only observation of feature 2
     visits.append(("solo", [5], [[NAN, 0.3, 0.7, NAN]]))
     ds = make_dataset(visits, kinds=["vital", "lab", "other", "vital"])
-    out = ecf_fill(ds, windows)
-    expected = ecf_oracle(ds, dict(windows or Config().ecf_windows))
+    config = Config() if windows is None else Config(ecf_windows=windows)
+    out = baseline(ds, "ecf", config)
+    expected = ecf_oracle(ds, config.ecf_windows)
     assert_same_bits(out.values, expected)
     assert not np.isnan(out.values).any()
 
@@ -220,7 +221,7 @@ def test_mice_only_matches_cfp_dispatch():
     normalized, nmap = normalize(ds)
     fills, _ = cfp_impute(normalized, config)
     for row, col in zip(*np.nonzero(~np.isnan(fills))):
-        want = denormalize_value(fills[row, col], col, nmap)
+        want = fills[row, col] * nmap.scales[col] + nmap.offsets[col]
         assert out.dataset.values[row, col] == want
 
 
@@ -347,7 +348,7 @@ def planned(shape, workers):
         SynthConfig(**synth, noise_scale=0.05, native_missing_rate=0.1, seed=0)
     )
     normalized, _ = normalize(apply_mask(premask, mask_random(premask, 0.5, seed=0)))
-    cross, gp = MODEL_VARIANTS[variant]
+    cross, gp, _ = VARIANTS[variant]
     stages = cross_visit_chains(normalized, cross, Config())
     if gp:
         stages["gp"] = GPBuckets(normalized)
@@ -413,7 +414,7 @@ def test_impute_same_bits_forked_or_in_process(monkeypatch, variant):
     force_workers(monkeypatch, 1)
     alone = impute(ds, variant, config)
     assert joined == []
-    cross, gp = MODEL_VARIANTS.get(variant, (None, False))
+    cross, gp, _ = VARIANTS[variant]
     for workers in (2, 3):
         force_workers(monkeypatch, workers)
         joined.clear()
@@ -421,7 +422,7 @@ def test_impute_same_bits_forked_or_in_process(monkeypatch, variant):
         assert_no_child_left()
         # one child per share past the first, each sending back the units the
         # plan gave it; the GP ran in a child wherever the variant has one
-        shares = plans[-1] if variant in MODEL_VARIANTS else [[]]
+        shares = plans[-1]
         assert len(joined) == len(shares) - 1
         for share, (done, failure) in zip(shares[1:], joined):
             assert [(stage, part) for stage, part, _ in done] == share and failure is None
@@ -533,9 +534,23 @@ def _gp_parts(dataset):
     return fills, stds, per_visit_mean_std(dataset, stds)
 
 
-@pytest.mark.parametrize("variant", ["ta_dualcv_noI", "three_d_mice", "ta_dualcv_noC"])
+# Each variant's (cross-visit part, GP on, fallback), spelled out apart from VARIANTS.
+VARIANT_PARTS = {
+    "ta_dualcv": (dualcv_impute, True, "means"),
+    "ta_dualcv_noC": (None, True, "means"),
+    "ta_dualcv_noI": (dualcv_impute, False, "means"),
+    "three_d_mice": (cfp_impute, True, "means"),
+    "mice_only": (cfp_impute, False, "means"),
+    "mean_fill": (None, False, "means"),
+    "ecf": (None, False, "carry_forward"),
+}
+
+
+@pytest.mark.parametrize("variant", VARIANT_PARTS)
 def test_variant_table_cell_meaning(variant):
-    # each model variant rebuilt from its (cross-visit, GP) parts
+    # each variant rebuilt from its (cross-visit, GP, fallback) parts
+    assert list(VARIANT_PARTS) == list(VARIANTS)
+    cross, gp, fallback = VARIANT_PARTS[variant]
     ds, _ = generate(
         SynthConfig(n_visits=6, n_features=3, events_per_visit=(3, 6),
                     noise_scale=0.02, native_missing_rate=0.4, seed=5)
@@ -544,35 +559,37 @@ def test_variant_table_cell_meaning(variant):
     normalized, nmap = normalize(ds)
     n = ds.n_visits
     theta1 = np.full(n, np.nan)
-    want_stds = np.full(ds.values.shape, NAN)
-    if variant == "ta_dualcv_noI":
-        want, _ = dualcv_impute(normalized, config)
-    elif variant == "three_d_mice":
-        cfp_fills, cfp_stds = cfp_impute(normalized, config)
-        gp_fills, _, sigma_g = _gp_parts(normalized)
-        sigma_m = per_visit_mean_std(normalized, cfp_stds)
-        want = np.full(ds.values.shape, NAN)
+    if cross:
+        want, want_stds = cross(normalized, config)
+    else:
+        want, want_stds = np.full(ds.values.shape, NAN), np.full(ds.values.shape, NAN)
+    if gp:
+        gp_fills, gp_stds, sigma_g = _gp_parts(normalized)
+        sigma_m = per_visit_mean_std(normalized, want_stds)
         for i in range(n):
             block = slice(ds.starts[i], ds.starts[i + 1])
-            if not np.isnan(cfp_fills[block]).all():
+            if np.isnan(want[block]).all():
+                want[block], want_stds[block] = gp_fills[block], gp_stds[block]
+            else:
                 theta1[i], t2 = fusion_weights(sigma_m[i], sigma_g[i])
-                want[block] = fuse(cfp_fills[block], gp_fills[block], theta1[i], t2)
+                want[block] = fuse(want[block], gp_fills[block], theta1[i], t2)
+                want_stds[block] = fuse(want_stds[block], gp_stds[block], theta1[i], t2)
         assert not np.isnan(gp_fills).all()  # the GP must take part for the test to bite
+    # the fallback fills what both parts left open, on the original scale
+    holes = np.isnan(ds.values)
+    want, want_stds = want * nmap.scales + nmap.offsets, want_stds * nmap.scales
+    rest = holes & np.isnan(want)
+    # the chains fill every hole; every other row reaches the fallback
+    assert rest.any() == (cross is None)
+    if fallback == "means":
+        want = np.where(rest, feature_means(ds), want)
     else:
-        gp_fills, _, _ = _gp_parts(normalized)
-        means = feature_means(normalized)
-        fallback = np.isnan(normalized.values) & np.isnan(gp_fills)
-        want = np.where(fallback, means, gp_fills)
-        want_stds[fallback] = 0.0
-        assert not np.isnan(gp_fills).all() and fallback.any()  # both rules must apply
+        want = np.where(rest, ecf_oracle(ds, config.ecf_windows), want)
+    want_stds[rest] = 0.0
 
     out = impute(ds, variant, config)
-    assert np.count_nonzero(~np.isnan(want)) == np.count_nonzero(np.isnan(ds.values))
-    for row, col in zip(*np.nonzero(~np.isnan(want))):
-        got = out.dataset.values[row, col]
-        assert got == denormalize_value(want[row, col], col, nmap)
-    for row, col in zip(*np.nonzero(~np.isnan(want_stds))):
-        assert out.stds[row, col] == want_stds[row, col]
+    assert_same_bits(out.dataset.values[holes], want[holes])
+    assert_same_bits(out.stds[holes], want_stds[holes])
     np.testing.assert_array_equal(out.per_visit_theta1, theta1)
 
 
