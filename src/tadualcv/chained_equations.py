@@ -136,7 +136,9 @@ def _bootstrap(aug, rngs):
             if is_inert:
                 col[:] = INERT_FILL
             elif hole.any():
-                col[hole] = rng.choice(col[~hole], size=np.count_nonzero(hole), replace=True)
+                # the draws Generator.choice(pool, size, replace=True) makes
+                pool = col[~hole]
+                col[hole] = pool[rng.integers(0, pool.size, size=np.count_nonzero(hole))]
     return holes, inert
 
 

@@ -32,9 +32,10 @@ class Config:
     ``w1``/``w2`` weight the two cross-visit views when both cover a cell and
     must sum to 1. ``chains``/``iterations`` size the chained-equation runs.
     ``ctp_truncate`` picks which end of an over-long visit feeds the
-    per-time-step view. ECF windows are minutes per feature kind. The GP's
-    nugget schedule and length-scale search box are fixed by the constants
-    of ``gp_within_visit``.
+    per-time-step view. ECF windows are minutes per feature kind; a kind
+    left out of ``ecf_windows`` keeps its ``DEFAULT_ECF_WINDOWS`` entry.
+    The GP's nugget schedule and length-scale search box are fixed by the
+    constants of ``gp_within_visit``.
     """
 
     w1: float = 0.5
@@ -70,3 +71,5 @@ class Config:
             if minutes <= 0:
                 key = f"ecf_window_{kind}"
                 raise ConfigError(f"ECF window for {kind!r} must be positive", [key])
+        # a kind left out keeps its default window; the caller's dict is not changed
+        self.ecf_windows = {**DEFAULT_ECF_WINDOWS, **self.ecf_windows}

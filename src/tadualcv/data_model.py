@@ -334,7 +334,9 @@ def apply_mask(dataset: Dataset, mask: MaskSet) -> Dataset:
     valid = first & ~np.isnan(dataset.values[rows, cols])
     if not valid.all():
         raise DataError(f"mask targets missing cell {tuple(cells[np.argmin(valid)].tolist())}")
-    return write_cells(dataset, cells, np.nan)
+    stacked = dataset.values.copy()
+    stacked[rows, cols] = np.nan
+    return dataset.with_values(stacked)
 
 
 def restore_mask(dataset: Dataset, mask: MaskSet) -> Dataset:

@@ -102,19 +102,22 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
     return hi * _PCG_LO + lo * _PCG_HI + _mulhi64(lo, _PCG_LO) + inc_hi + carry, new_lo
 
 
-def _keyed_uniforms(seed: int, keys: np.ndarray, n: int):
-    """Yield column ``j < n`` of ``default_rng((seed, *key)).random(n)`` over ``keys`` rows.
+def _pcg64_states(seed: int, keys: np.ndarray):
+    """Each key row's PCG64 ``(state, inc)`` for ``default_rng((seed, *key))``.
 
-    ``keys`` is ``(K, 3)`` with entries in ``[0, 2**32)``. Every row's stream
-    is NumPy's ``SeedSequence`` over the entropy words of ``(seed, *key)``
-    seeding a PCG64 generator, computed as uint32/uint64 array arithmetic
-    for all rows at once; each column is one XSL-RR output per row. NumPy's
-    compatibility policy fixes both streams, and the per-event
-    ``default_rng`` oracle in ``tests/test_evaluation.py`` catches any drift.
+    ``keys`` is ``(K, w)`` for any width ``w``, with entries in ``[0, 2**32)``.
+    Every row's state is NumPy's ``SeedSequence`` over the entropy words of
+    ``(seed, *key)`` seeding a PCG64 generator, computed as uint32/uint64
+    array arithmetic for all rows at once. Returns the 128-bit state and
+    increment as four ``(K,)`` uint64 arrays: ``state_hi, state_lo, inc_hi,
+    inc_lo``. NumPy's compatibility policy fixes the seeding, and the
+    ``default_rng`` oracles in ``tests/test_evaluation.py`` catch any drift.
     """
     seed = int(seed)
     if seed < 0:
         raise ValueError("expected non-negative integer")
+    if keys.size and (keys.min() < 0 or keys.max() > _M32):
+        raise ValueError("key words must lie in [0, 2**32)")
     # entropy words: the seed's little-endian uint32 words (0 is one word),
     # then one word per key column
     seed_words = [seed & _M32]
@@ -141,6 +144,16 @@ def _keyed_uniforms(seed: int, keys: np.ndarray, n: int):
     inc_hi, inc_lo = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
     lo = inc_lo + s_lo
     hi, lo = _pcg_step(inc_hi + s_hi + (lo < s_lo), lo, inc_hi, inc_lo)
+    return hi, lo, inc_hi, inc_lo
+
+
+def _keyed_uniforms(seed: int, keys: np.ndarray, n: int):
+    """Yield column ``j < n`` of ``default_rng((seed, *key)).random(n)`` over ``keys`` rows.
+
+    Each row's stream starts from its ``_pcg64_states`` state; each column
+    is one PCG64 step and XSL-RR output per row, for all rows at once.
+    """
+    hi, lo, inc_hi, inc_lo = _pcg64_states(seed, keys)
     for _ in range(n):
         hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
         x, rot = hi ^ lo, hi >> 58

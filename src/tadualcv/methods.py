@@ -108,8 +108,7 @@ def carry_forward(dataset: Dataset, config: Config) -> np.ndarray:
     ``config.ecf_windows`` gives the feature's kind; every other cell takes
     the cross-visit mean. Returns ``(E, D)`` fills over the stacked layout.
     """
-    windows = config.ecf_windows
-    limit = np.array([windows.get(s.kind, windows.get("other", 480)) for s in dataset.features])
+    limit = np.array([config.ecf_windows[s.kind] for s in dataset.features])
 
     values, times = dataset.values, dataset.times
     holes = np.isnan(values)

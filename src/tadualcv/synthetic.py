@@ -6,6 +6,12 @@ mixtures of those latents plus optional noise. Mixing makes features linearly
 dependent (food for the cross-feature view), the sinusoids make them smooth
 in time (food for the temporal and GP views), and the full pre-missingness
 values are returned alongside so tests can check fills against truth.
+
+Visit ``i`` draws from its own PCG64 stream, the one NumPy's default
+generator seeded with the entropy ``(seed, i)`` starts. The streams' states
+are computed for all visits in one array pass (``evaluation._pcg64_states``),
+and one reused generator is set to each visit's state in turn, so no
+generator is built per visit.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import Dataset, FeatureSpec
+from .evaluation import _pcg64_states
 
 # Integer minutes between consecutive events.
 _GAP_RANGE = (10, 45)
@@ -61,6 +68,20 @@ def default_mixing(n_features: int, spread: float = 1.0) -> np.ndarray:
     return a / a.sum(axis=1, keepdims=True)
 
 
+def _stream_states(seed: int, n: int) -> list[dict]:
+    """Per visit ``i < n``, the PCG64 state of NumPy's default generator seeded with ``(seed, i)``.
+
+    Each dict is a whole PCG64 state: assigning it also clears the half word
+    that a scalar ``integers`` draw of an earlier visit left buffered.
+    """
+    parts = (a.tolist() for a in _pcg64_states(seed, np.arange(n)[:, None]))
+    return [
+        {"bit_generator": "PCG64", "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+         "has_uint32": 0, "uinteger": 0}
+        for s_hi, s_lo, i_hi, i_lo in zip(*parts)
+    ]
+
+
 def generate(config: SynthConfig) -> tuple[Dataset, list[np.ndarray]]:
     """Build a dataset plus the complete per-visit truth matrices.
 
@@ -83,21 +104,29 @@ def generate(config: SynthConfig) -> tuple[Dataset, list[np.ndarray]]:
     features = [FeatureSpec(f, f"f{f}", "other") for f in range(d)]
     n, (lo, hi) = config.n_visits, config.events_per_visit
     rate, noisy = config.native_missing_rate, config.noise_scale > 0
-    # every visit's draws, in the order one generator per visit makes them;
-    # all other arithmetic runs once over the stacked (E, D) layout
-    rngs, lengths, phases = [], np.empty(n, np.int64), np.empty((n, d))
+    states = _stream_states(config.seed, n)
+    bit_gen = np.random.PCG64(0)
+    rng = np.random.Generator(bit_gen)
+
+    def draw(i):
+        """Visit ``i``'s draws from the start of its stream, in their fixed order."""
+        bit_gen.state = states[i]
+        t_i = int(rng.integers(lo, hi + 1))
+        gaps = rng.integers(_GAP_RANGE[0], _GAP_RANGE[1] + 1, size=t_i - 1)
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=d)
+        noise = rng.standard_normal((t_i, d)) if noisy else None
+        return t_i, gaps, phases, noise, rng.random((t_i, d)) if rate > 0 else None
+
+    # every visit's draws; all other arithmetic runs once over the stacked
+    # (E, D) layout
+    lengths, phases = np.empty(n, np.int64), np.empty((n, d))
     gaps, noise, uniforms = [], [], []
     for i in range(n):
-        rng = np.random.default_rng((int(config.seed), i))
-        t_i = lengths[i] = rng.integers(lo, hi + 1)
+        lengths[i], gaps_i, phases[i], noise_i, uniforms_i = draw(i)
         # a visit's first event has gap 0, which restarts its clock
-        gaps += [[0], rng.integers(_GAP_RANGE[0], _GAP_RANGE[1] + 1, size=t_i - 1)]
-        phases[i] = rng.uniform(0.0, 2.0 * np.pi, size=d)
-        if noisy:
-            noise.append(rng.standard_normal((t_i, d)))
-        if rate > 0:
-            uniforms.append(rng.random((t_i, d)))
-        rngs.append(rng)
+        gaps += [[0], gaps_i]
+        noise.append(noise_i)
+        uniforms.append(uniforms_i)
 
     clock = np.cumsum(np.concatenate(gaps))
     starts = np.concatenate(([0], np.cumsum(lengths)))
@@ -110,11 +139,12 @@ def generate(config: SynthConfig) -> tuple[Dataset, list[np.ndarray]]:
 
     holes = np.concatenate(uniforms) < rate if rate > 0 else np.zeros(full.shape, dtype=bool)
     emptied = np.flatnonzero(holes.all(axis=1))
-    # an emptied row keeps one feature, drawn last from its visit's
-    # generator, one draw per row in row order
+    # an emptied row keeps one feature, drawn from its visit's stream after
+    # the visit's own draws (replayed), one draw per row in row order
     for rows in np.split(emptied, np.flatnonzero(np.diff(visit_of_row[emptied])) + 1):
         if rows.size:
-            holes[rows, rngs[visit_of_row[rows[0]]].integers(d, size=rows.size)] = False
+            draw(visit_of_row[rows[0]])
+            holes[rows, rng.integers(d, size=rows.size)] = False
     # a new array, so the truths share no memory with the dataset's values
     stacked = np.where(holes, np.nan, full)
     # A feature that lost every observation would break downstream baselines.

@@ -15,6 +15,7 @@ from tadualcv.data_model import (
 from tadualcv.evaluation import (
     _MAX_MASK_REDRAWS,
     _keyed_uniforms,
+    _pcg64_states,
     _per_patient_ranges,
     denormalize,
     mask_one_per_feature_visit,
@@ -380,3 +381,28 @@ def test_keyed_uniforms_are_default_rng_streams(seed):
     got = np.stack(list(_keyed_uniforms(seed, keys, 5)), axis=1)
     want = np.stack([np.random.default_rng((seed, *k.tolist())).random(5) for k in keys])
     assert_same_bits(got, want)
+
+
+def _state_ints(parts):
+    """``_pcg64_states`` output as one ``(state, inc)`` pair of Python ints per row."""
+    s_hi, s_lo, i_hi, i_lo = (a.tolist() for a in parts)
+    return [(a << 64 | b, c << 64 | d) for a, b, c, d in zip(s_hi, s_lo, i_hi, i_lo)]
+
+
+@pytest.mark.parametrize("width", [1, 3])
+# seeds of one, two and three 32-bit words
+@pytest.mark.parametrize("seed", [0, 5, 2**32 + 5, 2**64 + 7])
+def test_pcg64_states_are_default_rng_states(seed, width):
+    keys = np.random.default_rng(seed % 1000 + width).integers(0, 2**32, size=(40, width))
+    keys[0], keys[1] = 0, 2**32 - 1
+    want = []
+    for key in keys.tolist():
+        state = np.random.default_rng((seed, *key)).bit_generator.state["state"]
+        want.append((state["state"], state["inc"]))
+    assert _state_ints(_pcg64_states(seed, keys)) == want
+
+
+@pytest.mark.parametrize("seed, key", [(-1, 0), (0, 2**32), (0, -1)])
+def test_pcg64_states_reject_words_outside_uint32(seed, key):
+    with pytest.raises(ValueError):
+        _pcg64_states(seed, np.array([[1, key]]))

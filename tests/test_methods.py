@@ -14,7 +14,7 @@ from tadualcv.dualcv import (
     dualcv_impute,
     per_visit_mean_std,
 )
-from tadualcv.evaluation import mask_random, normalize
+from tadualcv.evaluation import config_echo, mask_random, normalize
 from tadualcv.gp_within_visit import GPBuckets, gp_impute_visit
 from tadualcv.methods import VARIANTS, feature_means, fuse, fusion_weights, impute, plan
 from tadualcv.synthetic import SynthConfig, generate
@@ -139,6 +139,19 @@ def test_ecf_kind_windows_differ():
     assert out2.visits[0].values[1, 1] == 10.0  # carried within lab window
 
 
+def test_ecf_partial_windows_keep_the_other_defaults():
+    # a lab hole 600 minutes after its visit's last lab value: with only the
+    # vital window set, the lab window stays at its default 1440 minutes
+    ds = make_dataset([("a", [0, 600], [[10.0], [NAN]]), ("b", [0], [[40.0]])], kinds=["lab"])
+    windows = {"vital": 30}
+    config = Config(ecf_windows=windows)
+    assert windows == {"vital": 30}
+    assert config.ecf_windows == {"vital": 30, "lab": 1440, "other": 480}
+    assert config_echo(config)["ecf_windows"] == "lab=1440;other=480;vital=30"
+    assert baseline(ds, "ecf", config).values[1, 0] == 10.0
+    assert baseline(ds, "ecf").values[1, 0] == 10.0
+
+
 def test_ecf_infinite_window_is_locf():
     rng = np.random.default_rng(3)
     values = rng.uniform(0, 1, size=(8, 1))
@@ -156,7 +169,7 @@ def ecf_oracle(dataset, windows):
     for start, visit in zip(dataset.starts.tolist(), dataset.visits):
         times = visit.times
         for f, spec in enumerate(dataset.features):
-            window = windows.get(spec.kind, windows.get("other", 480))
+            window = windows[spec.kind]
             col = visit.values[:, f]
             obs = np.nonzero(~np.isnan(col))[0]
             for e in np.nonzero(np.isnan(col))[0]:

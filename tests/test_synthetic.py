@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from tadualcv.data_model import Dataset, FeatureSpec, validate
-from tadualcv.synthetic import _GAP_RANGE, _PERIOD_RANGE, SynthConfig, default_mixing, generate
+from tadualcv.synthetic import (
+    _GAP_RANGE,
+    _PERIOD_RANGE,
+    SynthConfig,
+    _stream_states,
+    default_mixing,
+    generate,
+)
 
 from conftest import assert_same_bits
 
@@ -162,3 +169,42 @@ def test_generate_matches_the_per_visit_oracle(config):
         assert_same_bits(got, expected)
     # the truths hold their own memory, apart from the dataset's read-only values
     assert all(t.flags.writeable and not np.shares_memory(t, ds.values) for t in truths)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 + 5, 2**64 + 7])
+def test_stream_states_are_default_rng_states(seed):
+    want = [np.random.default_rng((seed, i)).bit_generator.state for i in range(20)]
+    assert _stream_states(seed, 20) == want
+
+
+def _draws(rng):
+    """Every draw kind ``generate`` makes, in its order.
+
+    The ``integers`` draws take 32-bit halves of words, so a row can end
+    with half a word buffered.
+    """
+    t = int(rng.integers(2, 9))
+    return [t, rng.integers(10, 46, size=t), rng.uniform(0.0, 1.0, size=3),
+            rng.standard_normal((t, 3)), rng.random((t, 3))]
+
+
+def _same_draws(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_a_reused_generator_follows_every_visit_stream():
+    bit_gen = np.random.PCG64(0)
+    rng = np.random.Generator(bit_gen)
+    stale_rows = 0
+    for i, state in enumerate(_stream_states(3, 30)):
+        want = _draws(np.random.default_rng((3, i)))
+        leftover = bit_gen.state
+        bit_gen.state = state
+        assert _same_draws(_draws(rng), want)
+        if i and leftover["has_uint32"]:
+            # keeping the previous row's buffered half word would shift this
+            # row's stream, so the check can fail
+            stale_rows += 1
+            bit_gen.state = {**state, "has_uint32": 1, "uinteger": leftover["uinteger"]}
+            assert not _same_draws(_draws(rng), want)
+    assert stale_rows >= 5
