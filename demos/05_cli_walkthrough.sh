@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The whole pipeline as shell commands: synth -> mask -> impute -> evaluate,
 # once with random masks and once with one hidden cell per (visit, feature),
-# then a bench sweep over the usual rate grid. Run from anywhere; writes into
-# a temporary directory that is removed on exit.
+# then a bench sweep over the usual rate grid, and a re-run from one bench
+# report's [config] block. Run from anywhere; writes into a temporary
+# directory that is removed on exit.
 set -euo pipefail
 
 work=$(mktemp -d)
@@ -42,3 +43,15 @@ tadualcv bench --data "$work/data.csv" --rates 20,50,90 \
 
 echo "--- bench reports ---"
 ls "$work/reports"
+
+# A report's [config] block is a config file. Bench masked data.csv at rate 50
+# with seed 1, as the first mask did, so imputing masked.csv with the block
+# reproduces imputed.csv byte for byte.
+sed -n '/^\[config\]$/,/^\[per_feature\]$/{//!p}' \
+    "$work/reports/report_tadualcv_rate50_seed1.txt" > "$work/rerun.cfg"
+echo "--- [config] block of report_tadualcv_rate50_seed1.txt ---"
+cat "$work/rerun.cfg"
+tadualcv impute --data "$work/masked.csv" --method tadualcv \
+    --config "$work/rerun.cfg" --out "$work/rerun.csv"
+cmp "$work/imputed.csv" "$work/rerun.csv"
+echo "re-run from the report's [config] block matches imputed.csv"

@@ -7,11 +7,12 @@ observed value of a donor row whose prediction is closest to its own. Running
 several independently seeded chains and pooling per-cell means/stds gives
 both a point imputation and a dispersion estimate per hole.
 
-Donor matching: rows whose prediction ties the missing row's prediction
-exactly (identical predictor rows) are preferred and the draw is made among
-them; otherwise the draw is uniform over the ``PMM_DONORS`` nearest
-predictions, ranked by distance and then by position in the window of
-``PMM_DONORS`` sorted donors on either side of the hole. When more than
+Donor matching: rows whose computed prediction ties the missing row's
+exactly are preferred and the draw is made among them (two identical
+predictor rows may be predicted 1 ulp apart, and then they do not tie);
+otherwise the draw is uniform over the ``PMM_DONORS`` nearest predictions,
+ranked by distance and then by position in the window of ``PMM_DONORS``
+sorted donors on either side of the hole. When more than
 ``PMM_DONORS`` donors lie equally far below a hole, the draw is among the
 ones nearest to it in sorted order: with donor predictions ``[0] * 7 + [5]``
 and a hole at 1, the 3rd to 7th zeros. Either way the imputed value is
@@ -358,8 +359,9 @@ def _pmm_step(aug, holes, inert, rngs, col):
     beta, inv_chol, sigma2 = _fit(aug, observed, use, col)
     beta = _perturb(beta, inv_chol, sigma2, use, np.flatnonzero(active), rngs)
 
-    # One stacked product per member so identical predictor rows get
-    # bitwise-identical predictions on either side of the split.
+    # One stacked product per member. Ties are exact ties of these computed
+    # predictions: the BLAS product can predict two identical predictor rows
+    # 1 ulp apart, and then they do not tie (ROADMAP item 6's satellite).
     pred = (beta[:, None, :] @ aug)[:, 0]
     # the fit never reads a hole's predictors: a non-finite one shows here
     if not np.isfinite(pred[active]).all():

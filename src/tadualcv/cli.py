@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import io_formats
-from .config import Config, ConfigError
+from .config import CTP_TRUNCATE_MODES, Config, ConfigError
 from .data_model import DataError, apply_mask, restore_mask
 from .evaluation import (
     mask_one_per_feature_visit,
@@ -36,17 +37,15 @@ CLI_METHODS = {
 
 
 def _build_config(args) -> Config:
-    config = Config()
-    if getattr(args, "config", None):
-        config = io_formats.load_config(args.config, base=config)
-    overrides = {}
-    for key in ("seed", "chains", "iterations", "w1", "w2", "ctp_truncate"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if overrides:
-        config = Config(**{**config.__dict__, **overrides})
-    return config
+    """The config file's settings (or the defaults), then the flags given on top."""
+    config = io_formats.load_config(args.config) if args.config else Config()
+    # a Config field with no flag of its own is set only by the config file
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in fields(Config)
+        if getattr(args, f.name, None) is not None
+    }
+    return replace(config, **overrides)
 
 
 def _add_config_flags(parser):
@@ -59,7 +58,7 @@ def _add_config_flags(parser):
     parser.add_argument(
         "--ctp-truncate",
         dest="ctp_truncate",
-        choices=("keep_last", "keep_first"),
+        choices=CTP_TRUNCATE_MODES,
         help="which end of over-long visits feeds the temporal view",
     )
 

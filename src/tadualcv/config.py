@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .data_model import FEATURE_KINDS
 
@@ -11,16 +11,14 @@ from .data_model import FEATURE_KINDS
 class ConfigError(ValueError):
     """Raised for invalid configuration values.
 
-    ``keys`` names the settings of a rejected value as a config file spells
-    them (``ecf_window_<kind>`` for a window), so a parser can name their lines.
+    ``keys`` names the ``Config`` fields of a rejected value, which are also
+    its config-file keys, so a parser can name their lines.
     """
 
     def __init__(self, message: str, keys=()):
         super().__init__(message)
         self.keys = tuple(keys)
 
-
-DEFAULT_ECF_WINDOWS = {"vital": 480, "lab": 1440, "other": 480}
 
 CTP_TRUNCATE_MODES = ("keep_last", "keep_first")
 
@@ -29,13 +27,14 @@ CTP_TRUNCATE_MODES = ("keep_last", "keep_first")
 class Config:
     """Pipeline settings with the defaults used throughout.
 
-    ``w1``/``w2`` weight the two cross-visit views when both cover a cell and
-    must sum to 1. ``chains``/``iterations`` size the chained-equation runs.
-    ``ctp_truncate`` picks which end of an over-long visit feeds the
-    per-time-step view. ECF windows are minutes per feature kind; a kind
-    left out of ``ecf_windows`` keeps its ``DEFAULT_ECF_WINDOWS`` entry.
-    The GP's nugget schedule and length-scale search box are fixed by the
-    constants of ``gp_within_visit``.
+    Each field is also a config-file key and a line of a report's
+    ``[config]`` block. ``w1``/``w2`` weight the two cross-visit views when
+    both cover a cell and must sum to 1. ``chains``/``iterations`` size the
+    chained-equation runs. ``ctp_truncate`` picks which end of an over-long
+    visit feeds the per-time-step view. ``ecf_window_<kind>`` is the ECF
+    carry-forward window in minutes for features of that kind. ``seed`` is
+    the non-negative master seed. The GP's nugget schedule and length-scale
+    search box are fixed by the constants of ``gp_within_visit``.
     """
 
     w1: float = 0.5
@@ -43,7 +42,9 @@ class Config:
     chains: int = 5
     iterations: int = 10
     ctp_truncate: str = "keep_last"
-    ecf_windows: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_ECF_WINDOWS))
+    ecf_window_lab: int = 1440
+    ecf_window_vital: int = 480
+    ecf_window_other: int = 480
     seed: int = 0
 
     def __post_init__(self):
@@ -62,14 +63,9 @@ class Config:
             raise ConfigError("iterations must be >= 1", ["iterations"])
         if self.ctp_truncate not in CTP_TRUNCATE_MODES:
             raise ConfigError(f"ctp_truncate must be one of {CTP_TRUNCATE_MODES}", ["ctp_truncate"])
-        # each window is keyed by a feature kind of data_model.FEATURE_KINDS
-        for kind, minutes in self.ecf_windows.items():
-            if kind not in FEATURE_KINDS:
-                raise ConfigError(
-                    f"unknown ECF window kind {kind!r}, expected one of {FEATURE_KINDS}"
-                )
-            if minutes <= 0:
-                key = f"ecf_window_{kind}"
+        for kind in FEATURE_KINDS:
+            key = f"ecf_window_{kind}"
+            if getattr(self, key) <= 0:
                 raise ConfigError(f"ECF window for {kind!r} must be positive", [key])
-        # a kind left out keeps its default window; the caller's dict is not changed
-        self.ecf_windows = {**DEFAULT_ECF_WINDOWS, **self.ecf_windows}
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0", ["seed"])

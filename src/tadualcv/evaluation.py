@@ -13,7 +13,7 @@ imputer never sees information derived from hidden truths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -335,21 +335,15 @@ def run_experiment(dataset, variants, strategies, seeds, config) -> list[EvalRep
                 raise ValueError(f"unknown masking strategy {strategy!r}")
             masked = apply_mask(dataset, mask)
             for variant in variants:
-                run_config = config.__class__(**{**config.__dict__, "seed": seed})
+                run_config = replace(config, seed=seed)
                 output = impute(masked, variant, run_config)
-                echo = config_echo(run_config, variant=variant)
+                echo = config_echo(run_config)
                 reports.append(
                     nrmse(mask, output.dataset, dataset, variant=variant, config_echo=echo)
                 )
     return reports
 
 
-def config_echo(config, **extra) -> dict[str, str]:
-    """Flatten a config (plus extras) into ordered printable pairs."""
-    echo = {str(k): str(v) for k, v in extra.items()}
-    for key, value in config.__dict__.items():
-        if isinstance(value, dict):
-            echo[key] = ";".join(f"{k}={v}" for k, v in sorted(value.items()))
-        else:
-            echo[key] = str(value)
-    return echo
+def config_echo(config) -> dict[str, str]:
+    """A config's fields as ``name -> str(value)``, in field order: config-file lines."""
+    return {f.name: str(getattr(config, f.name)) for f in fields(config)}

@@ -12,8 +12,9 @@ rendered with 9 significant digits.
 
 Mask CSV: ``visit_id,time_min,feature,truth`` — one row per hidden cell.
 
-Config files are ``key = value`` lines (``#`` comments allowed); report files
-are ``key = value`` lines plus a ``[per_feature]`` CSV block.
+Config files are ``key = value`` lines (``#`` comments allowed), one key per
+``Config`` field; report files are ``key = value`` lines plus a ``[per_feature]``
+CSV block, and a report's ``[config]`` block is itself a config file.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import fields as dataclass_fields
 from itertools import islice, repeat
 from operator import itemgetter
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -471,15 +473,14 @@ def read_mask_csv(path, dataset: Dataset) -> MaskSet:
     return MaskSet(visit, event, feature, truth, strategy="external")
 
 
-# Config keys a file spells as other than a float.
-_CONFIG_TYPES = {"chains": int, "iterations": int, "seed": int, "ctp_truncate": str}
+def parse_config_text(text: str) -> Config:
+    """Parse ``key = value`` lines into a Config; a key left out keeps its default.
 
-
-def parse_config_text(text: str, base: Config | None = None) -> Config:
-    """Parse ``key = value`` lines into a Config on top of ``base`` (defaults)."""
-    values = dict((base or Config()).__dict__)
-    values["ecf_windows"] = dict(values["ecf_windows"])
-    known = {f.name: f for f in dataclass_fields(Config)}
+    The keys are the ``Config`` fields, each read as its annotated type.
+    """
+    hints = get_type_hints(Config)
+    types = {f.name: hints[f.name] for f in dataclass_fields(Config)}
+    values = {}
     lines = {}  # key -> the last line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -488,15 +489,10 @@ def parse_config_text(text: str, base: Config | None = None) -> Config:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, value = (s.strip() for s in line.partition("="))
-        kind = key.removeprefix("ecf_window_")
-        window = kind != key and kind in FEATURE_KINDS
-        # a file spells the windows as ecf_window_<kind> keys, never as one value
-        if not window and (key not in known or key == "ecf_windows"):
+        if key not in types:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        target, name = (values["ecf_windows"], kind) if window else (values, key)
-        convert = int if window else _CONFIG_TYPES.get(key, float)
         try:
-            target[name] = convert(value)
+            values[key] = types[key](value)
         except ValueError:
             raise ConfigError(f"line {lineno}: invalid value {value!r} for {key!r}") from None
         lines[key] = lineno
@@ -510,8 +506,8 @@ def parse_config_text(text: str, base: Config | None = None) -> Config:
         raise ConfigError(f"line {max(set_by)}: {exc}", exc.keys) from None
 
 
-def load_config(path, base: Config | None = None) -> Config:
-    return parse_config_text(Path(path).read_text(), base=base)
+def load_config(path) -> Config:
+    return parse_config_text(Path(path).read_text())
 
 
 def render_report(report: EvalReport, feature_names: dict[int, str] | None = None) -> str:

@@ -105,10 +105,11 @@ def carry_forward(dataset: Dataset, config: Config) -> np.ndarray:
 
     A cell takes the most recent observed value of its feature at or before
     it in the same visit, provided that value is no older than the window
-    ``config.ecf_windows`` gives the feature's kind; every other cell takes
-    the cross-visit mean. Returns ``(E, D)`` fills over the stacked layout.
+    ``config.ecf_window_<kind>`` of the feature's kind; every other cell
+    takes the cross-visit mean. Returns ``(E, D)`` fills over the stacked
+    layout.
     """
-    limit = np.array([config.ecf_windows[s.kind] for s in dataset.features])
+    limit = np.array([getattr(config, f"ecf_window_{s.kind}") for s in dataset.features])
 
     values, times = dataset.values, dataset.times
     holes = np.isnan(values)

@@ -54,7 +54,7 @@ class SynthConfig:
             raise ValueError("frequencies must be positive")
 
 
-def default_mixing(n_features: int, spread: float = 1.0) -> np.ndarray:
+def default_mixing(n_features: int) -> np.ndarray:
     """Row-normalized mixing where consecutive feature pairs share latents.
 
     Features 2k and 2k+1 draw on the same two latents, so each has a
@@ -64,7 +64,7 @@ def default_mixing(n_features: int, spread: float = 1.0) -> np.ndarray:
     for f in range(n_features):
         base = (f // 2) * 2
         a[f, base % n_features] = 1.0
-        a[f, (base + 1) % n_features] = spread
+        a[f, (base + 1) % n_features] = 1.0
     return a / a.sum(axis=1, keepdims=True)
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 from contextlib import contextmanager
 
 import numpy as np
@@ -270,21 +271,21 @@ def test_config_file_parse_and_override(tmp_path):
     config = io_formats.load_config(path)
     assert config.w1 == 0.7 and config.chains == 3
     assert config.ctp_truncate == "keep_first"
-    assert config.ecf_windows["vital"] == 240
-    assert config.ecf_windows["lab"] == 1440  # untouched default
+    assert config.ecf_window_vital == 240
+    assert config.ecf_window_lab == 1440  # untouched default
 
 
 def test_config_file_rejects_unknown_key(tmp_path):
     # the GP and normalization keys are no longer settings
     removed = ["gp_nugget", "gp_nugget_max", "gp_log10_alpha_lo", "gp_log10_alpha_hi",
                "normalize"]
-    # a window for a kind no feature has would change nothing; windows are
-    # spelled ecf_window_<kind>, never ecf_windows
+    # a key is a Config field: a window for a kind no feature has is not one,
+    # and windows are spelled ecf_window_<kind>, never ecf_windows
     for key in ["bogus", "ecf_window_vitl", "ecf_windows", *removed]:
         with pytest.raises(ConfigError, match="unknown config key"):
             io_formats.parse_config_text(f"{key} = 1\n")
-    with pytest.raises(ConfigError, match="unknown ECF window kind"):
-        Config(ecf_windows={"vitl": 60})
+    with pytest.raises(TypeError):
+        Config(ecf_window_vitl=60)
     path = tmp_path / "run.cfg"
     path.write_text("normalize = 1\n")
     code = main(["impute", "--data", str(_write_synth(tmp_path)), "--method", "meanfill",
@@ -319,6 +320,7 @@ def test_cli_config_value_error_names_its_line(tmp_path, capsys):
         ("ctp_truncate = sideways\n",
          "line 1: ctp_truncate must be one of ('keep_last', 'keep_first')"),
         ("ecf_window_lab = -5\n", "line 1: ECF window for 'lab' must be positive"),
+        ("chains = 3\nseed = -1\n", "line 2: seed must be >= 0"),
         ("w1 = 0.7\n", "line 1: w1 + w2 must equal 1, got 0.7 + 0.5"),
         # the sum rule names the later of the two weights' lines
         ("w2 = 0.4\nseed = 3\nw1 = 0.7\n", "line 3: w1 + w2 must equal 1, got 0.7 + 0.4"),
@@ -338,6 +340,20 @@ def test_cli_config_rejected_value_names_its_line(tmp_path, capsys):
                  "--config", str(path), "--out", str(out)])
     assert code == 1 and not out.exists()
     assert "line 2: chains must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("how", ["flag", "file"])
+def test_cli_rejects_negative_seed(tmp_path, capsys, how):
+    # the chain variants used to fail partway with an error naming no setting
+    path = tmp_path / "run.cfg"
+    path.write_text("seed = -1\n")
+    flags = ["--seed", "-1"] if how == "flag" else ["--config", str(path)]
+    out = tmp_path / "o.csv"
+    code = main(["impute", "--data", str(_write_synth(tmp_path)), "--method", "mice",
+                 *flags, "--out", str(out)])
+    assert code == 1 and not out.exists()
+    message = "seed must be >= 0" if how == "flag" else "line 1: seed must be >= 0"
+    assert f"error: {message}\n" in capsys.readouterr().err
 
 
 def test_config_file_rejects_bad_weights():
@@ -547,6 +563,25 @@ def test_cli_missing_file_is_data_error(tmp_path):
     code = main(["impute", "--data", str(tmp_path / "absent.csv"),
                  "--method", "meanfill", "--out", str(tmp_path / "o.csv")])
     assert code == 2
+
+
+def test_cli_bench_report_config_block_loads_back(tmp_path):
+    # every field away from its default; the report carries the run's seed
+    settings = {"w1": 0.3, "w2": 0.7, "chains": 2, "iterations": 3,
+                "ctp_truncate": "keep_first", "ecf_window_lab": 60, "ecf_window_vital": 30,
+                "ecf_window_other": 45, "seed": 9}
+    assert all(getattr(Config(), key) != value for key, value in settings.items())
+    assert set(settings) == {f.name for f in dataclasses.fields(Config)}
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+    out_dir = tmp_path / "reports"
+    assert main(["bench", "--data", str(_write_synth(tmp_path, n_visits=6)), "--rates", "30",
+                 "--methods", "ecf", "--seeds", "4", "--config", str(path),
+                 "--out-dir", str(out_dir)]) == 0
+    text = (out_dir / "report_ecf_rate30_seed4.txt").read_text()
+    block = text.split("\n[config]\n", 1)[1].split("[per_feature]\n", 1)[0]
+    assert "variant" not in block
+    assert io_formats.parse_config_text(block) == Config(**{**settings, "seed": 4})
 
 
 def test_cli_bench_rate_grid(tmp_path):

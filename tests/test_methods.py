@@ -6,7 +6,7 @@ import pytest
 import tadualcv.chained_equations as ce
 from tadualcv import dualcv, forking, gp_within_visit, methods
 from tadualcv.config import Config, ConfigError
-from tadualcv.data_model import DataError, apply_mask, median_event_count
+from tadualcv.data_model import FEATURE_KINDS, DataError, apply_mask, median_event_count
 from tadualcv.dualcv import (
     cfp_impute,
     cross_visit_chains,
@@ -143,11 +143,12 @@ def test_ecf_partial_windows_keep_the_other_defaults():
     # a lab hole 600 minutes after its visit's last lab value: with only the
     # vital window set, the lab window stays at its default 1440 minutes
     ds = make_dataset([("a", [0, 600], [[10.0], [NAN]]), ("b", [0], [[40.0]])], kinds=["lab"])
-    windows = {"vital": 30}
-    config = Config(ecf_windows=windows)
-    assert windows == {"vital": 30}
-    assert config.ecf_windows == {"vital": 30, "lab": 1440, "other": 480}
-    assert config_echo(config)["ecf_windows"] == "lab=1440;other=480;vital=30"
+    config = Config(ecf_window_vital=30)
+    assert ecf_windows(config) == {"vital": 30, "lab": 1440, "other": 480}
+    echo = config_echo(config)
+    assert [echo[f"ecf_window_{kind}"] for kind in ("lab", "vital", "other")] == [
+        "1440", "30", "480"
+    ]
     assert baseline(ds, "ecf", config).values[1, 0] == 10.0
     assert baseline(ds, "ecf").values[1, 0] == 10.0
 
@@ -157,9 +158,14 @@ def test_ecf_infinite_window_is_locf():
     values = rng.uniform(0, 1, size=(8, 1))
     values[3, 0] = values[6, 0] = np.nan
     ds = make_dataset([("a", (np.arange(8) * 100).tolist(), values)])
-    out = baseline(ds, "ecf", Config(ecf_windows={"other": 10**9}))
+    out = baseline(ds, "ecf", Config(ecf_window_other=10**9))
     assert out.visits[0].values[3, 0] == values[2, 0]
     assert out.visits[0].values[6, 0] == values[5, 0]
+
+
+def ecf_windows(config):
+    """The config's ECF windows as a kind -> minutes dict."""
+    return {kind: getattr(config, f"ecf_window_{kind}") for kind in FEATURE_KINDS}
 
 
 def ecf_oracle(dataset, windows):
@@ -195,9 +201,10 @@ def test_ecf_matches_loop_oracle(windows):
     # a single-event visit holds the only observation of feature 2
     visits.append(("solo", [5], [[NAN, 0.3, 0.7, NAN]]))
     ds = make_dataset(visits, kinds=["vital", "lab", "other", "vital"])
-    config = Config() if windows is None else Config(ecf_windows=windows)
+    settings = {} if windows is None else {f"ecf_window_{k}": v for k, v in windows.items()}
+    config = Config(**settings)
     out = baseline(ds, "ecf", config)
-    expected = ecf_oracle(ds, config.ecf_windows)
+    expected = ecf_oracle(ds, ecf_windows(config))
     assert_same_bits(out.values, expected)
     assert not np.isnan(out.values).any()
 
@@ -597,7 +604,7 @@ def test_variant_table_cell_meaning(variant):
     if fallback == "means":
         want = np.where(rest, feature_means(ds), want)
     else:
-        want = np.where(rest, ecf_oracle(ds, config.ecf_windows), want)
+        want = np.where(rest, ecf_oracle(ds, ecf_windows(config)), want)
     want_stds[rest] = 0.0
 
     out = impute(ds, variant, config)
