@@ -2,8 +2,8 @@
 # The whole pipeline as shell commands: synth -> mask -> impute -> evaluate,
 # once with random masks and once with one hidden cell per (visit, feature),
 # then a bench sweep over the usual rate grid, and a re-run from one bench
-# report's [config] block. Run from anywhere; writes into a temporary
-# directory that is removed on exit.
+# report's [config] block; last, a negative seed must be refused. Run from
+# anywhere; writes into a temporary directory that is removed on exit.
 set -euo pipefail
 
 work=$(mktemp -d)
@@ -55,3 +55,13 @@ tadualcv impute --data "$work/masked.csv" --method tadualcv \
     --config "$work/rerun.cfg" --out "$work/rerun.csv"
 cmp "$work/imputed.csv" "$work/rerun.csv"
 echo "re-run from the report's [config] block matches imputed.csv"
+
+# A negative seed is refused up front: exit 1, with an error naming the flag.
+status=0
+tadualcv synth --out "$work/bad.csv" --visits 6 --seed -1 2> "$work/bad_seed.err" || status=$?
+if [ "$status" -ne 1 ] || ! grep -q -e "--seed" "$work/bad_seed.err"; then
+    echo "synth --seed -1: want exit 1 and an error naming --seed, got exit $status:" >&2
+    cat "$work/bad_seed.err" >&2
+    exit 1
+fi
+echo "synth --seed -1 refused: $(cat "$work/bad_seed.err")"

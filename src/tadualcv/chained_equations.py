@@ -32,6 +32,17 @@ whole ensemble. An ``Ensemble`` is a stage of ``methods.plan``: it offers its
 members in contiguous blocks costed by ``block_cost``, a block's one-CPU
 time estimated from its shape, and the plan decides which blocks run in
 which process.
+
+Everything a column step needs that depends only on the hole pattern is
+built once per block: after the bootstrap, ``chain_ensemble`` makes one
+step plan (``_Step``) per column, holding the active members, the observed
+rows of each run of members that share them, the design columns and the
+Gram rows each member leaves out, the degrees of freedom, the members that
+draw normals with their draw sizes, and each member's hole and donor
+counts. The ``t`` sweeps read the plans. A plan holds no per-hole index
+array: the plans of a block weigh about one ``(n,)`` mask per run of
+members and column, and the block's ``(B, k, n)`` hole mask is dropped once
+they are built.
 """
 
 from __future__ import annotations
@@ -46,23 +57,29 @@ PMM_DONORS = 5
 # One-CPU seconds of a block of chain members (``block_cost``): t * k column
 # steps, each costing BLOCK_STEP_S once per block plus, per member,
 # MEMBER_ROW_S per row and MEMBER_COLUMN2_S per squared design column
-# (p = k + 1). Least-squares fit, in relative error, to these timings of
-# ``Config()`` ensembles (t = 10) pinned to one CPU, BLAS at one thread, on
-# the inputs of the benchmark's cohort_m (M), long_visits (L) and
-# cli_wide_mice (W), median of 3-5 runs:
+# (p = k + 1). The constants are a least-squares fit, in relative error, to
+# one-CPU timings of the kernel as it was before it built its step plans
+# once per block. The seconds below are the current kernel's: ``Config()``
+# ensembles (t = 10) pinned to one CPU, BLAS at one thread, on the inputs of
+# the benchmark's cohort_m (M), long_visits (L) and cli_wide_mice (W), the
+# range of 3 medians of 5 runs. The estimates run 1.7-2.4 times the seconds.
+# A refit to them (BLOCK_STEP_S 3.6e-4, MEMBER_ROW_S 9.0e-8,
+# MEMBER_COLUMN2_S 2.7e-8) would move some of M's GP buckets into the
+# process that runs M's CTP block, so the earlier fit stays and every
+# benchmark input keeps its plan.
 #
 #   block                      n   k  members    seconds  estimate
-#   M CTP, whole             200  25       40       0.82      0.89
-#   M CTP, features 0-3      200  25       20       0.51      0.54
-#   M CTP, features 4-7      200  25       20       0.54      0.54
-#   M CTP, 1 feature         200  25        5       0.29      0.28
-#   M CFP                   5071   8        5       0.39      0.44
-#   L CTP, whole              60  70       20  3.76-4.06      4.01
-#   L CTP, members 0-9        60  70       10       2.41      2.28
-#   L CTP, members 10-19      60  70       10       2.43      2.28
-#   L CTP, 1 feature          60  70        5  1.42-1.49      1.42
-#   L CFP                   4291   4        5       0.21      0.19
-#   W CFP                  11921  16        5       2.32      1.92
+#   M CTP, whole             200  25       40  0.46-0.55      0.89
+#   M CTP, features 0-3      200  25       20  0.27-0.34      0.54
+#   M CTP, features 4-7      200  25       20  0.27-0.30      0.54
+#   M CTP, 1 feature         200  25        5  0.13-0.14      0.28
+#   M CFP                   5071   8        5  0.20-0.21      0.44
+#   L CTP, whole              60  70       20  1.96-2.19      4.01
+#   L CTP, members 0-9        60  70       10  1.18-1.23      2.28
+#   L CTP, members 10-19      60  70       10  1.23-1.25      2.28
+#   L CTP, 1 feature          60  70        5  0.78-0.88      1.42
+#   L CFP                   4291   4        5  0.08-0.08      0.19
+#   W CFP                  11921  16        5  1.04-1.25      1.92
 BLOCK_STEP_S = 7.9e-4
 MEMBER_ROW_S = 1.87e-7
 MEMBER_COLUMN2_S = 4.68e-8
@@ -159,15 +176,58 @@ def initialize_fills(matrix: np.ndarray, rng: np.random.Generator) -> ChainState
     return ChainState(aug[0], holes[0], rng)
 
 
-def _design_columns(inert, col):
-    """``(B, 1 + k)`` flags of the design columns each member regresses on.
+class _Step:
+    """What a column step needs that depends only on the hole pattern.
 
-    The intercept and every non-inert column other than the target.
+    ``chain_ensemble`` builds one per column after the bootstrap, and every
+    sweep reads it. A member is active when it has holes in the column and
+    at least two observed entries; the others skip the column, and their
+    observed rows are empty. Attributes:
+
+    - ``col``, and ``active``, the active members;
+    - ``runs``, ``(lo, hi, rows)`` for each run of adjacent members
+      ``lo:hi`` with the same observed rows ``rows``, an ``(n,)`` mask;
+    - ``observed``, the masks of the runs of active members, one row each,
+      then an empty row that every run of inactive members shares, and
+      ``run_sizes``, the member count of each run of active members;
+    - ``use``, each member's design columns, and ``drop``, the (member,
+      column) pairs it leaves out, whose rows and columns of the Gram matrix
+      are those of the identity;
+    - ``dof``, the residual variance's degrees of freedom;
+    - ``draws``, each active member with its ``standard_normal`` draw size,
+      and ``draw_at``, where those draws land in its coefficients;
+    - ``holes``, each active member with its hole count, for its ``random``
+      call, the counts again as ``counts``, and ``donors``, how many donors
+      each active member draws among.
     """
-    use = np.ones((inert.shape[0], inert.shape[1] + 1), dtype=bool)
-    use[:, 1:] = ~inert
-    use[:, 1 + col] = False
-    return use
+
+    def __init__(self, holes, inert, col):
+        n_members, k, n = holes.shape
+        n_mis = holes[:, col].sum(axis=1)
+        active = (n_mis > 0) & (n - n_mis >= 2)
+        observed = ~holes[:, col] & active[:, None]
+        cuts = np.flatnonzero((observed[1:] != observed[:-1]).any(axis=1)) + 1
+        lo, hi = np.array([0, *cuts]), np.array([*cuts, n_members])
+        # the intercept and every non-inert column other than the target
+        use = np.ones((n_members, 1 + k), dtype=bool)
+        use[:, 1:] = ~inert
+        use[:, 1 + col] = False
+        self.col = col
+        self.active = np.flatnonzero(active)
+        self.observed = np.append(observed[lo[active[lo]]], np.zeros((1, n), bool), axis=0)
+        self.run_sizes = (hi - lo)[active[lo]]
+        # a run's row of ``observed``; -1 is the shared empty row
+        row = np.where(active[lo], np.cumsum(active[lo]) - 1, -1)
+        self.runs = [(a, b, self.observed[r]) for a, b, r in zip(lo.tolist(), hi.tolist(), row)]
+        self.use = use
+        self.drop = np.nonzero(~use)
+        self.dof = np.maximum(1, observed.sum(axis=1) - use.sum(axis=1))
+        members = self.active.tolist()
+        self.draws = list(zip(members, use[active].sum(axis=1).tolist()))
+        self.draw_at = use[active]
+        self.counts = n_mis[active]
+        self.holes = list(zip(members, self.counts.tolist()))
+        self.donors = np.minimum(PMM_DONORS, n - self.counts)
 
 
 def _inv_lower(chol):
@@ -184,30 +244,28 @@ def _inv_lower(chol):
     return inv
 
 
-def _fit(aug, observed, use, col):
-    """Ridge fits of column ``col`` for every member, over its observed rows.
+def _fit(aug, step):
+    """Ridge fits of column ``step.col`` for every member, over its observed rows.
 
-    ``aug`` is ``(B, 1 + k, n)``, ``observed`` ``(B, n)`` each member's
-    observed rows and ``use`` its design columns. Adjacent members with the
-    same observed rows (the chains of one view) form a run, and each run's
-    observed columns of ``aug`` are taken once. The Gram matrix and the
-    residual variance are then sums over a member's observed rows alone, so
-    every product's shape, and so its bits, depend on that member only.
-    Design columns a member leaves out get an identity row in its Gram
-    matrix and a zero right-hand side, so their coefficients are 0 and every
-    member's system has the same size. Returns the coefficients
-    ``(B, 1 + k)``, the inverses ``L^-1`` of the Grams' lower Cholesky
-    factors and the residual variances ``(B,)``.
+    ``aug`` is ``(B, 1 + k, n)``. Its observed columns are taken once per
+    run of ``step.runs``. The Gram matrix and the residual variance are then
+    sums over a member's observed rows alone, so every product's shape, and
+    so its bits, depend on that member only. Design columns a member leaves
+    out get an identity row in its Gram matrix and a zero right-hand side,
+    so their coefficients are 0 and every member's system has the same size.
+    Returns the coefficients ``(B, 1 + k)``, the inverses ``L^-1`` of the
+    Grams' lower Cholesky factors and the residual variances ``(B,)``.
     """
-    n_members, p, _ = aug.shape
-    cuts = np.flatnonzero((observed[1:] != observed[:-1]).any(axis=1)) + 1
-    runs = list(zip([0, *cuts], [*cuts, n_members]))
-    rows = [np.compress(observed[lo], aug[lo:hi], axis=2) for lo, hi in runs]
+    col, p = step.col, aug.shape[1]
+    rows = [np.compress(mask, aug[lo:hi], axis=2) for lo, hi, mask in step.runs]
     # column 1 + col of A'A is A'y, the right-hand side
     gram = np.concatenate([x @ x.swapaxes(1, 2) for x in rows])
-    rhs = np.where(use, gram[:, :, 1 + col], 0.0)
-    gram = np.where(use[:, :, None] & use[:, None, :], gram, 0.0)
-    gram[:, range(p), range(p)] += np.where(use, RIDGE, 1.0)
+    rhs = np.where(step.use, gram[:, :, 1 + col], 0.0)
+    member, left_out = step.drop
+    gram[member, left_out] = 0.0
+    gram[member, :, left_out] = 0.0
+    gram.reshape(len(gram), p * p)[:, :: p + 1] += RIDGE
+    gram[member, left_out, left_out] = 1.0
     try:
         chol = np.linalg.cholesky(gram)
         # a non-finite Gram can factor into NaN without an error
@@ -218,16 +276,17 @@ def _fit(aug, observed, use, col):
     inv_chol = _inv_lower(chol)
     # G^-1 rhs = L^-T (L^-1 rhs)
     beta = inv_chol.swapaxes(1, 2) @ (inv_chol @ rhs[:, :, None])
-    beta = np.where(use, beta[:, :, 0], 0.0)
+    beta = np.where(step.use, beta[:, :, 0], 0.0)
 
-    resid = [x[:, 1 + col] - (beta[lo:hi, None, :] @ x)[:, 0] for x, (lo, hi) in zip(rows, runs)]
-    dof = np.maximum(1, observed.sum(axis=1) - use.sum(axis=1))
-    sigma2 = np.concatenate([(r * r).sum(axis=1) for r in resid]) / dof
+    resid = [
+        x[:, 1 + col] - (beta[lo:hi, None, :] @ x)[:, 0] for x, (lo, hi, _) in zip(rows, step.runs)
+    ]
+    sigma2 = np.concatenate([(r * r).sum(axis=1) for r in resid]) / step.dof
     return beta, inv_chol, sigma2
 
 
-def _perturb(beta, inv_chol, sigma2, use, members, rngs):
-    """Draw every member's coefficients from their approximate posterior.
+def _perturb(beta, inv_chol, sigma2, step, rngs):
+    """Draw every active member's coefficients from their approximate posterior.
 
     The draw is ``beta + sigma * L^-T z`` with ``z`` standard normal, so its
     covariance is ``sigma2 * G^-1`` through the fit's own factor, with
@@ -237,36 +296,40 @@ def _perturb(beta, inv_chol, sigma2, use, members, rngs):
     column's row and column of ``L^-1`` are those of the identity, so its
     coefficient stays 0.
     """
-    draws = members[sigma2[members] > 0.0]
-    if draws.size == 0:
+    live = sigma2[step.active] > 0.0
+    if not live.any():
         return beta
+    draws = step.active[live]
     z = np.zeros((draws.size, beta.shape[1], 1))
-    sizes = use[draws].sum(axis=1)
-    z[use[draws], 0] = np.concatenate([rngs[b].standard_normal(n) for b, n in zip(draws, sizes)])
+    z[step.draw_at[live], 0] = np.concatenate(
+        [rngs[b].standard_normal(size) for (b, size), d in zip(step.draws, live.tolist()) if d]
+    )
     beta = beta.copy()
     beta[draws] += np.sqrt(sigma2[draws])[:, None] * (inv_chol[draws].swapaxes(1, 2) @ z)[:, :, 0]
     return beta
 
 
-def _match(pred, y, observed, holes, rngs):
-    """PMM donors for every member's holes of one column.
+def _match(pred, y, step, rngs):
+    """PMM donors for the active members' holes of column ``step.col``.
 
-    ``pred``, ``y``, ``observed`` and ``holes`` are ``(B, n)``. A hole draws
-    uniformly among the first ``PMM_DONORS`` donors, in row order, whose
-    prediction ties its own exactly, else among its ``PMM_DONORS`` nearest
-    donors. Those are ranked by distance, then by position in the window of
-    ``PMM_DONORS`` sorted donors on either side of the hole's insertion
-    point: on equal distance a donor below comes before one above, and of
-    donors equally far below, the lowest in the window comes first. Each
-    member with holes draws ``random(n_mis)``, in member order. Returns the
-    flat ``(member, row)`` hole indices, member-major, and their donor
-    values.
+    ``pred`` and ``y`` are ``(A, n)``, the rows of the ``A`` active members.
+    A hole draws uniformly among the first ``PMM_DONORS`` donors, in row
+    order, whose prediction ties its own exactly, else among its
+    ``PMM_DONORS`` nearest donors. Those are ranked by distance, then by
+    position in the window of ``PMM_DONORS`` sorted donors on either side of
+    the hole's insertion point: on equal distance a donor below comes before
+    one above, and of donors equally far below, the lowest in the window
+    comes first. Each active member draws ``random(n_mis)``, in member
+    order. Returns the flat ``(member, row)`` hole indices, member-major,
+    and their donor values.
     """
-    k, n = PMM_DONORS, pred.shape[1]
-    member, row = divmod(np.flatnonzero(holes), n)
-    todo = np.flatnonzero(holes.any(axis=1))
-    counts = holes[todo].sum(axis=1)
-    u = np.concatenate([rngs[b].random(c) for b, c in zip(todo.tolist(), counts.tolist())])
+    k, (n_active, n) = PMM_DONORS, pred.shape
+    observed = np.repeat(step.observed[:-1], step.run_sizes, axis=0)
+    u = np.concatenate([rngs[b].random(count) for b, count in step.holes])
+    # which * n + row of every hole, with ``which`` its active member
+    flat = np.flatnonzero(~observed)
+    which = np.repeat(np.arange(n_active), step.counts)
+    row = flat - n * which
 
     # One sort of all of a member's rows, holes and donors together.
     # ``order`` indexes the members' rows, flattened. ``start`` marks where
@@ -274,45 +337,46 @@ def _match(pred, y, observed, holes, rngs):
     # positions in runs of two or more (``in_run``) are then sorted by (run,
     # row), which puts exact ties back in row order, as a stable sort of the
     # donors has them.
-    order = np.argsort(pred[todo], axis=1)
-    ranked = np.take_along_axis(pred[todo], order, axis=1).ravel()
-    order = (order + n * np.arange(todo.size)[:, None]).ravel()
+    order = (np.argsort(pred, axis=1) + n * np.arange(n_active)[:, None]).ravel()
+    ranked = pred.ravel()[order]
     start = np.ones(ranked.size + 1, dtype=bool)
     start[1:-1] = ranked[1:] != ranked[:-1]
     start[n::n] = True
     in_run = np.flatnonzero(~(start[:-1] & start[1:]))
-    by_row = in_run[np.argsort(np.cumsum(start[in_run]) * ranked.size + order[in_run])]
-    order[in_run], ranked[in_run] = order[by_row], ranked[by_row]
-    is_donor = observed[todo].ravel()[order]
+    if in_run.size:
+        by_row = in_run[np.argsort(np.cumsum(start[in_run]) * ranked.size + order[in_run])]
+        order[in_run], ranked[in_run] = order[by_row], ranked[by_row]
+    is_donor = observed.ravel()[order]
 
     # All members' donors in one flat array with k slots of +inf before,
     # between and after them: a walk k slots out stays within its member.
     ranks = np.flatnonzero(is_donor)
     slot = np.arange(ranks.size) + k * (ranks // n + 1)
-    donor_pred = np.full(ranks.size + k * (todo.size + 1), np.inf)
+    donor_pred = np.full(ranks.size + k * (n_active + 1), np.inf)
     donor_pred[slot] = ranked[ranks]
     donor_y = np.zeros_like(donor_pred)
-    donor_y[slot] = y[todo].ravel()[order[ranks]]
+    donor_y[slot] = y.ravel()[order[ranks]]
 
     # a hole's insertion point: the donors before its run of equal predictions
-    below = np.cumsum(is_donor) - is_donor
-    below[in_run] = np.maximum.accumulate(np.where(start[in_run], below[in_run], 0))
+    below = np.cumsum(is_donor, dtype=np.int32) - is_donor
+    if in_run.size:
+        below[in_run] = np.maximum.accumulate(np.where(start[in_run], below[in_run], 0))
     below_by_row = np.empty_like(below)
     below_by_row[order] = below
-    which = np.repeat(np.arange(todo.size), counts)
-    lo = below_by_row[which * n + row] + k * (which + 1)
-    q = pred[member, row]
-    n_near = np.minimum(k, observed[todo].sum(axis=1)[which])
+    lo = below_by_row[flat] + k * (which + 1)
+    q = pred.ravel()[flat]
+    n_near = step.donors[which]
     pick = np.minimum((u * n_near).astype(np.int64), n_near - 1)
 
     # The pick-th nearest donor: pick steps outward from the insertion point,
     # each to the nearer side (below on equal distance), then the nearer of
     # the next two. Padding slots are infinitely far.
     left, right = lo - 1, lo.copy()
-    for step in range(k - 1):
+    for step_no in range(k - 1):
         go_left = np.abs(donor_pred[left] - q) <= np.abs(donor_pred[right] - q)
-        left -= (step < pick) & go_left
-        right += (step < pick) & ~go_left
+        move = step_no < pick
+        left -= move & go_left
+        right += move & ~go_left
     dist = np.abs(donor_pred[left] - q)
     go_left = dist <= np.abs(donor_pred[right] - q)
     pos = np.where(go_left, left, right)
@@ -324,57 +388,56 @@ def _match(pred, y, observed, holes, rngs):
     odd = np.flatnonzero(go_left & (
         (left < lo - 1) & (np.abs(donor_pred[left + 1] - q) == dist)
         | (left > lo - k) & (np.abs(donor_pred[left - 1] - q) == dist)))
-    q_odd, dist_odd, lo_odd = q[odd], dist[odd], lo[odd]
-    top, bottom = left[odd], left[odd]
-    for _ in range(k - 1):
-        top += (top < lo_odd - 1) & (np.abs(donor_pred[top + 1] - q_odd) == dist_odd)
-    for _ in range(k - 1):
-        bottom -= (bottom > lo_odd - k) & (np.abs(donor_pred[bottom - 1] - q_odd) == dist_odd)
-    pos[odd] = top + bottom - left[odd]
+    if odd.size:
+        q_odd, dist_odd, lo_odd = q[odd], dist[odd], lo[odd]
+        top, bottom = left[odd], left[odd]
+        for _ in range(k - 1):
+            top += (top < lo_odd - 1) & (np.abs(donor_pred[top + 1] - q_odd) == dist_odd)
+        for _ in range(k - 1):
+            bottom -= (bottom > lo_odd - k) & (np.abs(donor_pred[bottom - 1] - q_odd) == dist_odd)
+        pos[odd] = top + bottom - left[odd]
 
     # exact ties start at the insertion point: a uniform draw among the
     # first k of them
     tied = np.flatnonzero(donor_pred[lo] == q)
-    pool = sum(donor_pred[lo[tied] + i] == q[tied] for i in range(k))
-    pos[tied] = lo[tied] + np.minimum((u[tied] * pool).astype(np.int64), pool - 1)
-    return member, row, donor_y[pos]
+    if tied.size:
+        pool = sum(donor_pred[lo[tied] + i] == q[tied] for i in range(k))
+        pos[tied] = lo[tied] + np.minimum((u[tied] * pool).astype(np.int64), pool - 1)
+    return step.active[which], row, donor_y[pos]
 
 
-def _pmm_step(aug, holes, inert, rngs, col):
-    """Refresh column ``col`` of every member by predictive mean matching.
+def _pmm_step(aug, step, rngs):
+    """Refresh column ``step.col`` of every active member by predictive mean matching.
 
-    A member skips the column when it is inert, has no holes, or has fewer
-    than two observed entries (its bootstrap fill stays frozen). Per member
-    the draws are ``standard_normal(p)`` (only when the residual variance is
-    positive) and then ``random(n_mis)``. Writes the fills into ``aug`` and
-    returns the flat ``(member, row)`` hole indices and their fills.
+    The other members skip the column: it is inert, has no holes, or has
+    fewer than two observed entries (its bootstrap fill stays frozen). Per
+    member the draws are ``standard_normal(p)`` (only when the residual
+    variance is positive) and then ``random(n_mis)``. Writes the fills into
+    ``aug`` and returns the flat ``(member, row)`` hole indices and their
+    fills.
     """
-    mis = holes[:, col]
-    n_mis = mis.sum(axis=1)
-    active = (n_mis > 0) & (mis.shape[1] - n_mis >= 2)
-    if not active.any():
+    col = step.col
+    if step.active.size == 0:
         return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)
-    observed = ~mis & active[:, None]
-    use = _design_columns(inert, col)
-    beta, inv_chol, sigma2 = _fit(aug, observed, use, col)
-    beta = _perturb(beta, inv_chol, sigma2, use, np.flatnonzero(active), rngs)
+    beta, inv_chol, sigma2 = _fit(aug, step)
+    beta = _perturb(beta, inv_chol, sigma2, step, rngs)
 
     # One stacked product per member. Ties are exact ties of these computed
     # predictions: the BLAS product can predict two identical predictor rows
     # 1 ulp apart, and then they do not tie (ROADMAP item 6's satellite).
-    pred = (beta[:, None, :] @ aug)[:, 0]
+    pred = (beta[:, None, :] @ aug)[:, 0][step.active]
     # the fit never reads a hole's predictors: a non-finite one shows here
-    if not np.isfinite(pred[active]).all():
+    if not np.isfinite(pred).all():
         raise DegenerateModelError(f"degenerate conditional model for column {col}")
-    member, row, fills = _match(pred, aug[:, 1 + col], observed, mis & active[:, None], rngs)
+    member, row, fills = _match(pred, aug[step.active, 1 + col], step, rngs)
     aug[member, 1 + col, row] = fills
     return member, row, fills
 
 
-def _sweep(aug, holes, inert, rngs):
+def _sweep(aug, steps, rngs):
     """One Gibbs pass over every member, columns in ascending index order."""
-    for col in range(holes.shape[1]):
-        _pmm_step(aug, holes, inert, rngs, col)
+    for step in steps:
+        _pmm_step(aug, step, rngs)
 
 
 def chain_ensemble(
@@ -403,8 +466,10 @@ def chain_ensemble(
         np.random.default_rng(tuple(streams[b // m]) + (int(master_seed), b % m)) for b in members
     ]
     holes, inert = _bootstrap(aug, rngs)
+    steps = [_Step(holes, inert, col) for col in range(k)]
+    del holes
     for _ in range(t):
-        _sweep(aug, holes, inert, rngs)
+        _sweep(aug, steps, rngs)
     return aug[:, 1:].swapaxes(1, 2)
 
 
@@ -493,7 +558,8 @@ def pmm_draw(state: ChainState, target_column: int) -> np.ndarray:
     Returns the new fills in missing-row order; a column a sweep would skip
     is left as it is.
     """
-    return _pmm_step(*state.batch(), target_column)[2]
+    aug, holes, inert, rngs = state.batch()
+    return _pmm_step(aug, _Step(holes, inert, target_column), rngs)[2]
 
 
 def pool_chains(per_chain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -80,6 +80,13 @@ def _parse_rates(text: str) -> list[float]:
     return rates
 
 
+def _seed(flag: str, value: int) -> int:
+    """A seed given on the command line; like every seed, it must be non-negative."""
+    if value < 0:
+        raise ConfigError(f"{flag} must be >= 0, got {value}")
+    return value
+
+
 def cmd_synth(args) -> int:
     config = SynthConfig(
         n_visits=args.visits,
@@ -87,7 +94,7 @@ def cmd_synth(args) -> int:
         events_per_visit=(args.events_min, args.events_max),
         noise_scale=args.noise,
         native_missing_rate=args.missing_rate,
-        seed=args.seed if args.seed is not None else 0,
+        seed=_seed("--seed", args.seed),
     )
     dataset, _ = generate(config)
     io_formats.emit_long_csv(dataset, args.out)
@@ -96,8 +103,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_mask(args) -> int:
+    seed = _seed("--seed", args.seed)
     dataset = io_formats.ingest_long_csv(args.data)
-    seed = args.seed if args.seed is not None else 0
     if args.one_per_feature:
         mask = mask_one_per_feature_visit(dataset, seed)
     else:
@@ -159,7 +166,7 @@ def cmd_bench(args) -> int:
         if m not in CLI_METHODS:
             raise ConfigError(f"unknown method {m!r}")
     variants = [CLI_METHODS[m] for m in methods]
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    seeds = [_seed("--seeds", int(s)) for s in args.seeds.split(",") if s.strip()]
     if args.one_per_feature:
         strategies = [("one_per_feature_visit", None)]
     else:

@@ -18,7 +18,12 @@ step evaluates one ``log10(alpha)`` per member with one batched Cholesky
 factorization, and each member stops on its own bracket width and escalates
 its own nugget. The kernel only combines values of the same member, so a fit
 gives the same bits alone or in any batch; ``fit_gp``,
-``profile_neg_log_likelihood`` and ``gp_predict`` are batches of one.
+``profile_neg_log_likelihood`` and ``gp_predict`` are batches of one. A
+bucket's pairwise time differences and its stacked ``(y, 1)`` right-hand
+sides depend on its data only, so they are built once per bucket
+(``_pairs``) and every likelihood evaluation of its search reads them; the
+searching members' rows are gathered again only when a member leaves the
+search.
 ``GPBuckets`` is the GP stage of ``impute()``'s plan: it builds the table of
 problems once, fits one bucket per ``run`` call, which may be in a separate
 process, and ``collect`` writes any mix of bucket results into the layout;
@@ -50,16 +55,17 @@ RESIDUAL_FLOOR = 1e-24
 # One-CPU seconds of a bucket of fits (``bucket_cost``): BUCKET_S, plus
 # BUCKET_OBS_S per observation of one fit, plus BUCKET_FIT_OBS2_S per fit and
 # squared observation. Least-squares fit, in relative error, to the one-CPU
-# times (BLAS at one thread, median of 5 runs) of the 24 buckets of the
-# benchmark's cohort_m input (M) and the 42 of long_visits' (L); a bucket's
-# estimate is within 30% of its time. Summed over the buckets:
+# times (BLAS at one thread, each the median of 3 runs of the median of 5)
+# of the 24 buckets of the benchmark's cohort_m input (M) and the 42 of
+# long_visits' (L); a bucket's estimate is 0.83 to 1.54 times its time.
+# Summed over the buckets, with the range of the 3 runs' sums:
 #
 #   input   buckets   fits   seconds (whole GP)  estimate
-#   M            24   1597          0.37           0.38
-#   L            42    240          0.71           0.69
-BUCKET_S = 5.7e-3
-BUCKET_OBS_S = 1.23e-4
-BUCKET_FIT_OBS2_S = 8.2e-7
+#   M            24   1597    0.30 (0.25-0.36)     0.29
+#   L            42    240    0.70 (0.46-0.74)     0.67
+BUCKET_S = 2.6e-3
+BUCKET_OBS_S = 2.36e-4
+BUCKET_FIT_OBS2_S = 6.15e-7
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -123,53 +129,77 @@ class _Profile:
     nll: np.ndarray  # (B,) negative profile log-likelihood
 
 
-def _profile(alpha, t, y) -> _Profile:
-    """Profile terms for ``(B,)`` alphas at ``(B, n)`` times and values.
+def _pairs(t, y):
+    """A bucket's ``(B, n, n)`` pairwise time differences and ``(B, 2, n)`` stacked ``(y, 1)``.
+
+    They depend on the data only: ``_fit`` computes them once per bucket,
+    and every likelihood evaluation of its search takes them.
+    """
+    return t[:, :, None] - t[:, None, :], np.stack([y, np.ones_like(y)], axis=1)
+
+
+def _correlation(alpha, diff, delta):
+    """``corr`` at ``(B,)`` alphas over a bucket's differences, plus ``delta`` on the diagonal.
+
+    Adding ``delta`` to the diagonal in place has the bits of adding
+    ``delta * I``: ``exp`` never gives -0.0, so ``x + 0.0`` is ``x``.
+    """
+    mats = np.exp(-alpha[:, None, None] * diff * diff)
+    n = diff.shape[-1]
+    mats.reshape(len(mats), n * n)[:, :: n + 1] += delta
+    return mats
+
+
+def _profile(alpha, diff, rhs) -> _Profile:
+    """Profile terms for ``(B,)`` alphas from ``_pairs``' differences and right-hand sides.
 
     The nugget starts at ``n * NUGGET_BASE`` and doubles up to ``NUGGET_MAX``
-    for the members that failed to factor, and only for them.
+    for the members that failed to factor, and only for them: their
+    correlation matrices are computed again with the larger nugget.
     """
-    size, n = y.shape
-    base = corr(alpha[:, None, None], t[:, :, None], t[:, None, :])
-    chol = np.full_like(base, np.nan)
-    nugget = np.full(size, np.nan)
-    todo = np.arange(size)
+    n = rhs.shape[-1]
     delta = NUGGET_BASE * n
-    while True:
-        factors, ok = _cholesky(base[todo] + delta * np.eye(n))
-        chol[todo[ok]] = factors[ok]
-        nugget[todo[ok]] = delta
-        todo = todo[~ok]
-        if todo.size == 0 or delta >= NUGGET_MAX:
-            break
+    chol, ok = _cholesky(_correlation(alpha, diff, delta))
+    nugget = np.where(ok, delta, np.nan)
+    todo = np.flatnonzero(~ok)
+    while todo.size and delta < NUGGET_MAX:
         delta = min(2.0 * delta, NUGGET_MAX)
+        factors, ok = _cholesky(_correlation(alpha[todo], diff[todo], delta))
+        chol[todo[ok]], nugget[todo[ok]] = factors[ok], delta
+        todo = todo[~ok]
 
-    z, ones = _whiten(chol, np.stack([y, np.ones_like(y)], axis=1)).transpose(1, 0, 2)
+    z, ones = _whiten(chol, rhs).transpose(1, 0, 2)
     mu = (ones * z).sum(axis=1) / (ones * ones).sum(axis=1)
     resid = z - mu[:, None] * ones
     quad = (resid * resid).sum(axis=1)
-    logdet = 2.0 * np.log(chol[:, range(n), range(n)]).sum(axis=1)
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
     nll = logdet + n * np.log(quad + RESIDUAL_FLOOR)
     return _Profile(nugget, chol, ones, resid, mu, quad, nll)
 
 
-def _search(t, y):
+def _search(diff, rhs):
     """Golden-section search over log10(alpha), all members in lockstep.
 
-    Each member follows the scalar search: it narrows its own bracket until
-    that is no wider than ``ALPHA_SEARCH_TOL`` and returns the best point it
-    evaluated (lowest objective, ties to the lower point). Returns
-    ``(u, failed_alpha)``: ``u`` is the best log10(alpha), NaN for members
-    that stopped because a correlation matrix did not factor, and
-    ``failed_alpha`` is that matrix's alpha, NaN for the rest.
+    ``diff`` and ``rhs`` are the bucket's ``_pairs``. Each member follows the
+    scalar search: it narrows its own bracket until that is no wider than
+    ``ALPHA_SEARCH_TOL`` and returns the best point it evaluated (lowest
+    objective, ties to the lower point). Returns ``(u, failed_alpha)``:
+    ``u`` is the best log10(alpha), NaN for members that stopped because a
+    correlation matrix did not factor, and ``failed_alpha`` is that matrix's
+    alpha, NaN for the rest.
     """
-    size = len(y)
+    size = len(rhs)
     best_f, best_u = np.full(size, np.inf), np.full(size, np.nan)
     failed_alpha = np.full(size, np.nan)
+    # the searching members' rows of diff and rhs, gathered again only when
+    # a member leaves the search
+    searching = [np.arange(size), diff, rhs]
 
     def objective(u, rows):
+        if not np.array_equal(rows, searching[0]):
+            searching[:] = rows, diff[rows], rhs[rows]
         alpha = 10.0**u
-        f = _profile(alpha, t[rows], y[rows]).nll
+        f = _profile(alpha, *searching[1:]).nll
         failed = np.isnan(f)
         failed_alpha[rows[failed]] = alpha[failed]
         better = (f < best_f[rows]) | ((f == best_f[rows]) & (u < best_u[rows]))
@@ -232,10 +262,11 @@ def _fit(times, values):
         raise ValueError("training times must be distinct")
     scale = ordered[:, -1] - ordered[:, 0]
     t = times / scale[:, None]
-    u, failed_alpha = _search(t, values)
+    diff, rhs = _pairs(t, values)
+    u, failed_alpha = _search(diff, rhs)
     ok = ~np.isnan(u)
     alpha = 10.0 ** u[ok]
-    profile = _profile(alpha, t[ok], values[ok])
+    profile = _profile(alpha, diff[ok], rhs[ok])
     fits = _Fits(t[ok], scale[ok], alpha, profile.quad / values.shape[1], profile)
     return fits, ok, failed_alpha
 
@@ -268,7 +299,7 @@ def profile_neg_log_likelihood(alpha: float, times, values) -> float:
     if y.size < 2:
         raise ValueError("need at least two observations")
     t = np.asarray(times, dtype=float)
-    nll = _profile(np.array([alpha], dtype=float), t[None], y[None]).nll[0]
+    nll = _profile(np.array([alpha], dtype=float), *_pairs(t[None], y[None])).nll[0]
     if np.isnan(nll):
         raise IllConditionedCorrelationError(f"ill-conditioned correlation at alpha={alpha:g}")
     return float(nll)

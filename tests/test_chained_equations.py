@@ -77,8 +77,9 @@ def test_conditional_matches_ridge_oracle():
     matrix = np.column_stack([x, 2.0 * x])
     matrix[2, 1] = NAN
     aug, holes, inert, _ = initialize_fills(matrix, np.random.default_rng(1)).batch()
-    use = ce._design_columns(inert, 1)
-    beta, _, _ = ce._fit(aug, ~holes[:, 1], use, 1)
+    step = ce._Step(holes, inert, 1)
+    use = step.use
+    beta, _, _ = ce._fit(aug, step)
     coefficients = beta[0, use[0]]
     obs = np.flatnonzero(~holes[0, 1])
     design = np.column_stack([np.ones(obs.size), x[obs]])
@@ -140,9 +141,9 @@ def test_sweep_single_missing_cell_draws_once(monkeypatch):
     calls = []
     real = ce._pmm_step
 
-    def counting(aug, holes, inert, rngs, col):
-        member, row, fills = real(aug, holes, inert, rngs, col)
-        calls.extend((col, int(r)) for r in row)
+    def counting(aug, step, rngs):
+        member, row, fills = real(aug, step, rngs)
+        calls.extend((step.col, int(r)) for r in row)
         return member, row, fills
 
     monkeypatch.setattr(ce, "_pmm_step", counting)
@@ -213,6 +214,13 @@ def test_per_cell_std_nonnegative_and_zero_on_agreement():
     assert result.per_cell_std[0] == 0.0  # every chain picks the exact donor
 
 
+def holes_at(missing, B, k, target):
+    """A ``(B, k, n)`` hole mask whose only holes are ``missing`` in column ``target``."""
+    holes = np.zeros((B, k, missing.shape[-1]), dtype=bool)
+    holes[:, target] = missing
+    return holes
+
+
 def test_perturbed_coefficients_follow_their_posterior():
     # Two groups of N members over one 30 x 4 design, each member with its own
     # generator. Group 0 regresses column 1 on the intercept and columns 0, 2
@@ -232,11 +240,12 @@ def test_perturbed_coefficients_follow_their_posterior():
     aug[:, 1:] = matrix.T
     aug[:, 1:][inert] = INERT_FILL
     aug[-1, 1 + target] = np.where(observed, 0.0, 0.7)
-    use = ce._design_columns(inert, target)
-    beta, inv_chol, sigma2 = ce._fit(aug, np.broadcast_to(observed, (B, n)), use, target)
+    step = ce._Step(holes_at(~observed, B, k, target), inert, target)
+    use = step.use
+    beta, inv_chol, sigma2 = ce._fit(aug, step)
     rngs = [np.random.default_rng((41, b)) for b in range(B)]
     idle_state = rngs[-1].bit_generator.state
-    draws = ce._perturb(beta, inv_chol, sigma2, use, np.arange(B), rngs)
+    draws = ce._perturb(beta, inv_chol, sigma2, step, rngs)
 
     for members, predictors in zip(groups, ([0, 2, 3], [0, 2])):
         design = np.column_stack([np.ones(n), matrix[:, predictors]])[observed]
@@ -285,11 +294,13 @@ def test_fit_same_bits_alone_as_in_a_ragged_batch():
     aug[:, 0] = 1.0
     aug[:, 1:] = matrix.swapaxes(1, 2)
     aug[:, 1:][inert] = INERT_FILL
-    use = ce._design_columns(inert, target)
-    batch = ce._fit(aug, observed, use, target)
+    holes = holes_at(~observed, B, k, target)
+    step = ce._Step(holes, inert, target)
+    use = step.use
+    batch = ce._fit(aug, step)
 
     for b in range(B):
-        alone = ce._fit(aug[b:b + 1], observed[b:b + 1], use[b:b + 1], target)
+        alone = ce._fit(aug[b:b + 1], ce._Step(holes[b:b + 1], inert[b:b + 1], target))
         for got, want in zip(batch, alone):
             assert_same_bits(got[b], want[0])
         design = aug[b][use[b]].T[observed[b]]
@@ -401,6 +412,17 @@ def test_chain_members_isolated_and_match_oracle():
     np.testing.assert_array_equal(batch[2], np.broadcast_to(stack[2], batch[2].shape))
 
 
+def kernel_match(pred, y, observed, holes, rngs):
+    """``_match`` as ``_pmm_step`` calls it, on a column whose observed rows are ``observed``.
+
+    The column's step plan takes every unobserved row as a hole; a member
+    with holes in ``holes`` has them there.
+    """
+    missing = ~observed[:, None]
+    step = ce._Step(missing, missing.all(axis=2), 0)
+    return ce._match(pred[step.active], y[step.active], step, rngs)
+
+
 # Reference for ``_match``, which must give its bits: a window-argsort donor
 # match with one stable sort of each member's donors, a searchsorted per
 # member and a stable argsort of each hole's 2k-slot window.
@@ -471,7 +493,7 @@ LEVELS = (-2.0, -0.0, 0.0, 0.5, 1.0, 2.0, 3.0, 8.0, 1e6)
 
 @st.composite
 def match_inputs(draw):
-    """``_match`` arguments as ``_pmm_step`` passes them, dense in ties.
+    """``kernel_match`` arguments, dense in ties.
 
     Member 0 has holes; any other member has holes, no holes, or no rows at
     all (inactive). A member with holes has at least two donors. Donors
@@ -509,7 +531,7 @@ def match_inputs(draw):
 def assert_match_equals_oracle(pred, y, observed, holes, seeds):
     """Same holes, same donor bits and same generator states as the oracle."""
     results = []
-    for match in (ce._match, window_match_oracle):
+    for match in (kernel_match, window_match_oracle):
         rngs = [np.random.default_rng(seed) for seed in seeds]
         member, row, fills = match(pred, y, observed, holes, rngs)
         results.append((member, row, fills, [r.bit_generator.state for r in rngs]))
@@ -535,8 +557,28 @@ def equal_distance_runs():
     return pred, y, ~holes, holes, [3, 103]
 
 
+def one_member(pred, holes):
+    """``kernel_match`` arguments for one member with ``y`` the row index."""
+    pred, holes = np.array([pred]), np.array([holes], dtype=bool)
+    return pred, np.arange(pred.size, dtype=float)[None], ~holes, holes, [11]
+
+
+# _match's three rare passes, each run only when its index set is non-empty:
+# none of them; a run of equal predictions, whose positions are put back in
+# row order; donors equally far below a hole, whose pick is mirrored; and a
+# donor tied exactly with a hole at its insertion point.
+NO_RARE_PASS = one_member([0.1, 0.25, 0.7, 1.3, 0.45, 2.9], [0, 1, 0, 0, 1, 0])
+TIE_RUN_ONLY = one_member([3.0, 1.0, 0.0, 3.0, 2.2, 5.0, 7.0], [0, 0, 0, 0, 1, 0, 0])
+EQUALLY_FAR_BELOW = one_member([0.0, 1.0, 1.0, 1.0, 1.0, 2.5, 9.0], [0, 0, 0, 0, 0, 1, 0])
+EXACT_TIE = one_member([0.5, 2.0, 1.5, 2.0, 3.0, 0.9], [0, 0, 0, 1, 0, 0])
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(match_inputs())
+@example(NO_RARE_PASS)
+@example(TIE_RUN_ONLY)
+@example(EQUALLY_FAR_BELOW)
+@example(EXACT_TIE)
 @example(equal_distance_runs())
 def test_match_same_bits_as_window_oracle(inputs):
     assert_match_equals_oracle(*inputs)
@@ -554,7 +596,7 @@ def test_match_draws_from_the_window_when_many_donors_tie_below():
     drawn = set()
     for seed in range(40):
         u = np.random.default_rng(seed).random()
-        _, _, fills = ce._match(pred, y, ~holes, holes, [np.random.default_rng(seed)])
+        _, _, fills = kernel_match(pred, y, ~holes, holes, [np.random.default_rng(seed)])
         oracle = oracle_pmm(pred[0], y[0], np.arange(8), np.array([8]), [u])
         assert fills.tolist() == oracle.tolist() == [2.0 + int(5 * u)]
         drawn.add(fills[0])

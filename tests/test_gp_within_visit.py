@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from tadualcv.gp_within_visit import (
     gp_predict,
     profile_neg_log_likelihood,
 )
+
+from conftest import assert_same_bits
 
 NAN = float("nan")
 
@@ -320,6 +324,32 @@ def test_nugget_escalates_only_for_the_ill_conditioned_member(monkeypatch, bucke
         mean, _ = singleton_fills(times, values, starts, visit, 0)
         rows = slice(starts[visit], starts[visit + 1])
         np.testing.assert_array_equal(fills[rows, 0][np.isnan(values[rows, 0])], mean)
+
+
+def test_fits_after_a_member_fails_keep_their_batch_of_one_bits(monkeypatch, bucket_fits):
+    # Member 0 fails to factor at the search's first point even at
+    # NUGGET_MAX, so every later evaluation runs on members 1 and 2 alone,
+    # from the rows of the bucket's time differences gathered for them.
+    monkeypatch.setattr(gp_within_visit, "NUGGET_BASE", 1e-20)
+    monkeypatch.setattr(gp_within_visit, "NUGGET_MAX", 1e-18)
+    evaluated = []
+    profile = gp_within_visit._profile
+
+    def recording_profile(alpha, diff, rhs):
+        evaluated.append(len(alpha))
+        return profile(alpha, diff, rhs)
+
+    monkeypatch.setattr(gp_within_visit, "_profile", recording_profile)
+    run_buckets(*near_duplicate_layout())
+    [(times, values, fits, ok, _)] = bucket_fits
+    assert ok.tolist() == [False, True, True]
+    assert evaluated[0] == 3 and set(evaluated[1:]) == {2}
+    for i, b in enumerate(np.flatnonzero(ok)):
+        alone = fit_gp(times[b], values[b])._fits
+        for batch, single in ((fits, alone), (fits.profile, alone.profile)):
+            for f in fields(batch):
+                if f.name != "profile":
+                    assert_same_bits(getattr(batch, f.name)[i], getattr(single, f.name)[0])
 
 
 def test_member_failing_at_max_nugget_is_skipped_alone(monkeypatch):

@@ -356,6 +356,31 @@ def test_cli_rejects_negative_seed(tmp_path, capsys, how):
     assert f"error: {message}\n" in capsys.readouterr().err
 
 
+def test_cli_synth_rejects_negative_seed(tmp_path, capsys):
+    out = tmp_path / "synth.csv"
+    assert main(["synth", "--out", str(out), "--visits", "6", "--seed", "-1"]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+
+
+def test_cli_mask_rejects_negative_seed(tmp_path, capsys):
+    data = _write_synth(tmp_path, n_visits=6)
+    out, mask_out = tmp_path / "masked.csv", tmp_path / "mask.csv"
+    assert main(["mask", "--data", str(data), "--rate", "0.4", "--seed", "-1",
+                 "--out", str(out), "--mask-out", str(mask_out)]) == 1
+    assert not out.exists() and not mask_out.exists()
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+
+
+def test_cli_bench_rejects_negative_seeds(tmp_path, capsys):
+    data = _write_synth(tmp_path, n_visits=6)
+    out_dir = tmp_path / "reports"
+    assert main(["bench", "--data", str(data), "--rates", "20", "--methods", "meanfill",
+                 "--seeds", "0,-1", "--out-dir", str(out_dir)]) == 1
+    assert not out_dir.exists()
+    assert capsys.readouterr().err == "error: --seeds must be >= 0, got -1\n"
+
+
 def test_config_file_rejects_bad_weights():
     for text in ["w1 = 0.9\n", "w1 = nan\nw2 = nan\n"]:
         with pytest.raises(ConfigError):
